@@ -10,7 +10,8 @@ from .distance import (ControlBasisGraph, CutResult, DistanceCertificate,
                        cut_weight_of, epsilon_best, epsilon_lower_svd,
                        epsilon_upper_block_search, epsilon_upper_drift_removal,
                        epsilon_upper_gap_merge, epsilon_upper_min_cut,
-                       stoer_wagner_min_cut, verify_certificate)
+                       is_symmetry_witness, stoer_wagner_min_cut,
+                       verify_certificate, verify_uncontrollable)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
@@ -49,11 +50,13 @@ __all__ = [
     "epsilon_upper_drift_removal", "epsilon_upper_gap_merge",
     "epsilon_upper_min_cut", "evolve", "extract_original_space_symmetry",
     "haar_unitary", "hermitian_eigensystem", "hs_inner", "hs_norm",
-    "is_controllable_commutant", "is_controllable_lie", "lie_dimension",
+    "is_controllable_commutant", "is_controllable_lie", "is_symmetry_witness",
+    "lie_dimension",
     "make_system", "matrix_from_json", "matrix_to_json", "operator_norm",
     "pair_system", "pulse_from_json", "pulse_to_json", "random_hermitian",
     "rank_and_nullity", "reachable_distance_probe", "reference_bounds",
     "stoer_wagner_min_cut", "system_from_json", "system_to_json",
     "t_star_lower", "tensor_double", "trace_norm", "traceless_part",
     "vec_row", "verify_certificate", "verify_perturbation_inequality",
+    "verify_uncontrollable",
 ]

@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .commutant import commutant_dimension, extract_original_space_symmetry
-from .distance import (certificate_from_json, certificate_to_json,
+from .commutant import (COMMUTANT_DIM_GUARD, commutant_dimension,
+                        extract_original_space_symmetry)
+from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
                        epsilon_best, epsilon_lower_svd, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
@@ -65,26 +66,12 @@ def _resolve_tolerances(args) -> ToleranceConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretty", action="store_true",
                         help="human-readable table instead of JSON")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in report provenance")
     parser.add_argument("--tol-config", help="JSON file overriding tolerances")
     parser.add_argument("--tol-hermiticity", dest="hermiticity_tol", type=float)
     parser.add_argument("--tol-trace", dest="trace_tol", type=float)
     parser.add_argument("--tol-rank", dest="rank_rel_tol", type=float)
     parser.add_argument("--tol-commute", dest="commute_tol", type=float)
     parser.add_argument("--tol-degeneracy", dest="degeneracy_tol", type=float)
-
-
-def _load_system(path: str, tol: ToleranceConfig) -> ControlSystem:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read system file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path} at line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}") from exc
-    return system_from_json(obj, tol=tol)
 
 
 def _load_json(path: str, kind: str):
@@ -96,6 +83,10 @@ def _load_json(path: str, kind: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+
+
+def _load_system(path: str, tol: ToleranceConfig) -> ControlSystem:
+    return system_from_json(_load_json(path, "system"), tol=tol)
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -196,7 +187,6 @@ def cmd_lie(args) -> int:
         "dimension": result.dimension,
         "max_dimension": d * d - 1,
         "controllable": controllable,
-        "converged": result.converged,
         "depth": result.depth,
         "tolerances": tol.to_dict(),
     }, args.pretty)
@@ -247,8 +237,7 @@ def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
 def cmd_distance(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    methods = tuple(args.methods.split(",")) if args.methods else \
-        ("gap_merge", "min_cut", "block_search", "drift_removal")
+    methods = tuple(args.methods.split(",")) if args.methods else ESTIMATORS
     alias = {"gap": "gap_merge", "cut": "min_cut", "block": "block_search",
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
@@ -297,7 +286,7 @@ def cmd_verify_ineq(args) -> int:
 
 
 def analyze_system(system: ControlSystem, tol: ToleranceConfig,
-                   skip_commutant: bool = False, seed: int = 0) -> tuple[dict, int]:
+                   skip_commutant: bool = False) -> tuple[dict, int]:
     """Full pipeline report; returns (report dict, exit code)."""
     d = system.dim
     lie = lie_dimension(system.algebra_generators(), tol=tol,
@@ -316,18 +305,16 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
             "dimension": lie.dimension,
             "max_dimension": d * d - 1,
             "controllable": lie_controllable,
-            "converged": lie.converged,
             "depth": lie.depth,
         },
         "commutant": None,
         "distance": None,
         "qsl": None,
-        "provenance": {"version": __version__, "tolerances": tol.to_dict(),
-                       "seed": seed},
+        "provenance": {"version": __version__, "tolerances": tol.to_dict()},
     }
-    if skip_commutant or d >= 7:
-        report["commutant"] = {"skipped": "dimension guard" if d >= 7
-                               else "--skip-commutant"}
+    if skip_commutant or d >= COMMUTANT_DIM_GUARD:
+        report["commutant"] = {"skipped": "dimension guard"
+                               if d >= COMMUTANT_DIM_GUARD else "--skip-commutant"}
     else:
         com = commutant_dimension(system.algebra_generators(), tol=tol,
                                   want_symmetries=False)
@@ -358,8 +345,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
 def cmd_analyze(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    report, code = analyze_system(system, tol, skip_commutant=args.skip_commutant,
-                                  seed=args.seed)
+    report, code = analyze_system(system, tol, skip_commutant=args.skip_commutant)
     _emit(report, args.pretty)
     return code
 
@@ -486,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commutant", help="doubled-space commutant test")
     p.add_argument("--system", required=True)
     p.add_argument("--force", action="store_true",
-                   help="run the dense SVD even for d >= 7")
+                   help="run the dense SVD even for "
+                        f"d >= {COMMUTANT_DIM_GUARD}")
     p.add_argument("--emit-symmetries", metavar="OUT_JSON",
                    help="write the symmetry basis to a file")
     _add_common(p)

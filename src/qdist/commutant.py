@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import DimensionGuardError, InputError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
-                     adjoint_action_matrix, as_matrix, devec_row,
-                     rank_and_nullity, tensor_double)
+                     adjoint_action_matrix, as_matrix, devec_row, from_real_vec,
+                     rank_and_nullity, real_vec, tensor_double)
+from .system import _as_operator
 
 # dense d^4-column SVDs get expensive/memory hungry beyond this; callers
 # should prefer the Lie-closure test or pass force=True deliberately
@@ -25,13 +26,15 @@ COMMUTANT_DIM_GUARD = 7
 
 @dataclass(frozen=True, eq=False)
 class CommutantResult:
-    """Nullity/rank of the stacked doubled-space adjoint matrix plus the
-    Hermitized symmetry operators devectorized from its nullspace."""
+    """Nullity/rank and singular values (descending) of the stacked
+    doubled-space adjoint matrix plus the Hermitized symmetry operators
+    devectorized from its nullspace."""
 
     nullity: int
     rank: int
     symmetry_basis: list
     controllable: bool
+    singular_values: np.ndarray
 
     @property
     def expected_rank(self) -> int:
@@ -84,10 +87,10 @@ def _hermitize_null_vectors(null_basis: np.ndarray, n: int,
     kept_mats: list[np.ndarray] = []
     fixed = []
     for m in project_out or []:
-        v = np.concatenate([m.real.ravel(), m.imag.ravel()])
+        v = real_vec(m)
         fixed.append(v / np.linalg.norm(v))
     for cand in candidates:
-        v = np.concatenate([cand.real.ravel(), cand.imag.ravel()])
+        v = real_vec(cand)
         norm0 = float(np.linalg.norm(v))
         if norm0 < 1e-14:
             continue
@@ -101,8 +104,7 @@ def _hermitize_null_vectors(null_basis: np.ndarray, n: int,
             continue
         v /= rem
         kept_vecs.append(v)
-        half = v.size // 2
-        kept_mats.append((v[:half] + 1j * v[half:]).reshape(n, n))
+        kept_mats.append(from_real_vec(v, n))
     return kept_mats
 
 
@@ -121,13 +123,14 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
             f"commutant test at d={d} needs an SVD with {d ** 4} columns; "
             "use the Lie-closure test or pass force=True")
     stacked = build_stacked_adjoint(mats, doubled=True)
-    rank, nullity, null_basis = rank_and_nullity(stacked, tol=tol,
-                                                 want_null_basis=want_symmetries)
+    r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
     symmetries = []
     if want_symmetries:
-        symmetries = _hermitize_null_vectors(null_basis, d * d)
-    return CommutantResult(nullity=nullity, rank=rank, symmetry_basis=symmetries,
-                           controllable=(nullity == 2))
+        symmetries = _hermitize_null_vectors(r.null_basis, d * d)
+    return CommutantResult(nullity=r.nullity, rank=r.rank,
+                           symmetry_basis=symmetries,
+                           controllable=(r.nullity == 2),
+                           singular_values=r.singular_values)
 
 
 def is_controllable_commutant(generators, tol: ToleranceConfig = DEFAULT_TOL,
@@ -148,12 +151,11 @@ def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_T
     """
     mats, d = _common_dim(generators)
     stacked = build_stacked_adjoint(mats, doubled=False)
-    _, nullity, null_basis = rank_and_nullity(stacked, tol=tol)
-    if nullity <= 1:
+    r = rank_and_nullity(stacked, tol=tol)
+    if r.nullity <= 1:
         return None
     eye = np.eye(d) / np.sqrt(d)
-    herm = _hermitize_null_vectors(null_basis, d, project_out=[eye])
+    herm = _hermitize_null_vectors(r.null_basis, d, project_out=[eye])
     if not herm:
         return None
-    m = (herm[0] + herm[0].conj().T) / 2
-    return HermitianOperator(m, traceless=abs(np.trace(m)) <= tol.trace_tol, tol=tol)
+    return _as_operator((herm[0] + herm[0].conj().T) / 2, tol)

@@ -20,11 +20,13 @@ from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
 from .lie_closure import is_controllable_lie
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     hermitian_eigensystem, matrix_from_json, matrix_to_json,
-                     operator_norm, rank_and_nullity, traceless_part)
-from .system import ControlSystem
+                     commutator, hermitian_eigensystem, matrix_from_json,
+                     matrix_to_json, operator_norm, rank_and_nullity,
+                     traceless_part)
+from .system import ControlSystem, _as_operator
 
-METHODS = ("gap_merge", "min_cut", "block_search", "drift_removal", "manual")
+ESTIMATORS = ("gap_merge", "min_cut", "block_search", "drift_removal")
+METHODS = ESTIMATORS + ("manual",)
 
 BLOCK_SEARCH_DIM_GUARD = 12
 
@@ -105,46 +107,73 @@ def _control_list(controls) -> list[np.ndarray]:
     return [as_matrix(c) for c in items]
 
 
-def _witness_commutes(m: np.ndarray, gens, tol: ToleranceConfig) -> bool:
+def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff M is not a multiple of the identity and commutes with every
+    generator within commute_tol (relative to ||M|| ||H_k||).
+
+    Such an M proves uncontrollability, since su(d) has a trivial commutant.
+    A witness whose dimension differs from the generators' is an InputError.
+    """
+    m = as_matrix(m)
     scale = operator_norm(m)
     for g in gens:
         bound = tol.commute_tol * scale * operator_norm(g) + 1e-14
-        if operator_norm(m @ g - g @ m) > bound:
+        if operator_norm(commutator(m, g)) > bound:
             return False
-    return True
+    return operator_norm(traceless_part(m)) > 1e-8 * max(scale, 1.0)
 
 
-def _uncontrollable(gens, tol: ToleranceConfig) -> bool:
-    d = gens[0].shape[0]
-    if d < COMMUTANT_DIM_GUARD:
-        return not commutant_dimension(gens, tol=tol,
-                                       want_symmetries=False).controllable
-    # Beyond the commutant guard: a non-trivial operator commuting with every
-    # generator is a rigorous uncontrollability witness (su(d) has a trivial
-    # commutant), and the d^2-column SVD that finds it does not suffer the
-    # noise amplification deep Lie closures do. Fall back to the closure when
-    # no witness exists.
-    witness = extract_original_space_symmetry(gens, tol=tol)
-    if witness is not None and _witness_commutes(witness.matrix, gens, tol):
-        return True
-    return not is_controllable_lie(gens, tol=tol, require_traceless=False)
+def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
+                          ) -> tuple[bool, HermitianOperator | None]:
+    """Decide from scratch whether the generators are uncontrollable.
+
+    The same order runs at every dimension. A symmetry witness is tried
+    first: the given one, then the one extract_original_space_symmetry
+    finds, each accepted only through is_symmetry_witness. Checking one
+    costs O(K d^3) and, unlike a deep Lie closure, does not amplify noise.
+    Without a witness the commutant spectrum decides below
+    COMMUTANT_DIM_GUARD and the Lie closure at or above it. For d <= 4 the
+    Lie closure cross-checks every verdict and a disagreement raises
+    NumericalError. Returns the verdict and the accepted witness (None when
+    none was accepted).
+    """
+    mats = [as_matrix(g) for g in gens]
+    d = mats[0].shape[0]
+    if witness is None or not is_symmetry_witness(witness, mats, tol):
+        witness = extract_original_space_symmetry(mats, tol=tol)
+        if witness is not None and not is_symmetry_witness(witness, mats, tol):
+            witness = None
+    if witness is not None:
+        oracle, uncontrollable = "witness", True
+    elif d < COMMUTANT_DIM_GUARD:
+        oracle = "commutant"
+        uncontrollable = not commutant_dimension(
+            mats, tol=tol, want_symmetries=False).controllable
+    else:
+        oracle = "lie"
+        uncontrollable = not is_controllable_lie(mats, tol=tol,
+                                                 require_traceless=False)
+    if d <= 4:
+        lie_uncontrollable = not is_controllable_lie(mats, tol=tol,
+                                                     require_traceless=False)
+        if lie_uncontrollable != uncontrollable:
+            raise NumericalError(
+                f"controllability oracles disagree at d={d}: "
+                f"lie={not lie_uncontrollable}, {oracle}={not uncontrollable}")
+    return uncontrollable, witness
 
 
 def _certificate(deltas, method, tol, controls, drift, l11=None, witness=None,
-                 detail="", drift_index=0):
+                 detail=""):
     """Assemble + verify a drift perturbation certificate against the controls."""
     total = sum((d for d in deltas), np.zeros_like(drift))
     perturbed = [traceless_part(drift + total)] + [traceless_part(c) for c in controls]
-    verified = _uncontrollable(perturbed, tol)
-    if witness is None and verified:
-        witness = extract_original_space_symmetry(perturbed, tol=tol)
-    ops = [HermitianOperator(d, traceless=abs(np.trace(d)) <= tol.trace_tol, tol=tol)
-           for d in deltas]
+    verified, witness = verify_uncontrollable(perturbed, tol, witness)
     op_norm = max((operator_norm(d) for d in deltas), default=0.0)
     if l11 is None:
         l11 = float(sum(np.sum(np.abs(d)) for d in deltas))
     return DistanceCertificate(
-        perturbations=[(drift_index, op) for op in ops],
+        perturbations=[(0, _as_operator(d, tol)) for d in deltas],
         op_norm=float(op_norm), l11_norm=float(l11), method=method,
         verified_uncontrollable=verified, symmetry_witness=witness, detail=detail)
 
@@ -156,8 +185,8 @@ def epsilon_upper_gap_merge(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     The perturbation shifts the pair symmetrically onto their midpoint, so its
     norm is half the minimum gap (strictly below the one-sided gap bound).
     Creates a symmetry whenever the control leaves a vector of the merged
-    eigenspace invariant (always for a rank-1 control); the commutant test on
-    the perturbed system decides the verified flag either way. An already
+    eigenspace invariant (always for a rank-1 control); verify_uncontrollable
+    on the perturbed system decides the verified flag either way. An already
     degenerate spectrum yields a zero perturbation flagged as such.
     """
     hd = as_matrix(drift)
@@ -355,14 +384,13 @@ def _joint_control_blocks(controls: list[np.ndarray], tol: ToleranceConfig):
         blocks = _grouped_blocks(w, tol)
         return (v, blocks) if len(blocks) > 1 else None
     stacked = build_stacked_adjoint(controls, doubled=False)
-    _, nullity, null_basis = rank_and_nullity(stacked, tol=tol)
-    if nullity <= 1:
+    r = rank_and_nullity(stacked, tol=tol)
+    if r.nullity <= 1:
         return None
     d = controls[0].shape[0]
     rng = np.random.default_rng(719)  # fixed: results must be reproducible
-    coeffs = rng.standard_normal(null_basis.shape[1]) \
-        + 1j * rng.standard_normal(null_basis.shape[1])
-    x = (null_basis @ coeffs).reshape(d, d)
+    coeffs = rng.standard_normal(r.nullity) + 1j * rng.standard_normal(r.nullity)
+    x = (r.null_basis @ coeffs).reshape(d, d)
     m = (x + x.conj().T) / 2
     if np.linalg.norm(m) < 1e-12:
         m = ((x - x.conj().T) / 2j)
@@ -429,7 +457,8 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     delta_j of one generator moves its block by at most 4 ||delta_j|| in
     operator norm, and losing controllability requires driving sigma to zero,
     so by Weyl's inequality every uncontrollable perturbation of the given m
-    generators satisfies max_j ||delta_j|| >= sigma / (4 m).
+    generators satisfies max_j ||delta_j|| >= sigma / (4 m). The spectrum is
+    commutant_dimension's, so its dimension guard applies.
     """
     indices = sorted(set(int(i) for i in perturbed_indices))
     gens = system.algebra_generators()
@@ -437,18 +466,11 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
         raise InputError("perturbed_indices must be non-empty")
     if indices[0] < 0 or indices[-1] >= len(gens):
         raise InputError(f"perturbed index out of range 0..{len(gens) - 1}")
-    d = system.dim
-    if d >= COMMUTANT_DIM_GUARD:
-        raise DimensionGuardError("epsilon_lower_svd needs the d^4-column SVD; "
-                                  f"unavailable for d >= {COMMUTANT_DIM_GUARD}")
-    stacked = build_stacked_adjoint(gens, doubled=True)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    n = d ** 4
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0])) if s[0] > 0 else 0
-    if rank < n - 2:
+    com = commutant_dimension(gens, tol=tol, want_symmetries=False)
+    if not com.controllable:
         raise UncontrollableSystemError(
             "system is not controllable; its distance to uncontrollability is zero")
-    sigma = float(s[n - 3])
+    sigma = float(com.singular_values[system.dim ** 4 - 3])
     return sigma / (4.0 * len(indices))
 
 
@@ -456,26 +478,20 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Apply the certificate and test uncontrollability from scratch.
 
-    Uses the commutant test; for d <= 4 the Lie-closure test runs as an
-    independent cross-check and a disagreement raises NumericalError. For
-    d >= 7 (commutant guard) an explicit symmetry witness is sought first,
-    with the Lie-closure verdict as fallback.
+    Witness first, at every dimension: the certificate's symmetry witness is
+    tried, then one extracted from the perturbed system; either is accepted
+    only if it is not a multiple of the identity and commutes with every
+    perturbed generator. Without an accepted witness the commutant test
+    decides for d < COMMUTANT_DIM_GUARD and the Lie-closure test beyond it.
+    For d <= 4 the Lie-closure test cross-checks every verdict and a
+    disagreement raises NumericalError. A witness of the wrong dimension is
+    an InputError. See verify_uncontrollable.
     """
     perturbed = system.with_perturbations(
         [(i, d.matrix) for i, d in cert.perturbations], tol=tol)
-    gens = perturbed.algebra_generators()
-    d = perturbed.dim
-    if d >= COMMUTANT_DIM_GUARD:
-        return _uncontrollable(gens, tol)
-    commutant_verdict = commutant_dimension(gens, tol=tol,
-                                            want_symmetries=False).controllable
-    if d <= 4:
-        lie_verdict = is_controllable_lie(gens, tol=tol, require_traceless=False)
-        if lie_verdict != commutant_verdict:
-            raise NumericalError(
-                f"controllability oracles disagree at d={d}: "
-                f"lie={lie_verdict}, commutant={commutant_verdict}")
-    return not commutant_verdict
+    verified, _ = verify_uncontrollable(perturbed.algebra_generators(), tol,
+                                        cert.symmetry_witness)
+    return verified
 
 
 def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
@@ -491,18 +507,16 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
         raise InputError("system has neither drift nor bounded generators "
                          "to perturb")
     remaining = [traceless_part(op.matrix) for op in system.unbounded]
-    if remaining and not _uncontrollable(remaining, tol):
-        raise InputError("the unbounded controls alone are controllable: no "
-                         "perturbation of the bounded generators can render "
-                         "the system uncontrollable")
-    deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
     witness = None
     if remaining:
-        witness = extract_original_space_symmetry(remaining, tol=tol)
-    ops = [HermitianOperator(d, traceless=abs(np.trace(d)) <= tol.trace_tol,
-                             tol=tol) for d in deltas]
+        uncontrollable, witness = verify_uncontrollable(remaining, tol)
+        if not uncontrollable:
+            raise InputError("the unbounded controls alone are controllable: "
+                             "no perturbation of the bounded generators can "
+                             "render the system uncontrollable")
+    deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
     cert = DistanceCertificate(
-        perturbations=list(enumerate(ops)),
+        perturbations=[(j, _as_operator(d, tol)) for j, d in enumerate(deltas)],
         op_norm=max(operator_norm(d) for d in deltas),
         l11_norm=float(sum(np.sum(np.abs(d)) for d in deltas)),
         method="drift_removal", verified_uncontrollable=True,
@@ -517,8 +531,7 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
 
 
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
-                 methods=("gap_merge", "min_cut", "block_search", "drift_removal")
-                 ) -> DistanceEstimate:
+                 methods=ESTIMATORS) -> DistanceEstimate:
     """Best verified upper-bound certificate plus the SVD lower bound.
 
     The estimators perturb the drift; for a driftless system the bounded
@@ -526,8 +539,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     unperturbed controls are not already controllable on their own
     (otherwise the distance is infinite).
     """
-    unknown = set(methods) - {"gap_merge", "min_cut", "block_search",
-                              "drift_removal"}
+    unknown = set(methods) - set(ESTIMATORS)
     if unknown:
         raise InputError(f"unknown distance methods: {sorted(unknown)}")
     gens = system.algebra_generators()
@@ -597,15 +609,12 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
     for entry in obj.get("perturbations", []):
         if set(entry) - {"index", "matrix"}:
             raise InputError("perturbation entries must have keys index, matrix")
-        m = matrix_from_json(entry["matrix"])
-        op = HermitianOperator(m, traceless=abs(np.trace(m)) <= tol.trace_tol, tol=tol)
+        op = _as_operator(matrix_from_json(entry["matrix"]), tol)
         perturbations.append((int(entry["index"]), op))
     witness = obj.get("symmetry_witness")
     witness_op = None
     if witness is not None:
-        wm = matrix_from_json(witness)
-        witness_op = HermitianOperator(wm, traceless=abs(np.trace(wm)) <= tol.trace_tol,
-                                       tol=tol)
+        witness_op = _as_operator(matrix_from_json(witness), tol)
     return DistanceCertificate(
         perturbations=perturbations,
         op_norm=float(obj["op_norm"]),

@@ -12,28 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, traceless_part
+from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, from_real_vec,
+                     real_vec, traceless_part)
 
 
 @dataclass(frozen=True, eq=False)
 class LieClosureResult:
     """Closure summary: dimension, an orthonormal basis (Hilbert-Schmidt inner
-    product) of skew-Hermitian traceless matrices, nesting depth, convergence."""
+    product) of skew-Hermitian traceless matrices, and nesting depth."""
 
     dimension: int
     basis: list
     depth: int
-    converged: bool
-
-
-def _real_vec(m: np.ndarray) -> np.ndarray:
-    # Re tr(A^dagger B) equals the real dot product of these stacked vectors.
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-
-def _from_real_vec(v: np.ndarray, d: int) -> np.ndarray:
-    n = d * d
-    return (v[:n] + 1j * v[n:]).reshape(d, d)
 
 
 def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
@@ -44,8 +34,8 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     pass; a candidate is kept when its orthogonal remainder exceeds
     rank_rel_tol times its pre-projection norm. Sweeps are breadth-first over
     (new element, existing basis) pairs in deterministic order, and stop when
-    a full sweep adds nothing, the dimension hits d^2 - 1, or d^2 sweeps have
-    run (the last case is reported as converged=False).
+    a full sweep adds nothing or the dimension hits d^2 - 1. Every sweep that
+    continues adds an element, so there are fewer than d^2 sweeps.
 
     With require_traceless=True a generator with |tr| > trace_tol is an error;
     otherwise generators are traceless-shifted first.
@@ -83,7 +73,7 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     noise_floor = 0.1 * tol.rank_rel_tol
 
     def try_add(m: np.ndarray, depth: int, floor: float) -> bool:
-        v = _real_vec(m)
+        v = real_vec(m)
         norm0 = float(np.linalg.norm(v))
         if norm0 <= floor:
             return False
@@ -96,7 +86,7 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
             return False
         v /= rem
         basis_vecs[k] = v
-        basis_mats.append(_from_real_vec(v, d))
+        basis_mats.append(from_real_vec(v, d))
         depths.append(depth)
         return True
 
@@ -114,13 +104,7 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
         if try_add(1j * m / scale, 0, floor=0.0):
             frontier.append(len(basis_mats) - 1)
 
-    converged = True
-    sweep = 0
     while frontier and len(basis_mats) < max_dim:
-        if sweep >= d * d:
-            converged = False
-            break
-        sweep += 1
         snapshot = len(basis_mats)
         new_frontier: list[int] = []
         for fi in frontier:
@@ -139,7 +123,7 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
         frontier = new_frontier
 
     return LieClosureResult(dimension=len(basis_mats), basis=list(basis_mats),
-                            depth=max(depths, default=0), converged=converged)
+                            depth=max(depths, default=0))
 
 
 def is_controllable_lie(generators, tol: ToleranceConfig = DEFAULT_TOL,

@@ -181,15 +181,29 @@ def devec_row(v, rows: int, cols: int) -> np.ndarray:
     return a.reshape(rows, cols).copy()
 
 
+def real_vec(m: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts stacked into one real vector; Re tr(A^dagger B)
+    equals the real dot product of these vectors."""
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def from_real_vec(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of real_vec for a d x d matrix."""
+    n = d * d
+    return (v[:n] + 1j * v[n:]).reshape(d, d)
+
+
 class RankResult(NamedTuple):
     rank: int
     nullity: int
     null_basis: np.ndarray  # (cols, nullity), orthonormal columns
+    singular_values: np.ndarray  # descending
 
 
 def rank_and_nullity(m, tol: ToleranceConfig = DEFAULT_TOL,
                      want_null_basis: bool = True) -> RankResult:
-    """Numerical rank, nullity and an orthonormal null-space basis via SVD.
+    """Numerical rank, nullity, singular values and an orthonormal null-space
+    basis via SVD.
 
     rank counts singular values above rank_rel_tol * sigma_max; each returned
     null vector v satisfies ||M v|| <= 10 * rank_rel_tol * sigma_max.
@@ -218,7 +232,8 @@ def rank_and_nullity(m, tol: ToleranceConfig = DEFAULT_TOL,
         basis = np.empty((cols, 0), dtype=np.complex128)
     else:
         basis = vh[rank:].conj().T
-    return RankResult(rank=rank, nullity=nullity, null_basis=basis)
+    return RankResult(rank=rank, nullity=nullity, null_basis=basis,
+                      singular_values=s)
 
 
 def hermitian_eigensystem(h, tol: ToleranceConfig = DEFAULT_TOL):

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import extract_original_space_symmetry
-from .distance import (DistanceCertificate, certificate_to_json, epsilon_lower_svd)
+from .distance import (DistanceCertificate, certificate_to_json,
+                       epsilon_lower_svd, is_symmetry_witness,
+                       verify_uncontrollable)
 from .errors import (DimensionGuardError, InputError, UncontrollableSystemError)
-from .lie_closure import is_controllable_lie
-from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     commutator, hermitian_eigensystem, operator_norm)
+from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix,
+                     hermitian_eigensystem, operator_norm)
 from .system import ControlSystem
 
 DELTA_UNIVERSAL = 0.25          # dimension-independent floor
@@ -148,26 +148,18 @@ def evolve(system: ControlSystem, pulse: PiecewisePulse) -> np.ndarray:
 def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
                       tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, str]:
     """Geometric constant for the certificate: sqrt(2) if its symmetry witness
-    re-verifies against every generator of the perturbed system, else 1/4."""
+    re-verifies against every generator of the perturbed system (see
+    distance.is_symmetry_witness), else 1/4."""
     if not cert.verified_uncontrollable:
         raise InputError("delta_lower_bound requires a verified certificate")
     witness = cert.symmetry_witness
     if witness is None:
         return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
-    m = witness.matrix
-    m_norm = operator_norm(m)
-    d = m.shape[0]
-    nontrivial = operator_norm(m - (np.trace(m) / d) * np.eye(d)) > 1e-8 * max(m_norm, 1)
-    if not nontrivial:
-        return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
     perturbed = system.with_perturbations(
         [(i, delta.matrix) for i, delta in cert.perturbations], tol=tol)
-    for gen in perturbed.generators():
-        g = gen.matrix
-        bound = tol.commute_tol * m_norm * operator_norm(g) + 1e-14
-        if operator_norm(commutator(m, g)) > bound:
-            return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
-    return DELTA_SYMMETRY, PROVENANCE_SYMMETRY
+    if is_symmetry_witness(witness, perturbed.algebra_generators(), tol):
+        return DELTA_SYMMETRY, PROVENANCE_SYMMETRY
+    return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
 
 
 def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
@@ -270,8 +262,9 @@ def reachable_distance_probe(system: ControlSystem, target,
     """How far the target unitary stays from everything this (uncontrollable)
     system can reach.
 
-    If the system has an original-space symmetry whose spectral projector P
-    satisfies P (target) P = 0 (the target maps range(P) into its kernel),
+    Uncontrollability is decided by distance.verify_uncontrollable. If the
+    symmetry witness it accepts has a spectral projector P with
+    P (target) P = 0 (the target maps range(P) into its kernel),
     the exact floor sqrt(2) is certified: orthogonal states stay at distance
     sqrt(2). Otherwise random piecewise pulses are sampled and the smallest
     ||U_pulse - target|| is returned as a heuristic estimate only.
@@ -280,11 +273,11 @@ def reachable_distance_probe(system: ControlSystem, target,
     d = system.dim
     if u_target.shape != (d, d):
         raise InputError("target dimension mismatch")
-    gens = system.algebra_generators()
-    if is_controllable_lie(gens, tol=tol, require_traceless=False):
+    uncontrollable, witness = verify_uncontrollable(system.algebra_generators(),
+                                                    tol)
+    if not uncontrollable:
         raise InputError("system is controllable: every unitary is reachable "
                          "and the probe is meaningless")
-    witness = extract_original_space_symmetry(gens, tol=tol)
     if witness is not None:
         w, v = hermitian_eigensystem(witness.matrix, tol=tol)
         boundaries = [0] + [i for i in range(1, d)

@@ -112,9 +112,7 @@ class ControlSystem:
         def rebuilt(index: int) -> HermitianOperator:
             if index not in deltas:
                 return ops[index]
-            m = ops[index].matrix + deltas[index]
-            return HermitianOperator(m, traceless=abs(np.trace(m)) <= tol.trace_tol,
-                                     tol=tol)
+            return _as_operator(ops[index].matrix + deltas[index], tol)
 
         k = 0
         drift = None

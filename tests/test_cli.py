@@ -82,6 +82,22 @@ def test_distance_and_qsl_roundtrip(tmp_path, capsys):
     assert report["delta_provenance"] in ("universal_quarter", "symmetry_sqrt2")
 
 
+def test_qsl_cert_with_wrong_dimension_witness_exit_1(tmp_path, capsys):
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    doc = certificate_to_json(epsilon_upper_drift_removal(PAULI_Z, PAULI_X))
+    doc["symmetry_witness"] = {"rows": 3, "cols": 3,
+                               "re": [1.0, 0, 0, 0, 0, 0, 0, 0, 0],
+                               "im": [0.0] * 9}
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "qsl", "--system", path,
+                               "--cert", str(cert_file))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+
+
 def test_verify_ineq(tmp_path, capsys):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
     cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)

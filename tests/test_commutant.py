@@ -36,6 +36,9 @@ class TestCommutantDimension:
         assert res.rank == 14
         assert res.controllable
         assert res.expected_rank == 14
+        s = res.singular_values
+        assert s.shape == (16,)
+        assert np.count_nonzero(s > 1e-9 * s[0]) == res.rank
 
     def test_repeated_generator_uncontrollable(self):
         res = commutant_dimension([PAULI_Z, PAULI_Z])

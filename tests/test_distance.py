@@ -10,7 +10,11 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    epsilon_upper_gap_merge, epsilon_upper_min_cut, haar_unitary,
                    hermitian_eigensystem, make_system, operator_norm,
                    random_hermitian, stoer_wagner_min_cut, verify_certificate)
-from qdist.distance import certificate_from_json, certificate_to_json
+from qdist.commutant import (commutant_dimension,
+                             extract_original_space_symmetry)
+from qdist.distance import (certificate_from_json, certificate_to_json,
+                            is_symmetry_witness, verify_uncontrollable)
+from qdist.lie_closure import is_controllable_lie
 from qdist.models import (build_hopping_chain, build_two_qubit_ising,
                           hopping_drift, hopping_spectrum, pauli_on,
                           site_projector)
@@ -283,6 +287,69 @@ class TestVerifyCertificate:
             verified_uncontrollable=False)
         with pytest.raises(InputError):
             verify_certificate(system, bad)
+
+    @pytest.mark.parametrize("witness", [3.0 * np.eye(2), PAULI_Z, PAULI_X])
+    def test_trivial_or_noncommuting_witness_never_verifies(self, witness):
+        # the zero perturbation leaves (Z, X) controllable: a scalar witness
+        # and witnesses that miss one generator must not prove otherwise
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        zero = DistanceCertificate(
+            perturbations=[(0, HermitianOperator(np.zeros((2, 2))))],
+            op_norm=0.0, l11_norm=0.0, method="manual",
+            verified_uncontrollable=True,
+            symmetry_witness=HermitianOperator(witness))
+        assert not verify_certificate(system, zero)
+        assert not is_symmetry_witness(witness, system.algebra_generators())
+
+    def test_wrong_dimension_witness_is_input_error(self):
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+        bad = DistanceCertificate(
+            perturbations=cert.perturbations, op_norm=cert.op_norm,
+            l11_norm=cert.l11_norm, method=cert.method,
+            verified_uncontrollable=True,
+            symmetry_witness=HermitianOperator(np.diag([1.0, 0.0, 0.0])))
+        with pytest.raises(InputError):
+            verify_certificate(system, bad)
+
+
+class TestVerifyUncontrollable:
+    def test_returns_an_accepted_witness(self):
+        uncontrollable, witness = verify_uncontrollable([PAULI_Z, 2 * PAULI_Z])
+        assert uncontrollable
+        assert is_symmetry_witness(witness, [PAULI_Z])
+
+    def test_controllable_pair_has_no_witness(self):
+        assert verify_uncontrollable([PAULI_Z, PAULI_X]) == (False, None)
+
+    def test_witness_commutant_and_lie_agree_at_d5(self):
+        # d = 5 is above the built-in Lie cross-check, so compare all three
+        # oracles on every certificate the four estimators produce
+        systems = [build_hopping_chain(5)] + [random_pair_system(5, 2500 + k)
+                                              for k in range(3)]
+        checked = 0
+        for system in systems:
+            drift, control = system.algebra_generators()
+            certificates = [
+                epsilon_upper_gap_merge(drift, control),
+                epsilon_upper_min_cut(drift, control),
+                epsilon_upper_block_search(drift, control),
+                epsilon_upper_drift_removal(drift, control),
+            ]
+            for cert in certificates:
+                gens = system.with_perturbations(
+                    [(i, d.matrix) for i, d in cert.perturbations]
+                ).algebra_generators()
+                found = extract_original_space_symmetry(gens)
+                by_witness = any(w is not None and is_symmetry_witness(w, gens)
+                                 for w in (cert.symmetry_witness, found))
+                by_commutant = not commutant_dimension(
+                    gens, want_symmetries=False).controllable
+                by_lie = not is_controllable_lie(gens, require_traceless=False)
+                assert by_witness == by_commutant == by_lie, cert.method
+                assert cert.verified_uncontrollable == by_witness
+                checked += 1
+        assert checked == 16
 
 
 class TestEpsilonBest:
