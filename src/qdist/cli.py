@@ -225,7 +225,11 @@ def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
     if spec == "all":
         return list(range(n))
     if spec.startswith("control:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"--perturb control:k needs an integer k, "
+                             f"got {spec!r}") from None
         offset = 1 if system.drift is not None else 0
         index = offset + k
         if not 0 <= k < n - offset:
@@ -234,18 +238,39 @@ def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
     raise InputError(f"--perturb must be drift, all, or control:k, got {spec!r}")
 
 
+def _unperturbed_invariants(system: ControlSystem, tol: ToleranceConfig):
+    """Lie closure of the unperturbed generators and, for a controllable
+    system below COMMUTANT_DIM_GUARD, their commutant spectrum (else None).
+
+    A command computes these once and passes them to every stage that reads
+    them (epsilon_best, epsilon_lower_svd, t_star_lower).
+    """
+    gens = system.algebra_generators()
+    d = system.dim
+    lie = lie_dimension(gens, tol=tol, require_traceless=False)
+    com = None
+    if d < COMMUTANT_DIM_GUARD and lie.dimension == d * d - 1:
+        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
+    return lie, com
+
+
 def cmd_distance(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
+    indices = _perturb_indices(system, args.perturb)
     methods = tuple(args.methods.split(",")) if args.methods else ESTIMATORS
     alias = {"gap": "gap_merge", "cut": "min_cut", "block": "block_search",
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
-    estimate = epsilon_best(system, tol=tol, methods=methods)
-    indices = _perturb_indices(system, args.perturb)
+    unknown = sorted(set(methods) - set(ESTIMATORS))
+    if unknown:
+        raise InputError(f"unknown distance methods: {unknown}")
+    lie, com = _unperturbed_invariants(system, tol)
+    estimate = epsilon_best(system, tol=tol, methods=methods, lie=lie,
+                            commutant=com)
     lower = estimate.lower
     if indices != [system.drift_index]:
-        lower = epsilon_lower_svd(system, indices, tol=tol)
+        lower = epsilon_lower_svd(system, indices, tol=tol, commutant=com)
     _emit({
         "upper": certificate_to_json(estimate.upper),
         "lower": lower,
@@ -258,6 +283,7 @@ def cmd_distance(args) -> int:
 def cmd_qsl(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
+    com = None
     if args.cert:
         cert = certificate_from_json(_load_json(args.cert, "certificate"), tol=tol)
         # never trust a serialized flag: the bound is only sound if the
@@ -268,8 +294,9 @@ def cmd_qsl(args) -> int:
                              "controllability")
         cert = dataclasses.replace(cert, verified_uncontrollable=True)
     else:
-        cert = epsilon_best(system, tol=tol).upper
-    report = t_star_lower(system, cert, tol=tol)
+        lie, com = _unperturbed_invariants(system, tol)
+        cert = epsilon_best(system, tol=tol, lie=lie, commutant=com).upper
+    report = t_star_lower(system, cert, tol=tol, commutant=com)
     _emit(report.to_dict() | {"tolerances": tol.to_dict()}, args.pretty)
     return EXIT_OK
 
@@ -287,10 +314,14 @@ def cmd_verify_ineq(args) -> int:
 
 def analyze_system(system: ControlSystem, tol: ToleranceConfig,
                    skip_commutant: bool = False) -> tuple[dict, int]:
-    """Full pipeline report; returns (report dict, exit code)."""
+    """Full pipeline report; returns (report dict, exit code).
+
+    The Lie closure and the commutant spectrum of the unperturbed generators
+    are computed once here and passed to the distance and qsl stages.
+    """
     d = system.dim
-    lie = lie_dimension(system.algebra_generators(), tol=tol,
-                        require_traceless=False)
+    gens = system.algebra_generators()
+    lie = lie_dimension(gens, tol=tol, require_traceless=False)
     lie_controllable = lie.dimension == d * d - 1
     report: dict = {
         "format": 1,
@@ -312,12 +343,12 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
         "qsl": None,
         "provenance": {"version": __version__, "tolerances": tol.to_dict()},
     }
+    com = None
     if skip_commutant or d >= COMMUTANT_DIM_GUARD:
         report["commutant"] = {"skipped": "dimension guard"
                                if d >= COMMUTANT_DIM_GUARD else "--skip-commutant"}
     else:
-        com = commutant_dimension(system.algebra_generators(), tol=tol,
-                                  want_symmetries=False)
+        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
         report["commutant"] = {
             "rank": com.rank,
             "expected_rank": d ** 4 - 2,
@@ -331,14 +362,18 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
     if not lie_controllable:
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
+    if com is None and d < COMMUTANT_DIM_GUARD:
+        # --skip-commutant drops the report section; the bounds still need it
+        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
     try:
-        estimate = epsilon_best(system, tol=tol)
+        estimate = epsilon_best(system, tol=tol, lie=lie, commutant=com)
     except InputError as exc:
         report["note"] = f"distance stage unavailable: {exc}"
         return report, EXIT_OK
     report["distance"] = {"upper": certificate_to_json(estimate.upper),
                           "lower": estimate.lower}
-    report["qsl"] = t_star_lower(system, estimate.upper, tol=tol).to_dict()
+    report["qsl"] = t_star_lower(system, estimate.upper, tol=tol,
+                                 commutant=com).to_dict()
     return report, EXIT_OK
 
 
@@ -527,6 +562,9 @@ def main(argv=None) -> int:
         return EXIT_VERDICT
     except DimensionGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:
+        print(f"guard: out of memory: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import (COMMUTANT_DIM_GUARD, build_stacked_adjoint,
-                        commutant_dimension, extract_original_space_symmetry)
+from .commutant import (COMMUTANT_DIM_GUARD, CommutantResult,
+                        build_stacked_adjoint, commutant_dimension,
+                        extract_original_space_symmetry)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
-from .lie_closure import is_controllable_lie
+from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      commutator, hermitian_eigensystem, matrix_from_json,
                      matrix_to_json, operator_norm, rank_and_nullity,
@@ -449,7 +450,8 @@ def epsilon_upper_drift_removal(drift, controls,
 
 
 def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
+                      tol: ToleranceConfig = DEFAULT_TOL, *,
+                      commutant: CommutantResult | None = None) -> float:
     """Rigorous lower bound on the distance to uncontrollability.
 
     Let sigma be the (d^4 - 2)-th largest singular value of the stacked
@@ -457,8 +459,12 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     delta_j of one generator moves its block by at most 4 ||delta_j|| in
     operator norm, and losing controllability requires driving sigma to zero,
     so by Weyl's inequality every uncontrollable perturbation of the given m
-    generators satisfies max_j ||delta_j|| >= sigma / (4 m). The spectrum is
-    commutant_dimension's, so its dimension guard applies.
+    generators satisfies max_j ||delta_j|| >= sigma / (4 m).
+
+    commutant is commutant_dimension's result for system.algebra_generators()
+    at this tol, when the caller already has it; None computes it here, so
+    commutant_dimension's dimension guard applies. A commutant whose spectrum
+    does not have d^4 values is an InputError.
     """
     indices = sorted(set(int(i) for i in perturbed_indices))
     gens = system.algebra_generators()
@@ -466,11 +472,16 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
         raise InputError("perturbed_indices must be non-empty")
     if indices[0] < 0 or indices[-1] >= len(gens):
         raise InputError(f"perturbed index out of range 0..{len(gens) - 1}")
-    com = commutant_dimension(gens, tol=tol, want_symmetries=False)
-    if not com.controllable:
+    if commutant is None:
+        commutant = commutant_dimension(gens, tol=tol, want_symmetries=False)
+    elif len(commutant.singular_values) != system.dim ** 4:
+        raise InputError(
+            f"commutant spectrum has {len(commutant.singular_values)} values; "
+            f"a d={system.dim} system needs {system.dim ** 4}")
+    if not commutant.controllable:
         raise UncontrollableSystemError(
             "system is not controllable; its distance to uncontrollability is zero")
-    sigma = float(com.singular_values[system.dim ** 4 - 3])
+    sigma = float(commutant.singular_values[system.dim ** 4 - 3])
     return sigma / (4.0 * len(indices))
 
 
@@ -494,7 +505,8 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
     return verified
 
 
-def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
+def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig,
+                                *, commutant: CommutantResult | None = None
                                 ) -> DistanceEstimate:
     """Driftless analogue of drift removal: cancel every bounded generator.
 
@@ -524,29 +536,42 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
         detail="removed all bounded generators")
     try:
         lower = epsilon_lower_svd(system, list(range(len(system.bounded))),
-                                  tol=tol)
+                                  tol=tol, commutant=commutant)
     except DimensionGuardError:
         lower = 0.0
     return DistanceEstimate(upper=cert, lower=lower)
 
 
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
-                 methods=ESTIMATORS) -> DistanceEstimate:
+                 methods=ESTIMATORS, *, commutant: CommutantResult | None = None,
+                 lie: LieClosureResult | None = None) -> DistanceEstimate:
     """Best verified upper-bound certificate plus the SVD lower bound.
 
     The estimators perturb the drift; for a driftless system the bounded
     generators are removed instead. Requires a controllable system whose
     unperturbed controls are not already controllable on their own
     (otherwise the distance is infinite).
+
+    lie and commutant are lie_dimension's and commutant_dimension's results
+    for system.algebra_generators() at this tol, for a caller that already
+    has them: controllability is read from lie, and the lower bound from
+    commutant's spectrum (see epsilon_lower_svd). None computes either here.
+    A lie whose basis is not d x d is an InputError.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
         raise InputError(f"unknown distance methods: {sorted(unknown)}")
     gens = system.algebra_generators()
-    if not is_controllable_lie(gens, tol=tol, require_traceless=False):
+    d = system.dim
+    if lie is None:
+        lie = lie_dimension(gens, tol=tol, require_traceless=False)
+    elif any(np.shape(b) != (d, d) for b in lie.basis):
+        raise InputError(f"Lie closure basis is not {d} x {d}; it belongs to "
+                         "another system")
+    if lie.dimension != d * d - 1:
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
-        return _remove_bounded_certificate(system, tol)
+        return _remove_bounded_certificate(system, tol, commutant=commutant)
     controls = gens[1:]
     if is_controllable_lie(controls, tol=tol, require_traceless=False):
         raise InputError("the controls alone are controllable: no drift "
@@ -573,7 +598,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
                              "(drift removal should always verify here)")
     upper = min(verified, key=lambda c: c.op_norm)
     try:
-        lower = epsilon_lower_svd(system, [0], tol=tol)
+        lower = epsilon_lower_svd(system, [0], tol=tol, commutant=commutant)
     except DimensionGuardError:
         lower = 0.0  # trivially valid; the d^4-column SVD is gated at this size
     return DistanceEstimate(upper=upper, lower=lower)

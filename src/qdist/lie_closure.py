@@ -11,9 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionGuardError, InputError
 from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, from_real_vec,
                      real_vec, traceless_part)
+
+# the closure preallocates its (d^2 - 1) x 2d^2 float64 basis buffer; above
+# this size (d >= 91) the allocation alone can exhaust memory, and the closure
+# would run for days anyway
+LIE_BUFFER_GUARD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +43,8 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     continues adds an element, so there are fewer than d^2 sweeps.
 
     With require_traceless=True a generator with |tr| > trace_tol is an error;
-    otherwise generators are traceless-shifted first.
+    otherwise generators are traceless-shifted first. A basis buffer larger
+    than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -57,6 +63,11 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
             mats[k] = traceless_part(m)
 
     max_dim = d * d - 1
+    buffer_bytes = max_dim * 2 * d * d * 8
+    if buffer_bytes > LIE_BUFFER_GUARD_BYTES:
+        raise DimensionGuardError(
+            f"Lie closure at d={d} needs a {buffer_bytes / 2 ** 30:.2f} GiB basis "
+            f"buffer, above the {LIE_BUFFER_GUARD_BYTES / 2 ** 30:g} GiB guard")
     basis_vecs = np.empty((max_dim, 2 * d * d))
     basis_mats: list[np.ndarray] = []
     depths: list[int] = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .commutant import CommutantResult
 from .distance import (DistanceCertificate, certificate_to_json,
                        epsilon_lower_svd, is_symmetry_witness,
                        verify_uncontrollable)
@@ -165,7 +166,8 @@ def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
 def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
                  delta: float | None = None, provenance: str | None = None,
                  tol: ToleranceConfig = DEFAULT_TOL,
-                 compute_lower: bool = True) -> SpeedLimitReport:
+                 compute_lower: bool = True, *,
+                 commutant: CommutantResult | None = None) -> SpeedLimitReport:
     """Speed-limit report T* >= delta / (c * epsilon_eff).
 
     epsilon_eff is ||delta H|| for a single perturbed generator and
@@ -174,6 +176,10 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     c is the largest amplitude cap among the perturbed generators, 1 when
     only the drift is perturbed. Certificates touching unbounded controls
     are rejected: an unbounded amplitude defeats the propagation bound.
+
+    epsilon_lower is epsilon_lower_svd over the certificate's perturbed
+    generators; commutant is passed on to it, so a caller that already has
+    the unperturbed system's commutant spectrum does not compute it again.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -203,7 +209,8 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     if compute_lower:
         try:
             eps_lower = epsilon_lower_svd(
-                system, sorted({i for i, _ in cert.perturbations}), tol=tol)
+                system, sorted({i for i, _ in cert.perturbations}), tol=tol,
+                commutant=commutant)
         except (DimensionGuardError, UncontrollableSystemError):
             eps_lower = None
     return SpeedLimitReport(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdist import cli
 from qdist.cli import main
 from qdist.distance import certificate_to_json, epsilon_upper_drift_removal
 from qdist.models import pauli_on
@@ -173,6 +174,69 @@ def test_dimension_guard_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "commutant", "--system", str(out))
     assert code == 3
     assert "force" in err.lower()
+
+
+def test_lie_guard_exit_3_without_traceback(tmp_path, capsys):
+    # the closure's basis buffer would take 1.1 GB at d=91
+    out = tmp_path / "big.json"
+    run(capsys, "model", "--name", "hopping_chain", "--param", "d=91",
+        "--out", str(out))
+    code, stdout, err = run(capsys, "lie", "--system", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("guard:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("lie", "lie_dimension"),
+    ("commutant", "commutant_dimension"),
+    ("distance", "epsilon_best"),
+    ("qsl", "t_star_lower"),
+    ("analyze", "analyze_system"),
+])
+def test_memory_error_in_any_stage_exits_3(tmp_path, capsys, monkeypatch,
+                                            command, stage):
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.77 GiB")
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    code, stdout, err = run(capsys, command, "--system", path)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("guard:") and "Traceback" not in err
+
+
+def test_distance_rejects_missing_drift_before_estimating(tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "kerr.json"
+    run(capsys, "model", "--name", "cross_kerr", "--param", "n_modes=2",
+        "--param", "n_photons=4", "--out", str(out))
+    calls = []
+    monkeypatch.setattr(cli, "epsilon_best",
+                        lambda *args, **kwargs: calls.append(args))
+    code, stdout, err = run(capsys, "distance", "--system", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "no drift" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--perturb", "control:x"], ["--perturb", "control:1"],
+    ["--perturb", "bogus"], ["--methods", "gap,nope"]])
+def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
+                                                      monkeypatch, flags):
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    calls = []
+    monkeypatch.setattr(cli, "epsilon_best",
+                        lambda *args, **kwargs: calls.append(args))
+    code, stdout, err = run(capsys, "distance", "--system", path, *flags)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == []
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,123 @@
+"""Each command computes the unperturbed Lie closure and commutant spectrum
+once and passes them on; the shared objects give bit-identical numbers."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qdist import (DEFAULT_TOL, InputError, cli, distance, epsilon_best,
+                   epsilon_lower_svd, lie_closure, lie_dimension)
+from qdist.cli import analyze_system, main
+from qdist.commutant import build_stacked_adjoint, commutant_dimension
+from qdist.distance import certificate_to_json
+from qdist.models import build_cross_kerr, build_hopping_chain
+from qdist.speed_limit import t_star_lower
+from qdist.system import system_to_json
+
+from conftest import random_pair_system
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SYSTEMS = {
+    "hopping_d4": lambda: build_hopping_chain(4),    # drift path
+    "cross_kerr_2_3": lambda: build_cross_kerr(2, 3),  # driftless path
+}
+
+
+def count_unperturbed_work(monkeypatch, system):
+    """Count SVDs of the unperturbed stacked adjoint matrix and Lie closures
+    of the unperturbed generators; other inputs are not counted."""
+    gens = system.algebra_generators()
+    stacked = build_stacked_adjoint(gens)
+    counts = {"svd": 0, "lie": 0}
+    svd = np.linalg.svd
+    closure = lie_closure.lie_dimension
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == stacked.shape and np.array_equal(a, stacked):
+            counts["svd"] += 1
+        return svd(a, *args, **kwargs)
+
+    def counting_closure(generators, *args, **kwargs):
+        mats = list(generators)
+        if len(mats) == len(gens) and all(
+                np.array_equal(a, b) for a, b in zip(mats, gens)):
+            counts["lie"] += 1
+        return closure(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for module in (lie_closure, distance, cli):
+        monkeypatch.setattr(module, "lie_dimension", counting_closure)
+    return counts
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, skip_commutant", [
+    ("hopping_d4", False), ("cross_kerr_2_3", False), ("hopping_d4", True)])
+def test_analyze_computes_each_invariant_once(monkeypatch, name, skip_commutant):
+    system = SYSTEMS[name]()
+    counts = count_unperturbed_work(monkeypatch, system)
+    report, code = analyze_system(system, DEFAULT_TOL,
+                                  skip_commutant=skip_commutant)
+    assert code == 0 and report["qsl"] is not None
+    assert counts == {"svd": 1, "lie": 1}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_analyze_report_matches_unshared_calls(name):
+    system = SYSTEMS[name]()
+    report, _ = analyze_system(system, DEFAULT_TOL)
+    estimate = epsilon_best(system, tol=DEFAULT_TOL)
+    qsl = t_star_lower(system, estimate.upper, tol=DEFAULT_TOL)
+    assert dumps(report["distance"]) == dumps(
+        {"upper": certificate_to_json(estimate.upper), "lower": estimate.lower})
+    assert dumps(report["qsl"]) == dumps(qsl.to_dict())
+
+
+@pytest.mark.parametrize("argv", [["distance"], ["distance", "--perturb", "all"],
+                                  ["qsl"]])
+def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
+                                              argv):
+    system = build_hopping_chain(4)
+    path = tmp_path / "hop4.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    counts = count_unperturbed_work(monkeypatch, system)
+    assert main(argv + ["--system", str(path)]) == 0
+    capsys.readouterr()
+    assert counts == {"svd": 1, "lie": 1}
+
+
+def test_wrong_dimension_invariants_are_input_errors():
+    small = build_hopping_chain(3).algebra_generators()
+    com = commutant_dimension(small, want_symmetries=False)
+    lie = lie_dimension(small, require_traceless=False)
+    system = build_hopping_chain(4)
+    cert = epsilon_best(system).upper
+    with pytest.raises(InputError, match="spectrum"):
+        epsilon_lower_svd(system, [0], commutant=com)
+    with pytest.raises(InputError, match="spectrum"):
+        epsilon_best(system, commutant=com)
+    with pytest.raises(InputError, match="spectrum"):
+        t_star_lower(system, cert, commutant=com)
+    with pytest.raises(InputError, match="basis"):
+        epsilon_best(system, lie=lie)
+
+
+@hypothesis.settings(max_examples=12, deadline=None, database=None)
+@hypothesis.given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+                  indices=st.sampled_from([[0], [1], [0, 1]]))
+def test_passed_spectrum_gives_bit_identical_bounds(d, seed, indices):
+    system = random_pair_system(d, seed)
+    com = commutant_dimension(system.algebra_generators(),
+                              want_symmetries=False)
+    hypothesis.assume(com.controllable)
+    assert (epsilon_lower_svd(system, indices, commutant=com)
+            == epsilon_lower_svd(system, indices))
+    cert = epsilon_best(system).upper
+    assert (t_star_lower(system, cert, commutant=com).epsilon_lower
+            == t_star_lower(system, cert).epsilon_lower)
