@@ -21,7 +21,8 @@ from . import __version__
 from .commutant import (COMMUTANT_DIM_GUARD, commutant_dimension,
                         extract_original_space_symmetry)
 from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
-                       epsilon_best, epsilon_lower_svd, verify_certificate)
+                       epsilon_best, epsilon_lower_svd,
+                       require_uncontrollable_controls, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import lie_dimension
@@ -250,6 +251,8 @@ def _unperturbed_invariants(system: ControlSystem, tol: ToleranceConfig):
     lie = lie_dimension(gens, tol=tol, require_traceless=False)
     com = None
     if d < COMMUTANT_DIM_GUARD and lie.dimension == d * d - 1:
+        # epsilon_best would reject such a system; do so before the SVD
+        require_uncontrollable_controls(system, tol)
         com = commutant_dimension(gens, tol=tol, want_symmetries=False)
     return lie, com
 
@@ -362,10 +365,12 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
     if not lie_controllable:
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
-    if com is None and d < COMMUTANT_DIM_GUARD:
-        # --skip-commutant drops the report section; the bounds still need it
-        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
     try:
+        if com is None and d < COMMUTANT_DIM_GUARD:
+            # --skip-commutant drops the report section; the bounds still
+            # need the spectrum, once epsilon_best would accept the system
+            require_uncontrollable_controls(system, tol)
+            com = commutant_dimension(gens, tol=tol, want_symmetries=False)
         estimate = epsilon_best(system, tol=tol, lie=lie, commutant=com)
     except InputError as exc:
         report["note"] = f"distance stage unavailable: {exc}"

@@ -9,6 +9,7 @@ larger exposes explicit symmetry operators.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,43 +70,40 @@ def build_stacked_adjoint(generators, doubled: bool = True) -> np.ndarray:
 
 
 def _hermitize_null_vectors(null_basis: np.ndarray, n: int,
-                            project_out: list | None = None) -> list[np.ndarray]:
-    """Split devectorized null vectors into (anti-)Hermitian parts and
-    re-orthonormalize under the Hilbert-Schmidt inner product.
+                            project_out: list | None = None
+                            ) -> Iterator[np.ndarray]:
+    """Yield devectorized null vectors split into (anti-)Hermitian parts and
+    re-orthonormalized under the Hilbert-Schmidt inner product.
 
     The commutant is closed under the adjoint, so this loses nothing and
     yields testable Hermitian symmetries. Optionally projects out given
-    Hermitian directions (e.g. the identity) first.
+    Hermitian directions (e.g. the identity) first. Matrices are built as the
+    caller asks for them, so a caller that needs only the first pays for the
+    candidates up to it, not for the whole null basis.
     """
-    candidates = []
-    for j in range(null_basis.shape[1]):
-        x = devec_row(null_basis[:, j], n, n)
-        candidates.append((x + x.conj().T) / 2)
-        candidates.append((x - x.conj().T) / 2j)
-
     kept_vecs: list[np.ndarray] = []
-    kept_mats: list[np.ndarray] = []
     fixed = []
     for m in project_out or []:
         v = real_vec(m)
         fixed.append(v / np.linalg.norm(v))
-    for cand in candidates:
-        v = real_vec(cand)
-        norm0 = float(np.linalg.norm(v))
-        if norm0 < 1e-14:
-            continue
-        for _ in range(2):
-            for b in fixed:
-                v = v - b * (b @ v)
-            for b in kept_vecs:
-                v = v - b * (b @ v)
-        rem = float(np.linalg.norm(v))
-        if rem <= 1e-7 * norm0:  # candidates come in +/- dagger pairs; half drop out
-            continue
-        v /= rem
-        kept_vecs.append(v)
-        kept_mats.append(from_real_vec(v, n))
-    return kept_mats
+    for j in range(null_basis.shape[1]):
+        x = devec_row(null_basis[:, j], n, n)
+        for cand in ((x + x.conj().T) / 2, (x - x.conj().T) / 2j):
+            v = real_vec(cand)
+            norm0 = float(np.linalg.norm(v))
+            if norm0 < 1e-14:
+                continue
+            for _ in range(2):
+                for b in fixed:
+                    v = v - b * (b @ v)
+                for b in kept_vecs:
+                    v = v - b * (b @ v)
+            rem = float(np.linalg.norm(v))
+            if rem <= 1e-7 * norm0:  # candidates come in +/- dagger pairs; half drop out
+                continue
+            v /= rem
+            kept_vecs.append(v)
+            yield from_real_vec(v, n)
 
 
 def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
@@ -126,7 +124,7 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
     symmetries = []
     if want_symmetries:
-        symmetries = _hermitize_null_vectors(r.null_basis, d * d)
+        symmetries = list(_hermitize_null_vectors(r.null_basis, d * d))
     return CommutantResult(nullity=r.nullity, rank=r.rank,
                            symmetry_basis=symmetries,
                            controllable=(r.nullity == 2),
@@ -155,7 +153,8 @@ def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_T
     if r.nullity <= 1:
         return None
     eye = np.eye(d) / np.sqrt(d)
-    herm = _hermitize_null_vectors(r.null_basis, d, project_out=[eye])
-    if not herm:
+    first = next(_hermitize_null_vectors(r.null_basis, d, project_out=[eye]),
+                 None)
+    if first is None:
         return None
-    return _as_operator((herm[0] + herm[0].conj().T) / 2, tol)
+    return _as_operator((first + first.conj().T) / 2, tol)

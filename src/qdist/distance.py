@@ -542,6 +542,25 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig,
     return DistanceEstimate(upper=cert, lower=lower)
 
 
+def require_uncontrollable_controls(system: ControlSystem,
+                                    tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise InputError when the controls of a system with drift are
+    controllable on their own: then no drift perturbation can render the
+    system uncontrollable and the distance is infinite.
+
+    epsilon_best checks this first; a caller about to compute the commutant
+    spectrum for epsilon_best calls it before paying for the SVD. A driftless
+    system passes here; its bounded-removal estimate checks the unbounded
+    controls itself, because that check also yields the witness.
+    """
+    if system.drift is None:
+        return
+    if is_controllable_lie(system.algebra_generators()[1:], tol=tol,
+                           require_traceless=False):
+        raise InputError("the controls alone are controllable: no drift "
+                         "perturbation can render the system uncontrollable")
+
+
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
                  methods=ESTIMATORS, *, commutant: CommutantResult | None = None,
                  lie: LieClosureResult | None = None) -> DistanceEstimate:
@@ -572,11 +591,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
         return _remove_bounded_certificate(system, tol, commutant=commutant)
+    require_uncontrollable_controls(system, tol)
     controls = gens[1:]
-    if is_controllable_lie(controls, tol=tol, require_traceless=False):
-        raise InputError("the controls alone are controllable: no drift "
-                         "perturbation can render the system uncontrollable")
-
     hd = gens[0]
     certificates: list[DistanceCertificate] = []
     for method in methods:

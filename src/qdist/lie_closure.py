@@ -15,16 +15,16 @@ from .errors import DimensionGuardError, InputError
 from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, from_real_vec,
                      real_vec, traceless_part)
 
-# the closure preallocates its (d^2 - 1) x 2d^2 float64 basis buffer; above
-# this size (d >= 91) the allocation alone can exhaust memory, and the closure
-# would run for days anyway
+# the closure preallocates its (d^2 - 1) x 2d^2 float64 basis buffer, 16 d^4
+# bytes; above this size (d >= 91) the allocation alone can exhaust memory
 LIE_BUFFER_GUARD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
 class LieClosureResult:
     """Closure summary: dimension, an orthonormal basis (Hilbert-Schmidt inner
-    product) of skew-Hermitian traceless matrices, and nesting depth."""
+    product) of skew-Hermitian traceless matrices, and the right-normed
+    bracket depth (see lie_dimension)."""
 
     dimension: int
     basis: list
@@ -35,12 +35,21 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                   require_traceless: bool = True) -> LieClosureResult:
     """Dimension of the real span of the iterated-commutator closure of {iH_k}.
 
-    The basis is grown by modified Gram-Schmidt with a re-orthogonalization
-    pass; a candidate is kept when its orthogonal remainder exceeds
-    rank_rel_tol times its pre-projection norm. Sweeps are breadth-first over
-    (new element, existing basis) pairs in deterministic order, and stop when
-    a full sweep adds nothing or the dimension hits d^2 - 1. Every sweep that
-    continues adds an element, so there are fewer than d^2 sweeps.
+    The algebra is spanned by the right-normed brackets
+    [iH_a, [iH_b, ..., [iH_y, iH_z]]], so it is the smallest subspace that
+    contains the generators and is closed under bracketing with a generator.
+    The basis starts from the normalized generators and grows breadth-first:
+    each new element is bracketed once with each kept generator, K D
+    candidates in all for K generators and dimension D (not the D^2 of a
+    basis-by-basis sweep). A candidate is projected out of the basis twice
+    (Gram-Schmidt with re-orthogonalization) and kept when its orthogonal
+    remainder exceeds rank_rel_tol times its pre-projection norm.
+    The sweep stops when a generation adds nothing or the dimension hits
+    d^2 - 1.
+
+    depth is the breadth-first generation of the last element kept: the
+    closure needs right-normed brackets of at most depth + 1 generators. In
+    exact arithmetic it does not depend on generator order or basis choice.
 
     With require_traceless=True a generator with |tr| > trace_tol is an error;
     otherwise generators are traceless-shifted first. A basis buffer larger
@@ -108,24 +117,25 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     # commutant verdict.
     scales = [float(np.linalg.norm(m)) for m in mats]
     scale_max = max(scales)
-    frontier: list[int] = []
     for m, scale in zip(mats, scales):
         if scale <= tol.rank_rel_tol * scale_max:
             continue
-        if try_add(1j * m / scale, 0, floor=0.0):
-            frontier.append(len(basis_mats) - 1)
+        try_add(1j * m / scale, 0, floor=0.0)
 
+    # The kept generators span the same space as {iH_k}, and the algebra is
+    # the smallest subspace containing them that ad_{iH_k} maps into itself,
+    # so bracketing each new element with the generators alone suffices.
+    kept_gens = range(len(basis_mats))
+    frontier = list(kept_gens)
     while frontier and len(basis_mats) < max_dim:
-        snapshot = len(basis_mats)
         new_frontier: list[int] = []
         for fi in frontier:
             a = basis_mats[fi]
-            for bj in range(snapshot):
-                if bj == fi:
+            for gj in kept_gens:
+                if gj == fi:
                     continue
-                b = basis_mats[bj]
-                if try_add(a @ b - b @ a, 1 + max(depths[fi], depths[bj]),
-                           floor=zero_floor):
+                g = basis_mats[gj]
+                if try_add(a @ g - g @ a, depths[fi] + 1, floor=zero_floor):
                     new_frontier.append(len(basis_mats) - 1)
                     if len(basis_mats) >= max_dim:
                         break

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qdist import (DimensionGuardError, commutator, commutant_dimension,
-                   extract_original_space_symmetry, haar_unitary,
-                   is_controllable_commutant, is_controllable_lie,
-                   operator_norm, random_hermitian, tensor_double, vec_row)
+from qdist import (DimensionGuardError, commutant, commutator,
+                   commutant_dimension, extract_original_space_symmetry,
+                   haar_unitary, is_controllable_commutant,
+                   is_controllable_lie, operator_norm, random_hermitian,
+                   tensor_double, vec_row)
 from qdist.commutant import build_stacked_adjoint
+from qdist.linalg import rank_and_nullity
 from qdist.models import build_global_control_chain, build_hopping_chain, pauli_on
 
 from conftest import PAULI_X, PAULI_Z, SWAP_4
@@ -136,6 +138,29 @@ class TestExtractOriginalSpaceSymmetry:
         a = np.column_stack([np.eye(4).ravel(), sym.matrix.ravel()])
         coef, *_ = np.linalg.lstsq(a, SWAP_4.ravel(), rcond=None)
         assert np.linalg.norm(a @ coef - SWAP_4.ravel()) < 1e-9
+
+    def test_stops_at_the_first_witness(self, monkeypatch):
+        # drift removed from hopping d=16: the site control alone has a
+        # 1 + 15^2 dimensional commutant, but one symmetry is all it returns
+        gens = build_hopping_chain(16).algebra_generators()[1:]
+        r = rank_and_nullity(build_stacked_adjoint(gens, doubled=False))
+        assert r.nullity == 226
+        eye = np.eye(16) / 4.0
+        first = list(commutant._hermitize_null_vectors(
+            r.null_basis, 16, project_out=[eye]))[0]
+
+        built = 0
+        from_real_vec = commutant.from_real_vec
+
+        def counting_from_real_vec(v, n):
+            nonlocal built
+            built += 1
+            return from_real_vec(v, n)
+
+        monkeypatch.setattr(commutant, "from_real_vec", counting_from_real_vec)
+        sym = extract_original_space_symmetry(gens)
+        assert built == 1
+        np.testing.assert_array_equal(sym.matrix, (first + first.conj().T) / 2)
 
 
 class TestOracleEquivalence:

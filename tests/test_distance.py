@@ -351,6 +351,28 @@ class TestVerifyUncontrollable:
                 checked += 1
         assert checked == 16
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_hopping_chain(6), lambda: random_pair_system(6, 2600)],
+        ids=["hopping_d6", "random_d6"])
+    def test_lie_and_commutant_agree_at_d6(self, build):
+        # d = 6 is the largest dimension where both oracles run; check the
+        # unperturbed generators and every certificate the estimators produce
+        system = build()
+        drift, control = system.algebra_generators()
+        certificates = [
+            epsilon_upper_gap_merge(drift, control),
+            epsilon_upper_min_cut(drift, control),
+            epsilon_upper_block_search(drift, control),
+            epsilon_upper_drift_removal(drift, control),
+        ]
+        generator_sets = [system.algebra_generators()] + [
+            system.with_perturbations(
+                [(i, d.matrix) for i, d in cert.perturbations]
+            ).algebra_generators() for cert in certificates]
+        for gens in generator_sets:
+            assert is_controllable_lie(gens, require_traceless=False) \
+                == commutant_dimension(gens, want_symmetries=False).controllable
+
 
 class TestEpsilonBest:
     def test_two_qubit_ising(self):

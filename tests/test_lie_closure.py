@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qdist import (InputError, haar_unitary, hs_inner, is_controllable_commutant,
-                   is_controllable_lie, lie_dimension, random_hermitian)
-from qdist.models import build_hopping_chain, pauli_on
+                   is_controllable_lie, lie_closure, lie_dimension,
+                   random_hermitian)
+from qdist.models import (build_cross_kerr, build_global_control_chain,
+                          build_hopping_chain, build_two_qubit_ising, pauli_on)
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -103,3 +105,47 @@ def test_agreement_with_commutant_oracle():
         assert lie_verdict == com_verdict
         count += 1
     assert count == 50
+
+
+DIMENSION_TABLE = [
+    pytest.param(lambda d=d: build_hopping_chain(d), d * d - 1,
+                 id=f"hopping_d{d}") for d in range(3, 13)] + [
+    pytest.param(lambda: build_cross_kerr(3, 3), 99, id="cross_kerr_3_3"),
+    pytest.param(lambda: build_global_control_chain(4, [1.0, 1.3, 1.7, 2.2]),
+                 255, id="global_chain_n4"),
+    pytest.param(lambda: build_global_control_chain(2, [1.0, 1.0]), 9,
+                 id="global_chain_n2_equal_gammas"),
+    pytest.param(lambda: build_two_qubit_ising(1.0), 15, id="ising"),
+]
+
+
+@pytest.mark.parametrize("build, expected", DIMENSION_TABLE)
+def test_dimension_table(build, expected):
+    gens = build().algebra_generators()
+    assert lie_dimension(gens, require_traceless=False).dimension == expected
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_hopping_depth_is_right_normed_bracket_depth(d):
+    # the drift and the site control need brackets of 2d - 1 generators
+    gens = build_hopping_chain(d).algebra_generators()
+    assert lie_dimension(gens).depth == 2 * (d - 1)
+
+
+def test_closure_brackets_with_generators_only(monkeypatch):
+    # every candidate passes through real_vec once: K generators plus K
+    # brackets per basis element, not one bracket per pair of elements
+    calls = 0
+    real_vec = lie_closure.real_vec
+
+    def counting_real_vec(m):
+        nonlocal calls
+        calls += 1
+        return real_vec(m)
+
+    monkeypatch.setattr(lie_closure, "real_vec", counting_real_vec)
+    gens = build_hopping_chain(16).algebra_generators()
+    result = lie_dimension(gens)
+    k, dim = len(gens), result.dimension
+    assert dim == 255
+    assert calls <= k * (dim + 1)

@@ -13,9 +13,9 @@ from qdist.commutant import build_stacked_adjoint, commutant_dimension
 from qdist.distance import certificate_to_json
 from qdist.models import build_cross_kerr, build_hopping_chain
 from qdist.speed_limit import t_star_lower
-from qdist.system import system_to_json
+from qdist.system import make_system, system_to_json
 
-from conftest import random_pair_system
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_pair_system
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -90,6 +90,31 @@ def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
     assert main(argv + ["--system", str(path)]) == 0
     capsys.readouterr()
     assert counts == {"svd": 1, "lie": 1}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["distance"], 1), (["qsl"], 1), (["analyze", "--skip-commutant"], 0)],
+    ids=["distance", "qsl", "analyze_skip_commutant"])
+def test_controllable_controls_are_rejected_before_any_svd(
+        tmp_path, capsys, monkeypatch, argv, code):
+    # the controls X, Y alone generate su(2), so no drift perturbation can
+    # break controllability and the spectrum would go unused
+    system = make_system(drift=PAULI_Z, unbounded=[PAULI_X, PAULI_Y])
+    path = tmp_path / "zxy.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    calls = 0
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(argv + ["--system", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert "the controls alone are controllable" in out + err
+    assert calls == 0
 
 
 def test_wrong_dimension_invariants_are_input_errors():
