@@ -21,8 +21,7 @@ from . import __version__
 from .commutant import (COMMUTANT_DIM_GUARD, commutant_dimension,
                         extract_original_space_symmetry)
 from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
-                       epsilon_best, epsilon_lower_svd,
-                       require_uncontrollable_controls, verify_certificate)
+                       epsilon_best, epsilon_lower_svd, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import lie_dimension
@@ -239,24 +238,6 @@ def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
     raise InputError(f"--perturb must be drift, all, or control:k, got {spec!r}")
 
 
-def _unperturbed_invariants(system: ControlSystem, tol: ToleranceConfig):
-    """Lie closure of the unperturbed generators and, for a controllable
-    system below COMMUTANT_DIM_GUARD, their commutant spectrum (else None).
-
-    A command computes these once and passes them to every stage that reads
-    them (epsilon_best, epsilon_lower_svd, t_star_lower).
-    """
-    gens = system.algebra_generators()
-    d = system.dim
-    lie = lie_dimension(gens, tol=tol, require_traceless=False)
-    com = None
-    if d < COMMUTANT_DIM_GUARD and lie.dimension == d * d - 1:
-        # epsilon_best would reject such a system; do so before the SVD
-        require_uncontrollable_controls(system, tol)
-        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
-    return lie, com
-
-
 def cmd_distance(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
@@ -268,12 +249,11 @@ def cmd_distance(args) -> int:
     unknown = sorted(set(methods) - set(ESTIMATORS))
     if unknown:
         raise InputError(f"unknown distance methods: {unknown}")
-    lie, com = _unperturbed_invariants(system, tol)
-    estimate = epsilon_best(system, tol=tol, methods=methods, lie=lie,
-                            commutant=com)
+    estimate = epsilon_best(system, tol=tol, methods=methods)
     lower = estimate.lower
     if indices != [system.drift_index]:
-        lower = epsilon_lower_svd(system, indices, tol=tol, commutant=com)
+        lower = epsilon_lower_svd(system, indices, tol=tol,
+                                  commutant=estimate.commutant)
     _emit({
         "upper": certificate_to_json(estimate.upper),
         "lower": lower,
@@ -297,8 +277,8 @@ def cmd_qsl(args) -> int:
                              "controllability")
         cert = dataclasses.replace(cert, verified_uncontrollable=True)
     else:
-        lie, com = _unperturbed_invariants(system, tol)
-        cert = epsilon_best(system, tol=tol, lie=lie, commutant=com).upper
+        estimate = epsilon_best(system, tol=tol)
+        cert, com = estimate.upper, estimate.commutant
     report = t_star_lower(system, cert, tol=tol, commutant=com)
     _emit(report.to_dict() | {"tolerances": tol.to_dict()}, args.pretty)
     return EXIT_OK
@@ -319,8 +299,11 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
                    skip_commutant: bool = False) -> tuple[dict, int]:
     """Full pipeline report; returns (report dict, exit code).
 
-    The Lie closure and the commutant spectrum of the unperturbed generators
-    are computed once here and passed to the distance and qsl stages.
+    The Lie closure of the unperturbed generators, and their commutant
+    spectrum when the report has a commutant section, are computed once here
+    and passed to epsilon_best. epsilon_best computes the spectrum itself
+    otherwise (--skip-commutant), only once the system passes its gates, and
+    the qsl stage reads it from DistanceEstimate.commutant.
     """
     d = system.dim
     gens = system.algebra_generators()
@@ -366,11 +349,6 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
     try:
-        if com is None and d < COMMUTANT_DIM_GUARD:
-            # --skip-commutant drops the report section; the bounds still
-            # need the spectrum, once epsilon_best would accept the system
-            require_uncontrollable_controls(system, tol)
-            com = commutant_dimension(gens, tol=tol, want_symmetries=False)
         estimate = epsilon_best(system, tol=tol, lie=lie, commutant=com)
     except InputError as exc:
         report["note"] = f"distance stage unavailable: {exc}"
@@ -378,7 +356,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
     report["distance"] = {"upper": certificate_to_json(estimate.upper),
                           "lower": estimate.lower}
     report["qsl"] = t_star_lower(system, estimate.upper, tol=tol,
-                                 commutant=com).to_dict()
+                                 commutant=estimate.commutant).to_dict()
     return report, EXIT_OK
 
 

@@ -59,10 +59,6 @@ class DistanceCertificate:
             if index < 0:
                 raise InputError("negative generator index in certificate")
 
-    def max_perturbation_norm(self) -> float:
-        return max((operator_norm(d.matrix) for _, d in self.perturbations),
-                   default=0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class CutResult:
@@ -81,21 +77,25 @@ class ControlBasisGraph:
     basis columns are the control eigenvectors; blocks groups column indices
     into degenerate eigenspaces (singletons when group_degenerate=False).
     weights sums entry moduli of the drift between blocks (the L11 convention
-    minimized by the min-cut); opnorm_weights is the operator norm of the same
-    inter-block rectangle, reported for comparison.
+    minimized by the min-cut).
     """
 
     basis: np.ndarray
     blocks: list
     weights: np.ndarray
-    opnorm_weights: np.ndarray
     eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceEstimate:
+    """Best verified certificate, the SVD lower bound on its perturbed
+    generators, and the unperturbed system's commutant spectrum that bound
+    read (None when epsilon_best was given none at or above
+    COMMUTANT_DIM_GUARD; the lower bound is then 0.0)."""
+
     upper: DistanceCertificate
     lower: float
+    commutant: CommutantResult | None = None
 
 
 def _control_list(controls) -> list[np.ndarray]:
@@ -244,14 +244,12 @@ def build_control_basis_graph(drift, control, tol: ToleranceConfig = DEFAULT_TOL
         blocks = [[i] for i in range(len(w))]
     b = len(blocks)
     weights = np.zeros((b, b))
-    opnorms = np.zeros((b, b))
     for i in range(b):
         for j in range(i + 1, b):
             rect = hd_basis[np.ix_(blocks[i], blocks[j])]
             weights[i, j] = weights[j, i] = float(np.sum(np.abs(rect)))
-            opnorms[i, j] = opnorms[j, i] = operator_norm(rect)
     return ControlBasisGraph(basis=v, blocks=blocks, weights=weights,
-                             opnorm_weights=opnorms, eigenvalues=w)
+                             eigenvalues=w)
 
 
 def cut_weight_of(weights: np.ndarray, side) -> float:
@@ -505,15 +503,16 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
     return verified
 
 
-def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig,
-                                *, commutant: CommutantResult | None = None
-                                ) -> DistanceEstimate:
+def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
+                                ) -> DistanceCertificate:
     """Driftless analogue of drift removal: cancel every bounded generator.
 
     This is how amplitude-capped couplings (e.g. a cross-Kerr term) are
     priced: if the unbounded controls alone are not universal, removing the
     bounded set is a verified uncontrollable perturbation with
-    max_j ||delta_j|| = the largest bounded generator norm.
+    max_j ||delta_j|| = the largest bounded generator norm. The check of the
+    unbounded controls is the driftless "controls alone" gate; the witness
+    it finds becomes the certificate's.
     """
     if not system.bounded:
         raise InputError("system has neither drift nor bounded generators "
@@ -527,38 +526,13 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig,
                              "no perturbation of the bounded generators can "
                              "render the system uncontrollable")
     deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
-    cert = DistanceCertificate(
+    return DistanceCertificate(
         perturbations=[(j, _as_operator(d, tol)) for j, d in enumerate(deltas)],
         op_norm=max(operator_norm(d) for d in deltas),
         l11_norm=float(sum(np.sum(np.abs(d)) for d in deltas)),
         method="drift_removal", verified_uncontrollable=True,
         symmetry_witness=witness,
         detail="removed all bounded generators")
-    try:
-        lower = epsilon_lower_svd(system, list(range(len(system.bounded))),
-                                  tol=tol, commutant=commutant)
-    except DimensionGuardError:
-        lower = 0.0
-    return DistanceEstimate(upper=cert, lower=lower)
-
-
-def require_uncontrollable_controls(system: ControlSystem,
-                                    tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise InputError when the controls of a system with drift are
-    controllable on their own: then no drift perturbation can render the
-    system uncontrollable and the distance is infinite.
-
-    epsilon_best checks this first; a caller about to compute the commutant
-    spectrum for epsilon_best calls it before paying for the SVD. A driftless
-    system passes here; its bounded-removal estimate checks the unbounded
-    controls itself, because that check also yields the witness.
-    """
-    if system.drift is None:
-        return
-    if is_controllable_lie(system.algebra_generators()[1:], tol=tol,
-                           require_traceless=False):
-        raise InputError("the controls alone are controllable: no drift "
-                         "perturbation can render the system uncontrollable")
 
 
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
@@ -568,14 +542,20 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
 
     The estimators perturb the drift; for a driftless system the bounded
     generators are removed instead. Requires a controllable system whose
-    unperturbed controls are not already controllable on their own
-    (otherwise the distance is infinite).
+    controls are not already controllable on their own (otherwise the
+    distance is infinite). The checks run first, so the d^4-column commutant
+    SVD is paid only by a system that passes them: controllability from the
+    Lie closure (UncontrollableSystemError), then the controls-alone gate
+    (InputError): the Lie closure of the controls with a drift, the
+    bounded-removal check of the unbounded controls without one.
 
     lie and commutant are lie_dimension's and commutant_dimension's results
     for system.algebra_generators() at this tol, for a caller that already
-    has them: controllability is read from lie, and the lower bound from
-    commutant's spectrum (see epsilon_lower_svd). None computes either here.
-    A lie whose basis is not d x d is an InputError.
+    has them; None computes either here, the commutant only below
+    COMMUTANT_DIM_GUARD (at or above it the lower bound is 0.0, trivially
+    valid). The spectrum is returned on DistanceEstimate.commutant for the
+    caller's other bounds. A lie whose basis is not d x d, or a commutant
+    without d^4 values, is an InputError.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
@@ -590,34 +570,45 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     if lie.dimension != d * d - 1:
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
-        return _remove_bounded_certificate(system, tol, commutant=commutant)
-    require_uncontrollable_controls(system, tol)
-    controls = gens[1:]
-    hd = gens[0]
-    certificates: list[DistanceCertificate] = []
-    for method in methods:
-        if method == "gap_merge":
-            certificates.append(epsilon_upper_gap_merge(hd, controls, tol=tol))
-        elif method == "min_cut" and len(controls) == 1:
-            try:
-                certificates.append(epsilon_upper_min_cut(hd, controls[0], tol=tol))
-            except InputError:
-                pass  # no cut structure (control ~ identity)
-        elif method == "block_search" and system.dim <= BLOCK_SEARCH_DIM_GUARD:
-            certificates.append(epsilon_upper_block_search(hd, controls, tol=tol))
-        elif method == "drift_removal":
-            certificates.append(epsilon_upper_drift_removal(hd, controls, tol=tol))
-
-    verified = [c for c in certificates if c.verified_uncontrollable]
-    if not verified:
-        raise NumericalError("no estimator produced a verified certificate "
-                             "(drift removal should always verify here)")
-    upper = min(verified, key=lambda c: c.op_norm)
-    try:
-        lower = epsilon_lower_svd(system, [0], tol=tol, commutant=commutant)
-    except DimensionGuardError:
-        lower = 0.0  # trivially valid; the d^4-column SVD is gated at this size
-    return DistanceEstimate(upper=upper, lower=lower)
+        upper = _remove_bounded_certificate(system, tol)
+        perturbed = list(range(len(system.bounded)))
+    else:
+        hd, controls = gens[0], gens[1:]
+        if is_controllable_lie(controls, tol=tol, require_traceless=False):
+            raise InputError("the controls alone are controllable: no drift "
+                             "perturbation can render the system "
+                             "uncontrollable")
+        certificates: list[DistanceCertificate] = []
+        for method in methods:
+            if method == "gap_merge":
+                certificates.append(
+                    epsilon_upper_gap_merge(hd, controls, tol=tol))
+            elif method == "min_cut" and len(controls) == 1:
+                try:
+                    certificates.append(
+                        epsilon_upper_min_cut(hd, controls[0], tol=tol))
+                except InputError:
+                    pass  # no cut structure (control ~ identity)
+            elif method == "block_search" and d <= BLOCK_SEARCH_DIM_GUARD:
+                certificates.append(
+                    epsilon_upper_block_search(hd, controls, tol=tol))
+            elif method == "drift_removal":
+                certificates.append(
+                    epsilon_upper_drift_removal(hd, controls, tol=tol))
+        verified = [c for c in certificates if c.verified_uncontrollable]
+        if not verified:
+            raise NumericalError("no estimator produced a verified "
+                                 "certificate (drift removal should always "
+                                 "verify here)")
+        upper = min(verified, key=lambda c: c.op_norm)
+        perturbed = [0]
+    if commutant is None and d < COMMUTANT_DIM_GUARD:
+        commutant = commutant_dimension(gens, tol=tol, want_symmetries=False)
+    lower = 0.0
+    if commutant is not None:
+        lower = epsilon_lower_svd(system, perturbed, tol=tol,
+                                  commutant=commutant)
+    return DistanceEstimate(upper=upper, lower=lower, commutant=commutant)
 
 
 def certificate_to_json(cert: DistanceCertificate) -> dict:

@@ -164,7 +164,6 @@ def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
 
 
 def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
-                 delta: float | None = None, provenance: str | None = None,
                  tol: ToleranceConfig = DEFAULT_TOL,
                  compute_lower: bool = True, *,
                  commutant: CommutantResult | None = None) -> SpeedLimitReport:
@@ -174,12 +173,14 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     M * max_j ||delta_j|| when M generators are perturbed simultaneously
     (the conservative inversion of the per-generator budget epsilon/M).
     c is the largest amplitude cap among the perturbed generators, 1 when
-    only the drift is perturbed. Certificates touching unbounded controls
-    are rejected: an unbounded amplitude defeats the propagation bound.
+    only the drift is perturbed. delta always comes from delta_lower_bound.
+    Certificates touching unbounded controls are rejected: an unbounded
+    amplitude defeats the propagation bound.
 
     epsilon_lower is epsilon_lower_svd over the certificate's perturbed
     generators; commutant is passed on to it, so a caller that already has
-    the unperturbed system's commutant spectrum does not compute it again.
+    the unperturbed system's commutant spectrum (epsilon_best returns it on
+    DistanceEstimate.commutant) does not compute it again.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -200,11 +201,7 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     if eps_eff <= 0:
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)
-    if delta is None:
-        delta, provenance = delta_lower_bound(system, cert, tol=tol)
-    elif provenance is None:
-        provenance = (PROVENANCE_SYMMETRY if delta == DELTA_SYMMETRY
-                      else PROVENANCE_UNIVERSAL)
+    delta, provenance = delta_lower_bound(system, cert, tol=tol)
     eps_lower = None
     if compute_lower:
         try:

@@ -9,7 +9,8 @@ import pytest
 from qdist import (DEFAULT_TOL, InputError, cli, distance, epsilon_best,
                    epsilon_lower_svd, lie_closure, lie_dimension)
 from qdist.cli import analyze_system, main
-from qdist.commutant import build_stacked_adjoint, commutant_dimension
+from qdist.commutant import (COMMUTANT_DIM_GUARD, build_stacked_adjoint,
+                             commutant_dimension)
 from qdist.distance import certificate_to_json
 from qdist.models import build_cross_kerr, build_hopping_chain
 from qdist.speed_limit import t_star_lower
@@ -26,31 +27,44 @@ SYSTEMS = {
 }
 
 
+def count_closures(monkeypatch, gens, counts, key):
+    """Count in counts[key] the Lie closures of exactly these generators."""
+    counts[key] = 0
+    closure = lie_closure.lie_dimension
+
+    def counting_closure(generators, *args, **kwargs):
+        mats = list(generators)
+        if len(mats) == len(gens) and all(
+                np.array_equal(a, b) for a, b in zip(mats, gens)):
+            counts[key] += 1
+        return closure(mats, *args, **kwargs)
+
+    for module in (lie_closure, distance, cli):
+        monkeypatch.setattr(module, "lie_dimension", counting_closure)
+
+
 def count_unperturbed_work(monkeypatch, system):
     """Count SVDs of the unperturbed stacked adjoint matrix and Lie closures
     of the unperturbed generators; other inputs are not counted."""
     gens = system.algebra_generators()
     stacked = build_stacked_adjoint(gens)
-    counts = {"svd": 0, "lie": 0}
+    counts = {"svd": 0}
     svd = np.linalg.svd
-    closure = lie_closure.lie_dimension
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a) == stacked.shape and np.array_equal(a, stacked):
             counts["svd"] += 1
         return svd(a, *args, **kwargs)
 
-    def counting_closure(generators, *args, **kwargs):
-        mats = list(generators)
-        if len(mats) == len(gens) and all(
-                np.array_equal(a, b) for a, b in zip(mats, gens)):
-            counts["lie"] += 1
-        return closure(mats, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for module in (lie_closure, distance, cli):
-        monkeypatch.setattr(module, "lie_dimension", counting_closure)
+    count_closures(monkeypatch, gens, counts, "lie")
     return counts
+
+
+def write_system(tmp_path, system):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    return str(path)
 
 
 def dumps(obj):
@@ -115,6 +129,49 @@ def test_controllable_controls_are_rejected_before_any_svd(
     out, err = capsys.readouterr()
     assert "the controls alone are controllable" in out + err
     assert calls == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["distance", "--perturb", "all"], 1), (["qsl"], 1),
+    (["analyze", "--skip-commutant"], 0)],
+    ids=["distance_all", "qsl", "analyze_skip_commutant"])
+def test_controllable_unbounded_controls_are_rejected_before_the_svd(
+        tmp_path, capsys, monkeypatch, argv, code):
+    # driftless: X, Y alone generate su(2), so removing the bounded Z cannot
+    # break controllability and the 48 x 16 spectrum would go unused
+    system = make_system(bounded=[(PAULI_Z, 1.0)], unbounded=[PAULI_X, PAULI_Y])
+    path = write_system(tmp_path, system)
+    counts = count_unperturbed_work(monkeypatch, system)
+    assert main(argv + ["--system", path]) == code
+    out, err = capsys.readouterr()
+    assert "the unbounded controls alone are controllable" in out + err
+    assert counts == {"svd": 0, "lie": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance"], ["qsl"], ["analyze", "--skip-commutant"]],
+    ids=["distance", "qsl", "analyze_skip_commutant"])
+def test_controls_alone_are_closed_once(tmp_path, capsys, monkeypatch, argv):
+    system = build_hopping_chain(4)
+    path = write_system(tmp_path, system)
+    counts = {}
+    count_closures(monkeypatch, system.algebra_generators()[1:], counts,
+                   "controls")
+    assert main(argv + ["--system", path]) == 0
+    capsys.readouterr()
+    assert counts == {"controls": 1}
+
+
+@pytest.mark.parametrize("d", [4, 7])
+def test_estimate_returns_the_spectrum_its_lower_bound_read(d):
+    system = build_hopping_chain(d)
+    estimate = epsilon_best(system)
+    if d < COMMUTANT_DIM_GUARD:
+        assert len(estimate.commutant.singular_values) == d ** 4
+        assert estimate.lower == epsilon_lower_svd(
+            system, [0], commutant=estimate.commutant) > 0
+    else:
+        assert estimate.commutant is None and estimate.lower == 0.0
 
 
 def test_wrong_dimension_invariants_are_input_errors():

@@ -88,8 +88,8 @@ class TestTStarLower:
             perturbations=[(0, HermitianOperator(-coupling))],
             op_norm=operator_norm(coupling), l11_norm=float(np.sum(np.abs(coupling))),
             method="manual", verified_uncontrollable=True)
-        report = t_star_lower(system, cert, delta=DELTA_UNIVERSAL,
-                              compute_lower=False)
+        report = t_star_lower(system, cert, compute_lower=False)
+        assert report.delta_provenance == "universal_quarter"
         assert report.amplitude_cap_c == cap
         assert report.t_star_lower == pytest.approx(1 / (cap * n_photons ** 2),
                                                     abs=1e-12)
