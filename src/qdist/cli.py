@@ -251,7 +251,7 @@ def cmd_distance(args) -> int:
         raise InputError(f"unknown distance methods: {unknown}")
     estimate = epsilon_best(system, tol=tol, methods=methods)
     lower = estimate.lower
-    if indices != [system.drift_index]:
+    if estimate.commutant is not None and indices != [system.drift_index]:
         lower = epsilon_lower_svd(system, indices, tol=tol,
                                   commutant=estimate.commutant)
     _emit({

@@ -132,11 +132,11 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     first: the given one, then the one extract_original_space_symmetry
     finds, each accepted only through is_symmetry_witness. Checking one
     costs O(K d^3) and, unlike a deep Lie closure, does not amplify noise.
-    Without a witness the commutant spectrum decides below
-    COMMUTANT_DIM_GUARD and the Lie closure at or above it. For d <= 4 the
-    Lie closure cross-checks every verdict and a disagreement raises
-    NumericalError. Returns the verdict and the accepted witness (None when
-    none was accepted).
+    Without a witness the Lie closure decides, at every dimension. For
+    d <= 4 a second oracle cross-checks every verdict, the Lie closure a
+    witness and the commutant spectrum the Lie closure, and a disagreement
+    raises NumericalError. Returns the verdict and the accepted witness
+    (None when none was accepted).
     """
     mats = [as_matrix(g) for g in gens]
     d = mats[0].shape[0]
@@ -144,23 +144,19 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
         witness = extract_original_space_symmetry(mats, tol=tol)
         if witness is not None and not is_symmetry_witness(witness, mats, tol):
             witness = None
-    if witness is not None:
-        oracle, uncontrollable = "witness", True
-    elif d < COMMUTANT_DIM_GUARD:
-        oracle = "commutant"
-        uncontrollable = not commutant_dimension(
+    # the first verdict decides and any other cross-checks it
+    verdicts = {} if witness is None else {"witness": True}
+    if witness is None or d <= 4:
+        verdicts["lie"] = not is_controllable_lie(mats, tol=tol,
+                                                  require_traceless=False)
+    if witness is None and d <= 4:
+        verdicts["commutant"] = not commutant_dimension(
             mats, tol=tol, want_symmetries=False).controllable
-    else:
-        oracle = "lie"
-        uncontrollable = not is_controllable_lie(mats, tol=tol,
-                                                 require_traceless=False)
-    if d <= 4:
-        lie_uncontrollable = not is_controllable_lie(mats, tol=tol,
-                                                     require_traceless=False)
-        if lie_uncontrollable != uncontrollable:
-            raise NumericalError(
-                f"controllability oracles disagree at d={d}: "
-                f"lie={not lie_uncontrollable}, {oracle}={not uncontrollable}")
+    uncontrollable = next(iter(verdicts.values()))
+    if len(set(verdicts.values())) > 1:
+        raise NumericalError(
+            f"controllability oracles disagree at d={d}: " + ", ".join(
+                f"{name}={not v}" for name, v in verdicts.items()))
     return uncontrollable, witness
 
 
@@ -485,17 +481,9 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
 
 def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Apply the certificate and test uncontrollability from scratch.
-
-    Witness first, at every dimension: the certificate's symmetry witness is
-    tried, then one extracted from the perturbed system; either is accepted
-    only if it is not a multiple of the identity and commutes with every
-    perturbed generator. Without an accepted witness the commutant test
-    decides for d < COMMUTANT_DIM_GUARD and the Lie-closure test beyond it.
-    For d <= 4 the Lie-closure test cross-checks every verdict and a
-    disagreement raises NumericalError. A witness of the wrong dimension is
-    an InputError. See verify_uncontrollable.
-    """
+    """Apply the certificate's perturbations to the system, then decide
+    from scratch with verify_uncontrollable, offering it the certificate's
+    witness."""
     perturbed = system.with_perturbations(
         [(i, d.matrix) for i, d in cert.perturbations], tol=tol)
     verified, _ = verify_uncontrollable(perturbed.algebra_generators(), tol,

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qdist import haar_unitary, make_system, random_hermitian
+from qdist import distance, haar_unitary, make_system, random_hermitian
+from qdist.commutant import commutant_dimension
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,3 +46,13 @@ def conjugate_all(system, seed):
     bounded = [(conj(b.operator.matrix), b.cap) for b in system.bounded]
     unbounded = [conj(op.matrix) for op in system.unbounded]
     return make_system(drift=drift, bounded=bounded, unbounded=unbounded)
+
+
+def flip_commutant_verdicts(monkeypatch):
+    """Make the commutant test in qdist.distance report the opposite verdict."""
+    def flipped(*args, **kwargs):
+        result = commutant_dimension(*args, **kwargs)
+        return dataclasses.replace(result,
+                                   controllable=not result.controllable)
+
+    monkeypatch.setattr(distance, "commutant_dimension", flipped)

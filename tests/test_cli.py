@@ -5,11 +5,13 @@ import pytest
 
 from qdist import cli
 from qdist.cli import main
-from qdist.distance import certificate_to_json, epsilon_upper_drift_removal
+from qdist.distance import (certificate_to_json, epsilon_upper_drift_removal,
+                            epsilon_upper_gap_merge)
 from qdist.models import pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
 
-from conftest import PAULI_X, PAULI_Z
+from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
+                      random_pair_system)
 
 
 def run(capsys, *argv):
@@ -97,6 +99,41 @@ def test_qsl_cert_with_wrong_dimension_witness_exit_1(tmp_path, capsys):
     assert stdout == ""
     assert stderr.startswith("error:")
     assert "Traceback" not in stderr
+
+
+def test_qsl_cert_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    # a witness-free d=4 certificate, so the commutant cross-check runs
+    drift, control = random_pair_system(4, 0).algebra_generators()
+    path = write_pair_system(tmp_path / "pair.json", drift, control)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(certificate_to_json(
+        epsilon_upper_gap_merge(drift, control))))
+    flip_commutant_verdicts(monkeypatch)
+    code, stdout, stderr = run(capsys, "qsl", "--system", path,
+                               "--cert", str(cert_file))
+    assert code == 4
+    assert stdout == ""
+    assert stderr.startswith("numerical error:")
+    assert "disagree at d=4" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("perturb", ["all", "control:0"])
+def test_distance_reports_zero_lower_bound_above_the_guard(tmp_path, capsys,
+                                                           perturb):
+    # at d = 8 the commutant is guarded off, so every lower bound is 0.0
+    out = tmp_path / "hop8.json"
+    run(capsys, "model", "--name", "hopping_chain", "--param", "d=8",
+        "--out", str(out))
+    code, stdout, _ = run(capsys, "distance", "--system", str(out))
+    assert code == 0
+    plain = json.loads(stdout)
+    code, stdout, stderr = run(capsys, "distance", "--system", str(out),
+                               "--perturb", perturb)
+    assert code == 0, stderr
+    doc = json.loads(stdout)
+    assert '"lower": 0.0' in stdout
+    assert doc["upper"] == plain["upper"]
+    assert doc["perturbed_indices"] != plain["perturbed_indices"]
 
 
 def test_verify_ineq(tmp_path, capsys):

@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
-                   UncontrollableSystemError, build_control_basis_graph,
-                   commutator, cut_weight_of, epsilon_best, epsilon_lower_svd,
-                   epsilon_upper_block_search, epsilon_upper_drift_removal,
-                   epsilon_upper_gap_merge, epsilon_upper_min_cut, haar_unitary,
-                   hermitian_eigensystem, make_system, operator_norm,
-                   random_hermitian, stoer_wagner_min_cut, verify_certificate)
+                   NumericalError, UncontrollableSystemError,
+                   build_control_basis_graph, commutator, cut_weight_of,
+                   epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
+                   epsilon_upper_drift_removal, epsilon_upper_gap_merge,
+                   epsilon_upper_min_cut, haar_unitary, hermitian_eigensystem,
+                   make_system, operator_norm, random_hermitian,
+                   stoer_wagner_min_cut, verify_certificate)
 from qdist.commutant import (commutant_dimension,
                              extract_original_space_symmetry)
 from qdist.distance import (certificate_from_json, certificate_to_json,
                             is_symmetry_witness, verify_uncontrollable)
 from qdist.lie_closure import is_controllable_lie
+from qdist.linalg import traceless_part
 from qdist.models import (build_hopping_chain, build_two_qubit_ising,
                           hopping_drift, hopping_spectrum, pauli_on,
                           site_projector)
 
-from conftest import PAULI_X, PAULI_Z, random_pair_system
+from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
+                      random_pair_system)
 
 
 def brute_force_min_cut(weights):
@@ -33,6 +36,22 @@ def brute_force_min_cut(weights):
             best = w
             best_side = side
     return best, best_side
+
+
+def count_d4_svds(monkeypatch, d):
+    """Record the shape of every numpy SVD of a matrix with d^4 columns, the
+    width of the stacked doubled-space adjoint matrix the commutant test
+    decomposes."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a)[-1] == d ** 4:
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
 
 
 class TestGapMerge:
@@ -323,8 +342,8 @@ class TestVerifyUncontrollable:
         assert verify_uncontrollable([PAULI_Z, PAULI_X]) == (False, None)
 
     def test_witness_commutant_and_lie_agree_at_d5(self):
-        # d = 5 is above the built-in Lie cross-check, so compare all three
-        # oracles on every certificate the four estimators produce
+        # d = 5 is above the built-in commutant cross-check, so compare all
+        # three oracles on every certificate the four estimators produce
         systems = [build_hopping_chain(5)] + [random_pair_system(5, 2500 + k)
                                               for k in range(3)]
         checked = 0
@@ -372,6 +391,73 @@ class TestVerifyUncontrollable:
         for gens in generator_sets:
             assert is_controllable_lie(gens, require_traceless=False) \
                 == commutant_dimension(gens, want_symmetries=False).controllable
+
+    def test_lie_closure_decides_without_a_d4_svd_above_d4(self, monkeypatch):
+        # the gap merge of this pair leaves it controllable and has no
+        # witness, so only a no-witness oracle can reject it
+        system = random_pair_system(6, 2600)
+        drift, control = system.algebra_generators()
+        cert = epsilon_upper_gap_merge(drift, control)
+        shapes = count_d4_svds(monkeypatch, 6)
+        assert verify_certificate(system, cert) is False
+        assert cert.verified_uncontrollable is False
+        assert cert.symmetry_witness is None
+        assert shapes == []
+        # at d <= 4 the commutant still cross-checks the Lie closure: exactly
+        # one d^4 SVD; a witness is cross-checked by the Lie closure alone
+        system = build_hopping_chain(4)
+        drift, control = system.algebra_generators()
+        cert = epsilon_upper_drift_removal(drift, control)
+        shapes = count_d4_svds(monkeypatch, 4)
+        assert verify_uncontrollable([drift, control]) == (False, None)
+        assert len(shapes) == 1
+        assert verify_certificate(system, cert) is True
+        assert len(shapes) == 1
+
+    def test_commutant_disagreement_at_d4_is_numerical_error(self,
+                                                             monkeypatch):
+        # a gap merge that leaves this pair controllable: no witness, so
+        # the commutant spectrum cross-checks the Lie closure's verdict
+        system = random_pair_system(4, 0)
+        drift, control = system.algebra_generators()
+        cert = epsilon_upper_gap_merge(drift, control)
+        assert cert.symmetry_witness is None
+        assert verify_certificate(system, cert) is False
+        flip_commutant_verdicts(monkeypatch)
+        with pytest.raises(NumericalError, match="disagree at d=4"):
+            verify_certificate(system, cert)
+
+    def test_near_a_symmetry_errs_on_the_controllable_side(self):
+        # block-diagonal (2 | 3) pairs in a Haar-rotated basis, broken by
+        # eta * random; near rank_rel_tol the Lie closure may call a system
+        # controllable that the commutant spectrum does not, never the
+        # reverse, so a certificate can be lost but not falsely accepted
+        u = haar_unitary(5, 1729)
+
+        def rotated_blocks(seed):
+            m = np.zeros((5, 5), dtype=complex)
+            m[:2, :2] = random_hermitian(2, seed).matrix
+            m[2:, 2:] = random_hermitian(3, seed + 1).matrix
+            return u @ m @ u.conj().T
+
+        verdicts = []
+        for seed in (0, 1):
+            drift = rotated_blocks(10 * seed)
+            control = rotated_blocks(10 * seed + 5)
+            for eta in (0.0, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6):
+                gens = [traceless_part(drift + eta * random_hermitian(
+                            5, 100 + seed, traceless=True).matrix),
+                        traceless_part(control + eta * random_hermitian(
+                            5, 200 + seed, traceless=True).matrix)]
+                spectrum = commutant_dimension(gens, want_symmetries=False)
+                uncontrollable, _ = verify_uncontrollable(gens)
+                if uncontrollable:
+                    assert spectrum.nullity > 2, (seed, eta)
+                if not is_controllable_lie(gens, require_traceless=False):
+                    assert not spectrum.controllable, (seed, eta)
+                verdicts.append(uncontrollable)
+        assert verdicts[0] and verdicts[6]  # eta = 0: exact symmetry
+        assert not verdicts[5] and not verdicts[11]  # eta = 1e-6: broken
 
 
 class TestEpsilonBest:
