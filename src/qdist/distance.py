@@ -21,9 +21,9 @@ from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
 from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     commutator, hermitian_eigensystem, matrix_from_json,
-                     matrix_to_json, operator_norm, rank_and_nullity,
-                     traceless_part)
+                     commutator, devec_herm, hermitian_eigensystem,
+                     matrix_from_json, matrix_to_json, operator_norm,
+                     rank_and_nullity, traceless_part)
 from .system import ControlSystem, _as_operator
 
 ESTIMATORS = ("gap_merge", "min_cut", "block_search", "drift_removal")
@@ -378,17 +378,14 @@ def _joint_control_blocks(controls: list[np.ndarray], tol: ToleranceConfig):
         w, v = hermitian_eigensystem(controls[0], tol=tol)
         blocks = _grouped_blocks(w, tol)
         return (v, blocks) if len(blocks) > 1 else None
-    stacked = build_stacked_adjoint(controls, doubled=False)
+    stacked = build_stacked_adjoint(controls, doubled=False, tol=tol)
     r = rank_and_nullity(stacked, tol=tol)
     if r.nullity <= 1:
         return None
     d = controls[0].shape[0]
     rng = np.random.default_rng(719)  # fixed: results must be reproducible
-    coeffs = rng.standard_normal(r.nullity) + 1j * rng.standard_normal(r.nullity)
-    x = (r.null_basis @ coeffs).reshape(d, d)
-    m = (x + x.conj().T) / 2
-    if np.linalg.norm(m) < 1e-12:
-        m = ((x - x.conj().T) / 2j)
+    # null vectors are Hermitian coordinates: a real combination is Hermitian
+    m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
     w, v = np.linalg.eigh(m)
     blocks = _grouped_blocks(w, tol)
     return (v, blocks) if len(blocks) > 1 else None
@@ -453,7 +450,11 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     delta_j of one generator moves its block by at most 4 ||delta_j|| in
     operator norm, and losing controllability requires driving sigma to zero,
     so by Weyl's inequality every uncontrollable perturbation of the given m
-    generators satisfies max_j ||delta_j|| >= sigma / (4 m).
+    generators satisfies max_j ||delta_j|| >= sigma / (4 m). The stacked
+    matrix is the real one of build_stacked_adjoint: each block is the
+    complex row-vectorized block in an orthonormal Hermitian basis, a
+    unitary change of basis, so sigma and the 4 ||delta_j|| bound are those
+    of the complex blocks.
 
     commutant is commutant_dimension's result for system.algebra_generators()
     at this tol, when the caller already has it; None computes it here, so

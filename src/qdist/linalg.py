@@ -6,6 +6,11 @@ Conventions fixed for the whole package:
 * vectorization is row-major (``vec_row``), so ``vec_row(B @ X) =
   kron(B, 1) @ vec_row(X)`` and the map ``X -> [B, X]`` is represented by
   ``kron(B, 1) - kron(1, B.T)``;
+* Hermitian matrices also have real coordinates (``vec_herm``) in the
+  orthonormal Hermitian basis laid on the row-major positions: E_jj at
+  (j, j), (E_jk + E_kj)/sqrt(2) at (j, k) and i(E_jk - E_kj)/sqrt(2) at
+  (k, j) for j < k. The Hilbert-Schmidt inner product of two Hermitian
+  matrices is the real dot product of their coordinates;
 * rank cutoffs are relative to the largest singular value (scale-free);
 * Hamiltonians carry units of angular frequency with hbar = 1.
 """
@@ -57,11 +62,14 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input (array-like or HermitianOperator) to a finite complex 2-D array."""
+def as_matrix(m, keep_real: bool = False) -> np.ndarray:
+    """Coerce input (array-like or HermitianOperator) to a finite complex 2-D
+    array; with keep_real, a real input becomes float64 instead."""
     if isinstance(m, HermitianOperator):
         return m.matrix
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m)
+    real = keep_real and not np.iscomplexobj(a)
+    a = np.asarray(a, dtype=np.float64 if real else np.complex128)
     if a.ndim != 2:
         raise InputError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
@@ -193,6 +201,31 @@ def from_real_vec(v: np.ndarray, d: int) -> np.ndarray:
     return (v[:n] + 1j * v[n:]).reshape(d, d)
 
 
+def vec_herm(m) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix in the orthonormal Hermitian
+    basis on the row-major positions: M_jj at (j, j), sqrt(2) Re M_jk at
+    (j, k) and sqrt(2) Im M_jk at (k, j) for j < k. Only the diagonal and
+    the upper triangle are read."""
+    a = _as_square(m)
+    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
+    c = np.diag(np.diag(a).real)
+    c[upper] = np.sqrt(2) * a.real[upper]
+    c.T[upper] = np.sqrt(2) * a.imag[upper]
+    return c.ravel()
+
+
+def devec_herm(v, n: int) -> np.ndarray:
+    """Inverse of vec_herm: the n x n Hermitian matrix (exactly Hermitian)
+    with these real coordinates. Raises on length mismatch."""
+    c = np.asarray(v, dtype=np.float64).ravel()
+    if c.size != n * n:
+        raise InputError(f"cannot reshape length-{c.size} vector to {n}x{n}")
+    c = c.reshape(n, n)
+    upper = np.triu(c, 1) / np.sqrt(2)
+    lower = np.tril(c, -1) / np.sqrt(2)
+    return (np.diag(np.diag(c)) + upper + upper.T) + 1j * (lower.T - lower)
+
+
 class RankResult(NamedTuple):
     rank: int
     nullity: int
@@ -208,9 +241,11 @@ def rank_and_nullity(m, tol: ToleranceConfig = DEFAULT_TOL,
     rank counts singular values above rank_rel_tol * sigma_max; each returned
     null vector v satisfies ||M v|| <= 10 * rank_rel_tol * sigma_max.
     Set want_null_basis=False to skip computing singular vectors (cheaper for
-    large stacked matrices when only the counts are needed).
+    large stacked matrices when only the counts are needed). A real input
+    stays real (float64) all the way into LAPACK, and so does its null
+    basis; anything else is decomposed in complex128.
     """
-    a = as_matrix(m)
+    a = as_matrix(m, keep_real=True)
     rows, cols = a.shape
     try:
         if want_null_basis:
@@ -229,7 +264,7 @@ def rank_and_nullity(m, tol: ToleranceConfig = DEFAULT_TOL,
         rank = int(np.count_nonzero(s > tol.rank_rel_tol * smax))
     nullity = cols - rank
     if vh is None:
-        basis = np.empty((cols, 0), dtype=np.complex128)
+        basis = np.empty((cols, 0), dtype=a.dtype)
     else:
         basis = vh[rank:].conj().T
     return RankResult(rank=rank, nullity=nullity, null_basis=basis,

@@ -1,4 +1,5 @@
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,28 @@ SWAP_4 = np.array([[1, 0, 0, 0],
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+class SvdInput(NamedTuple):
+    shape: tuple
+    dtype: np.dtype
+    matrix: np.ndarray
+
+
+@pytest.fixture
+def svd_log(monkeypatch):
+    """Record the input of every numpy.linalg.svd call, in call order: its
+    shape, its dtype and the array itself (for identity checks)."""
+    log = []
+    svd = np.linalg.svd
+
+    def logging_svd(a, *args, **kwargs):
+        matrix = np.asarray(a)
+        log.append(SvdInput(matrix.shape, matrix.dtype, matrix))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", logging_svd)
+    return log
 
 
 def random_pair_system(d, seed):

@@ -5,7 +5,7 @@ from qdist import (DimensionGuardError, commutant, commutator,
                    commutant_dimension, extract_original_space_symmetry,
                    haar_unitary, is_controllable_commutant,
                    is_controllable_lie, operator_norm, random_hermitian,
-                   tensor_double, vec_row)
+                   tensor_double, vec_herm)
 from qdist.commutant import build_stacked_adjoint
 from qdist.linalg import rank_and_nullity
 from qdist.models import build_global_control_chain, build_hopping_chain, pauli_on
@@ -22,8 +22,8 @@ class TestBuildStackedAdjoint:
     def test_universal_null_vectors(self):
         stacked = build_stacked_adjoint([PAULI_Z, PAULI_X])
         assert stacked.shape == (32, 16)
-        assert np.max(np.abs(stacked @ vec_row(np.eye(4)))) < 1e-12
-        assert np.max(np.abs(stacked @ vec_row(SWAP_4))) < 1e-12
+        assert np.max(np.abs(stacked @ vec_herm(np.eye(4)))) < 1e-12
+        assert np.max(np.abs(stacked @ vec_herm(SWAP_4))) < 1e-12
 
     def test_three_generator_shape(self):
         stacked = build_stacked_adjoint([PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X
@@ -74,9 +74,9 @@ class TestCommutantDimension:
             # the two universal null directions are annihilated
             stacked = build_stacked_adjoint(gens)
             scale = operator_norm(stacked)
-            eye = vec_row(np.eye(d * d))
-            swap = vec_row(np.eye(d * d).reshape(d, d, d, d)
-                           .transpose(1, 0, 2, 3).reshape(d * d, d * d))
+            eye = vec_herm(np.eye(d * d))
+            swap = vec_herm(np.eye(d * d).reshape(d, d, d, d)
+                            .transpose(1, 0, 2, 3).reshape(d * d, d * d))
             assert np.max(np.abs(stacked @ eye)) <= 1e-10 * scale
             assert np.max(np.abs(stacked @ swap)) <= 1e-10 * scale
 
@@ -146,18 +146,18 @@ class TestExtractOriginalSpaceSymmetry:
         r = rank_and_nullity(build_stacked_adjoint(gens, doubled=False))
         assert r.nullity == 226
         eye = np.eye(16) / 4.0
-        first = list(commutant._hermitize_null_vectors(
+        first = list(commutant._null_symmetries(
             r.null_basis, 16, project_out=[eye]))[0]
 
         built = 0
-        from_real_vec = commutant.from_real_vec
+        devec_herm = commutant.devec_herm
 
-        def counting_from_real_vec(v, n):
+        def counting_devec_herm(v, n):
             nonlocal built
             built += 1
-            return from_real_vec(v, n)
+            return devec_herm(v, n)
 
-        monkeypatch.setattr(commutant, "from_real_vec", counting_from_real_vec)
+        monkeypatch.setattr(commutant, "devec_herm", counting_devec_herm)
         sym = extract_original_space_symmetry(gens)
         assert built == 1
         np.testing.assert_array_equal(sym.matrix, (first + first.conj().T) / 2)

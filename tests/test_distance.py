@@ -38,20 +38,10 @@ def brute_force_min_cut(weights):
     return best, best_side
 
 
-def count_d4_svds(monkeypatch, d):
-    """Record the shape of every numpy SVD of a matrix with d^4 columns, the
-    width of the stacked doubled-space adjoint matrix the commutant test
-    decomposes."""
-    shapes = []
-    svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        if np.shape(a)[-1] == d ** 4:
-            shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return shapes
+def d4_shapes(svd_log, d):
+    """Shapes of the logged SVD inputs with d^4 columns, the width of the
+    stacked doubled-space adjoint matrix the commutant test decomposes."""
+    return [c.shape for c in svd_log if c.shape[-1] == d ** 4]
 
 
 class TestGapMerge:
@@ -392,27 +382,27 @@ class TestVerifyUncontrollable:
             assert is_controllable_lie(gens, require_traceless=False) \
                 == commutant_dimension(gens, want_symmetries=False).controllable
 
-    def test_lie_closure_decides_without_a_d4_svd_above_d4(self, monkeypatch):
+    def test_lie_closure_decides_without_a_d4_svd_above_d4(self, svd_log):
         # the gap merge of this pair leaves it controllable and has no
         # witness, so only a no-witness oracle can reject it
         system = random_pair_system(6, 2600)
         drift, control = system.algebra_generators()
         cert = epsilon_upper_gap_merge(drift, control)
-        shapes = count_d4_svds(monkeypatch, 6)
+        svd_log.clear()
         assert verify_certificate(system, cert) is False
         assert cert.verified_uncontrollable is False
         assert cert.symmetry_witness is None
-        assert shapes == []
+        assert d4_shapes(svd_log, 6) == []
         # at d <= 4 the commutant still cross-checks the Lie closure: exactly
         # one d^4 SVD; a witness is cross-checked by the Lie closure alone
         system = build_hopping_chain(4)
         drift, control = system.algebra_generators()
         cert = epsilon_upper_drift_removal(drift, control)
-        shapes = count_d4_svds(monkeypatch, 4)
+        svd_log.clear()
         assert verify_uncontrollable([drift, control]) == (False, None)
-        assert len(shapes) == 1
+        assert len(d4_shapes(svd_log, 4)) == 1
         assert verify_certificate(system, cert) is True
-        assert len(shapes) == 1
+        assert len(d4_shapes(svd_log, 4)) == 1
 
     def test_commutant_disagreement_at_d4_is_numerical_error(self,
                                                              monkeypatch):

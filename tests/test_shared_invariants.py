@@ -43,21 +43,20 @@ def count_closures(monkeypatch, gens, counts, key):
         monkeypatch.setattr(module, "lie_dimension", counting_closure)
 
 
-def count_unperturbed_work(monkeypatch, system):
+def count_unperturbed_work(monkeypatch, svd_log, system):
     """Count SVDs of the unperturbed stacked adjoint matrix and Lie closures
-    of the unperturbed generators; other inputs are not counted."""
+    of the unperturbed generators; other inputs are not counted. Returns a
+    function that gives the counts so far."""
     gens = system.algebra_generators()
     stacked = build_stacked_adjoint(gens)
-    counts = {"svd": 0}
-    svd = np.linalg.svd
+    closures = {}
+    count_closures(monkeypatch, gens, closures, "lie")
 
-    def counting_svd(a, *args, **kwargs):
-        if np.shape(a) == stacked.shape and np.array_equal(a, stacked):
-            counts["svd"] += 1
-        return svd(a, *args, **kwargs)
+    def counts():
+        svds = sum(1 for c in svd_log if c.shape == stacked.shape
+                   and np.array_equal(c.matrix, stacked))
+        return {"svd": svds, **closures}
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    count_closures(monkeypatch, gens, counts, "lie")
     return counts
 
 
@@ -73,13 +72,14 @@ def dumps(obj):
 
 @pytest.mark.parametrize("name, skip_commutant", [
     ("hopping_d4", False), ("cross_kerr_2_3", False), ("hopping_d4", True)])
-def test_analyze_computes_each_invariant_once(monkeypatch, name, skip_commutant):
+def test_analyze_computes_each_invariant_once(monkeypatch, svd_log, name,
+                                              skip_commutant):
     system = SYSTEMS[name]()
-    counts = count_unperturbed_work(monkeypatch, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, system)
     report, code = analyze_system(system, DEFAULT_TOL,
                                   skip_commutant=skip_commutant)
     assert code == 0 and report["qsl"] is not None
-    assert counts == {"svd": 1, "lie": 1}
+    assert counts() == {"svd": 1, "lie": 1}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -96,39 +96,30 @@ def test_analyze_report_matches_unshared_calls(name):
 @pytest.mark.parametrize("argv", [["distance"], ["distance", "--perturb", "all"],
                                   ["qsl"]])
 def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
-                                              argv):
+                                              svd_log, argv):
     system = build_hopping_chain(4)
     path = tmp_path / "hop4.json"
     path.write_text(json.dumps(system_to_json(system)))
-    counts = count_unperturbed_work(monkeypatch, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, system)
     assert main(argv + ["--system", str(path)]) == 0
     capsys.readouterr()
-    assert counts == {"svd": 1, "lie": 1}
+    assert counts() == {"svd": 1, "lie": 1}
 
 
 @pytest.mark.parametrize("argv, code", [
     (["distance"], 1), (["qsl"], 1), (["analyze", "--skip-commutant"], 0)],
     ids=["distance", "qsl", "analyze_skip_commutant"])
 def test_controllable_controls_are_rejected_before_any_svd(
-        tmp_path, capsys, monkeypatch, argv, code):
+        tmp_path, capsys, svd_log, argv, code):
     # the controls X, Y alone generate su(2), so no drift perturbation can
     # break controllability and the spectrum would go unused
     system = make_system(drift=PAULI_Z, unbounded=[PAULI_X, PAULI_Y])
     path = tmp_path / "zxy.json"
     path.write_text(json.dumps(system_to_json(system)))
-    calls = 0
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert main(argv + ["--system", str(path)]) == code
     out, err = capsys.readouterr()
     assert "the controls alone are controllable" in out + err
-    assert calls == 0
+    assert len(svd_log) == 0
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -136,16 +127,16 @@ def test_controllable_controls_are_rejected_before_any_svd(
     (["analyze", "--skip-commutant"], 0)],
     ids=["distance_all", "qsl", "analyze_skip_commutant"])
 def test_controllable_unbounded_controls_are_rejected_before_the_svd(
-        tmp_path, capsys, monkeypatch, argv, code):
+        tmp_path, capsys, monkeypatch, svd_log, argv, code):
     # driftless: X, Y alone generate su(2), so removing the bounded Z cannot
     # break controllability and the 48 x 16 spectrum would go unused
     system = make_system(bounded=[(PAULI_Z, 1.0)], unbounded=[PAULI_X, PAULI_Y])
     path = write_system(tmp_path, system)
-    counts = count_unperturbed_work(monkeypatch, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, system)
     assert main(argv + ["--system", path]) == code
     out, err = capsys.readouterr()
     assert "the unbounded controls alone are controllable" in out + err
-    assert counts == {"svd": 0, "lie": 1}
+    assert counts() == {"svd": 0, "lie": 1}
 
 
 @pytest.mark.parametrize("argv", [
