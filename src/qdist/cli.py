@@ -199,10 +199,9 @@ def cmd_commutant(args) -> int:
     result = commutant_dimension(system.algebra_generators(), tol=tol,
                                  force=args.force,
                                  want_symmetries=bool(args.emit_symmetries))
-    d = system.dim
     _emit({
         "rank": result.rank,
-        "expected_rank": d ** 4 - 2,
+        "expected_rank": result.expected_rank,
         "nullity": result.nullity,
         "controllable": result.controllable,
         "tolerances": tol.to_dict(),
@@ -337,7 +336,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
         com = commutant_dimension(gens, tol=tol, want_symmetries=False)
         report["commutant"] = {
             "rank": com.rank,
-            "expected_rank": d ** 4 - 2,
+            "expected_rank": com.expected_rank,
             "nullity": com.nullity,
             "controllable": com.controllable,
         }

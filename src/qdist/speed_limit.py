@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutant import CommutantResult
-from .distance import (DistanceCertificate, certificate_to_json,
-                       epsilon_lower_svd, is_symmetry_witness,
-                       verify_uncontrollable)
+from .distance import (DistanceCertificate, _grouped_blocks,
+                       certificate_to_json, epsilon_lower_svd,
+                       is_symmetry_witness, verify_uncontrollable)
 from .errors import (DimensionGuardError, InputError, UncontrollableSystemError)
 from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix,
                      hermitian_eigensystem, operator_norm)
@@ -284,12 +284,10 @@ def reachable_distance_probe(system: ControlSystem, target,
                          "and the probe is meaningless")
     if witness is not None:
         w, v = hermitian_eigensystem(witness.matrix, tol=tol)
-        boundaries = [0] + [i for i in range(1, d)
-                            if w[i] - w[i - 1] > tol.degeneracy_tol] + [d]
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            if b - a == d:
+        for block in _grouped_blocks(w, tol):
+            if len(block) == d:
                 continue
-            vp = v[:, a:b]
+            vp = v[:, block]
             p = vp @ vp.conj().T
             if operator_norm(p @ u_target @ p) <= 1e-9:
                 return ProbeResult(value=DELTA_SYMMETRY, certified=True,

@@ -63,14 +63,6 @@ class ControlSystem:
         ops.extend(self.unbounded)
         return ops
 
-    def generator_labels(self) -> list[str]:
-        labels: list[str] = []
-        if self.drift is not None:
-            labels.append("drift")
-        labels.extend(f"bounded[{j}]" for j in range(len(self.bounded)))
-        labels.extend(f"unbounded[{j}]" for j in range(len(self.unbounded)))
-        return labels
-
     @property
     def drift_index(self) -> int | None:
         return 0 if self.drift is not None else None

@@ -276,6 +276,22 @@ def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("methods, name", [("block", "block_search"),
+                                           ("gap", "gap_merge")])
+def test_distance_methods_that_do_not_apply_exit_1(tmp_path, capsys, methods,
+                                                   name):
+    # Ising: the ZZ drift is degenerate and the local controls share no blocks
+    out = tmp_path / "ising.json"
+    run(capsys, "model", "--name", "two_qubit_ising", "--param", "delta=1.0",
+        "--out", str(out))
+    code, stdout, err = run(capsys, "distance", "--system", str(out),
+                            "--methods", methods)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sys.json"
     run(capsys, "model", "--name", "hopping_chain", "--param", "d=3",

@@ -17,9 +17,9 @@ from qdist.distance import (certificate_from_json, certificate_to_json,
                             is_symmetry_witness, verify_uncontrollable)
 from qdist.lie_closure import is_controllable_lie
 from qdist.linalg import traceless_part
-from qdist.models import (build_hopping_chain, build_two_qubit_ising,
-                          hopping_drift, hopping_spectrum, pauli_on,
-                          site_projector)
+from qdist.models import (build_global_control_chain, build_hopping_chain,
+                          build_two_qubit_ising, hopping_drift,
+                          hopping_spectrum, pauli_on, site_projector)
 
 from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
                       random_pair_system)
@@ -66,13 +66,13 @@ class TestGapMerge:
         assert "0" in cert.detail and "1" in cert.detail
 
     def test_degenerate_spectrum_zero_certificate(self):
+        # nothing to merge: the zero shift would prove nothing, so the
+        # estimator declines before it verifies anything
         drift = np.kron(PAULI_Z, PAULI_Z)
         controls = [pauli_on(2, 0, "X"), pauli_on(2, 0, "Y"),
                     pauli_on(2, 1, "X"), pauli_on(2, 1, "Y")]
-        cert = epsilon_upper_gap_merge(drift, controls)
-        assert cert.op_norm == 0.0
-        assert "degenerate" in cert.detail
-        assert not cert.verified_uncontrollable  # zero shift proves nothing here
+        with pytest.raises(InputError, match="degenerate"):
+            epsilon_upper_gap_merge(drift, controls)
 
     def test_norm_is_exactly_half_min_gap(self, rng):
         for seed in range(5):
@@ -208,7 +208,12 @@ class TestBlockSearch:
         drift = delta * np.kron(PAULI_Z, PAULI_Z)
         controls = [pauli_on(2, 0, "X"), pauli_on(2, 0, "Y"),
                     pauli_on(2, 1, "X"), pauli_on(2, 1, "Y")]
-        cert = epsilon_upper_block_search(drift, controls)
+        # no shared block structure: the drift removal is left to its own
+        # estimator, which epsilon_best runs once
+        with pytest.raises(InputError, match="block structure"):
+            epsilon_upper_block_search(drift, controls)
+        cert = epsilon_best(build_two_qubit_ising(delta)).upper
+        assert cert.method == "drift_removal"
         assert cert.op_norm == pytest.approx(delta, abs=1e-12)
         assert cert.verified_uncontrollable
         np.testing.assert_allclose(cert.perturbations[0][1].matrix, -drift,
@@ -465,6 +470,20 @@ class TestEpsilonBest:
         assert gap / 2 < 1.0  # beats the unit edge cut for d >= 5
         assert estimate.upper.op_norm == pytest.approx(gap / 2, abs=1e-10)
         assert estimate.upper.method == "gap_merge"
+
+    @pytest.mark.parametrize("system", [
+        build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2])])
+    def test_each_d4_input_is_decomposed_once(self, svd_log, system):
+        epsilon_best(system)
+        inputs = [c.matrix for c in svd_log if c.shape[-1] == system.dim ** 4]
+        assert len(inputs) == 2  # the drift removal's cross-check, the spectrum
+        for a, b in itertools.combinations(inputs, 2):
+            assert a.shape != b.shape or not np.array_equal(a, b)
+
+    def test_no_applicable_method_is_input_error(self):
+        methods = ("gap_merge", "min_cut", "block_search")
+        with pytest.raises(InputError, match="gap_merge, min_cut, block_search"):
+            epsilon_best(build_two_qubit_ising(1.0), methods=methods)
 
     def test_uncontrollable_input_is_error(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
