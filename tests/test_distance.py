@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from qdist import distance
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    NumericalError, UncontrollableSystemError,
                    build_control_basis_graph, commutator, cut_weight_of,
@@ -16,7 +18,7 @@ from qdist.commutant import (commutant_dimension,
 from qdist.distance import (certificate_from_json, certificate_to_json,
                             is_symmetry_witness, verify_uncontrollable)
 from qdist.lie_closure import is_controllable_lie
-from qdist.linalg import traceless_part
+from qdist.linalg import DEFAULT_TOL, traceless_part
 from qdist.models import (build_global_control_chain, build_hopping_chain,
                           build_two_qubit_ising, hopping_drift,
                           hopping_spectrum, pauli_on, site_projector)
@@ -36,6 +38,57 @@ def brute_force_min_cut(weights):
             best = w
             best_side = side
     return best, best_side
+
+
+def brute_force_block_search(drift, controls):
+    """Assemble and norm every bipartition of the controls' joint blocks one
+    at a time; the first candidate wins unless a later one is smaller by more
+    than 1e-15. Returns the winner's (norm, side)."""
+    basis, blocks = distance._joint_control_blocks(controls, DEFAULT_TOL)
+    nb = len(blocks)
+    best = None
+    for bits in range(1, 2 ** (nb - 1)):
+        side = [i for i in range(nb - 1) if bits >> i & 1]
+        delta, _ = distance._block_cut_delta(drift, basis, blocks, side)
+        norm = operator_norm(delta)
+        if best is None or norm < best[0] - 1e-15:
+            best = (norm, tuple(side))
+    return best
+
+
+def block_search_systems():
+    """Twenty seeded (drift, controls) inputs for the block search."""
+    cases = []
+    for d in range(3, 11):
+        # repeated control eigenvalues (multiplicity 1 or 2) in a Haar basis
+        rng = np.random.default_rng(d)
+        values = np.repeat(np.arange(d), rng.integers(1, 3, size=d))[:d]
+        u = haar_unitary(d, 300 + d)
+        control = u @ np.diag(values) @ u.conj().T
+        cases.append((random_hermitian(d, 500 + d).matrix, [control]))
+    for d in range(4, 10):
+        # two controls sharing blocks of size 1 to 3, in a Haar basis
+        rng = np.random.default_rng(40 + d)
+        sizes = []
+        while sum(sizes) < d:
+            sizes.append(min(int(rng.integers(1, 4)), d - sum(sizes)))
+        u = haar_unitary(d, 600 + d)
+        controls = []
+        for _ in range(2):
+            blocks = np.zeros((d, d), dtype=complex)
+            start = 0
+            for size in sizes:
+                g = (rng.standard_normal((size, size))
+                     + 1j * rng.standard_normal((size, size)))
+                blocks[start:start + size, start:start + size] = g + g.conj().T
+                start += size
+            controls.append(u @ blocks @ u.conj().T)
+        cases.append((random_hermitian(d, 700 + d).matrix, controls))
+    for d in range(4, 10):
+        # mirror-symmetric: each side ties with its mirror image
+        control = np.diag(np.arange(d) - (d - 1) / 2).astype(complex)
+        cases.append((hopping_drift(d), [control]))
+    return cases
 
 
 def d4_shapes(svd_log, d):
@@ -218,6 +271,35 @@ class TestBlockSearch:
         assert cert.verified_uncontrollable
         np.testing.assert_allclose(cert.perturbations[0][1].matrix, -drift,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("drift, controls", block_search_systems())
+    def test_matches_the_per_subset_enumeration(self, drift, controls):
+        cert = epsilon_upper_block_search(drift, controls)
+        best, _ = brute_force_block_search(drift, controls)
+        assert cert.op_norm == pytest.approx(best, rel=1e-12)
+        # the subset named in detail reaches the minimum
+        basis, blocks = distance._joint_control_blocks(controls, DEFAULT_TOL)
+        match = re.fullmatch(r"best block subset \(([\d, ]*)\) of (\d+) blocks",
+                             cert.detail)
+        assert int(match.group(2)) == len(blocks)
+        side = [int(i) for i in match.group(1).split(",") if i.strip()]
+        delta, _ = distance._block_cut_delta(drift, basis, blocks, side)
+        assert operator_norm(delta) == pytest.approx(best, rel=1e-12)
+        assert cert.verified_uncontrollable
+
+    def test_builds_and_verifies_only_the_winner(self, monkeypatch):
+        system = random_pair_system(12, 4)
+        calls = {"_block_cut_delta": 0, "verify_uncontrollable": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(distance, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(distance, name, counted)
+        cert = epsilon_upper_block_search(system.drift.matrix,
+                                          system.unbounded[0].matrix)
+        assert cert.detail.endswith("of 12 blocks")  # 2047 candidates
+        assert calls == {"_block_cut_delta": 1, "verify_uncontrollable": 1}
 
     def test_block_diagonal_drift_zero(self):
         drift = np.zeros((3, 3), dtype=complex)
