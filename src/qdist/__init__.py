@@ -18,10 +18,10 @@ from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, RankResult,
                      ToleranceConfig, adjoint_action_matrix, commutator,
                      devec_herm, devec_row, haar_unitary,
-                     hermitian_eigensystem, hs_inner,
-                     hs_norm, matrix_from_json, matrix_to_json, operator_norm,
-                     random_hermitian, rank_and_nullity, tensor_double,
-                     trace_norm, traceless_part, vec_herm, vec_row)
+                     hermitian_eigensystem, hs_inner, matrix_from_json,
+                     matrix_to_json, operator_norm, random_hermitian,
+                     rank_and_nullity, tensor_double, trace_norm,
+                     traceless_part, vec_herm, vec_row)
 from .models import (ModelSpec, build_cross_kerr, build_global_control_chain,
                      build_hopping_chain, build_model, build_two_qubit_ising,
                      delta_gamma, reference_bounds)
@@ -51,7 +51,7 @@ __all__ = [
     "epsilon_best", "epsilon_lower_svd", "epsilon_upper_block_search",
     "epsilon_upper_drift_removal", "epsilon_upper_gap_merge",
     "epsilon_upper_min_cut", "evolve", "extract_original_space_symmetry",
-    "haar_unitary", "hermitian_eigensystem", "hs_inner", "hs_norm",
+    "haar_unitary", "hermitian_eigensystem", "hs_inner",
     "is_controllable_commutant", "is_controllable_lie", "is_symmetry_witness",
     "lie_dimension",
     "make_system", "matrix_from_json", "matrix_to_json", "operator_norm",

@@ -142,19 +142,22 @@ def _parse_model_param(raw: str) -> tuple[str, object]:
         raise InputError(f"--param expects key=value, got {raw!r}")
     key, value = raw.split("=", 1)
     key = key.strip()
-    if key in _INT_PARAMS:
-        return key, int(value)
-    if key in _FLOAT_PARAMS:
-        return key, float(value)
-    if key == "gammas":
-        return key, [float(x) for x in value.split(",") if x]
-    if key == "edges":
-        edges = []
-        for pair in value.split(","):
-            if pair:
-                i, j = pair.split("-")
-                edges.append((int(i), int(j)))
-        return key, edges
+    try:
+        if key in _INT_PARAMS:
+            return key, int(value)
+        if key in _FLOAT_PARAMS:
+            return key, float(value)
+        if key == "gammas":
+            return key, [float(x) for x in value.split(",") if x]
+        if key == "edges":
+            edges = []
+            for pair in value.split(","):
+                if pair:
+                    i, j = pair.split("-")
+                    edges.append((int(i), int(j)))
+            return key, edges
+    except ValueError as exc:
+        raise InputError(f"--param {key}: cannot parse {value!r}: {exc}") from None
     raise InputError(f"unknown model parameter {key!r}")
 
 
@@ -179,8 +182,7 @@ def cmd_model(args) -> int:
 def cmd_lie(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    result = lie_dimension(system.algebra_generators(), tol=tol,
-                           require_traceless=False)
+    result = lie_dimension(system.algebra_generators(), tol=tol)
     d = system.dim
     controllable = result.dimension == d * d - 1
     _emit({
@@ -245,9 +247,6 @@ def cmd_distance(args) -> int:
     alias = {"gap": "gap_merge", "cut": "min_cut", "block": "block_search",
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
-    unknown = sorted(set(methods) - set(ESTIMATORS))
-    if unknown:
-        raise InputError(f"unknown distance methods: {unknown}")
     estimate = epsilon_best(system, tol=tol, methods=methods)
     lower = estimate.lower
     if estimate.commutant is not None and indices != [system.drift_index]:
@@ -306,7 +305,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
     """
     d = system.dim
     gens = system.algebra_generators()
-    lie = lie_dimension(gens, tol=tol, require_traceless=False)
+    lie = lie_dimension(gens, tol=tol)
     lie_controllable = lie.dimension == d * d - 1
     report: dict = {
         "format": 1,
@@ -382,8 +381,9 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     # two-qubit Ising: bound 1/(4 delta), exact value pi/(2 delta)
     for delta in (0.5, 1.0, 2.0):
         system = build_two_qubit_ising(delta, tol=tol)
-        report = t_star_lower(system, epsilon_best(system, tol=tol).upper,
-                              tol=tol, compute_lower=False)
+        estimate = epsilon_best(system, tol=tol)
+        report = t_star_lower(system, estimate.upper, tol=tol,
+                              commutant=estimate.commutant)
         bound = 1.0 / (4.0 * delta)
         exact = math.pi / (2.0 * delta)
         ratio = exact / report.t_star_lower

@@ -181,10 +181,11 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                            singular_values=r.singular_values)
 
 
-def is_controllable_commutant(generators, tol: ToleranceConfig = DEFAULT_TOL,
-                              force: bool = False) -> bool:
-    """True iff the stacked adjoint matrix has rank d^4 - 2."""
-    return commutant_dimension(generators, tol=tol, force=force,
+def is_controllable_commutant(generators, tol: ToleranceConfig = DEFAULT_TOL
+                              ) -> bool:
+    """True iff the stacked adjoint matrix has rank d^4 - 2 (guarded like
+    commutant_dimension: d >= COMMUTANT_DIM_GUARD is a DimensionGuardError)."""
+    return commutant_dimension(generators, tol=tol,
                                want_symmetries=False).controllable
 
 

@@ -61,12 +61,10 @@ class DistanceCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CutResult:
-    """Global minimum cut: a bipartition of the vertices, its weight, and the
-    removed edges (i, j, weight)."""
+    """Global minimum cut: a bipartition of the vertices and its weight."""
 
     partition: tuple
     cut_weight: float
-    edges_removed: list
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,15 +72,14 @@ class ControlBasisGraph:
     """Weighted graph of drift matrix elements in a control eigenbasis.
 
     basis columns are the control eigenvectors; blocks groups column indices
-    into degenerate eigenspaces (singletons when group_degenerate=False).
-    weights sums entry moduli of the drift between blocks (the L11 convention
-    minimized by the min-cut).
+    into degenerate eigenspaces (eigenvalues within degeneracy_tol), one
+    vertex each. weights sums entry moduli of the drift between blocks (the
+    L11 convention minimized by the min-cut).
     """
 
     basis: np.ndarray
     blocks: list
     weights: np.ndarray
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +143,7 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     # the first verdict decides and any other cross-checks it
     verdicts = {} if witness is None else {"witness": True}
     if witness is None or d <= 4:
-        verdicts["lie"] = not is_controllable_lie(mats, tol=tol,
-                                                  require_traceless=False)
+        verdicts["lie"] = not is_controllable_lie(mats, tol=tol)
     if witness is None and d <= 4:
         verdicts["commutant"] = not commutant_dimension(
             mats, tol=tol, want_symmetries=False).controllable
@@ -217,15 +213,15 @@ def _grouped_blocks(eigenvalues: np.ndarray, tol: ToleranceConfig) -> list[list[
     return blocks
 
 
-def build_control_basis_graph(drift, control, tol: ToleranceConfig = DEFAULT_TOL,
-                              group_degenerate: bool = False) -> ControlBasisGraph:
-    """Complete graph on the control eigenbasis weighted by drift couplings.
+def build_control_basis_graph(drift, control, tol: ToleranceConfig = DEFAULT_TOL
+                              ) -> ControlBasisGraph:
+    """Complete graph on the control's eigenspaces weighted by drift couplings.
 
-    weight(i, j) = |<e_i| H_d |e_j>| with {e_k} an eigenbasis of the control.
-    With group_degenerate=True, eigenvectors within degeneracy_tol are merged
-    into one vertex per eigenspace (basis freedom makes per-vector weights
-    ill-defined inside a degenerate block) and the weight between blocks sums
-    the entry moduli of the inter-block rectangle.
+    Eigenvectors of the control within degeneracy_tol are merged into one
+    vertex per eigenspace (basis freedom makes per-vector weights ill-defined
+    inside a degenerate block), and the weight between two vertices sums the
+    entry moduli of the drift's inter-block rectangle in the eigenbasis. For
+    a non-degenerate control this is weight(i, j) = |<e_i| H_d |e_j>|.
     """
     hd = as_matrix(drift)
     hc = as_matrix(control)
@@ -233,18 +229,14 @@ def build_control_basis_graph(drift, control, tol: ToleranceConfig = DEFAULT_TOL
         raise InputError("drift/control dimension mismatch")
     w, v = hermitian_eigensystem(hc, tol=tol)
     hd_basis = v.conj().T @ hd @ v
-    if group_degenerate:
-        blocks = _grouped_blocks(w, tol)
-    else:
-        blocks = [[i] for i in range(len(w))]
+    blocks = _grouped_blocks(w, tol)
     b = len(blocks)
     weights = np.zeros((b, b))
     for i in range(b):
         for j in range(i + 1, b):
             rect = hd_basis[np.ix_(blocks[i], blocks[j])]
             weights[i, j] = weights[j, i] = float(np.sum(np.abs(rect)))
-    return ControlBasisGraph(basis=v, blocks=blocks, weights=weights,
-                             eigenvalues=w)
+    return ControlBasisGraph(basis=v, blocks=blocks, weights=weights)
 
 
 def cut_weight_of(weights: np.ndarray, side) -> float:
@@ -311,14 +303,8 @@ def stoer_wagner_min_cut(weights) -> CutResult:
 
     side = tuple(sorted(best_side))
     other = tuple(j for j in range(n) if j not in set(side))
-    edges = [(i, j, float(w0[i, j])) for i in side for j in other
-             if i < j and w0[i, j] > 0]
-    edges += [(j, i, float(w0[j, i])) for i in side for j in other
-              if j < i and w0[j, i] > 0]
-    edges.sort()
     return CutResult(partition=(side, other),
-                     cut_weight=cut_weight_of(w0, side),
-                     edges_removed=edges)
+                     cut_weight=cut_weight_of(w0, side))
 
 
 def _block_cut_delta(hd: np.ndarray, basis: np.ndarray, blocks, side) -> tuple:
@@ -351,7 +337,7 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     if len(controls) != 1:
         raise InputError("min cut is defined for a single control; "
                          "use the block search for control families")
-    graph = build_control_basis_graph(hd, controls[0], tol=tol, group_degenerate=True)
+    graph = build_control_basis_graph(hd, controls[0], tol=tol)
     if len(graph.blocks) < 2:
         # control is (numerically) a multiple of the identity: no usable basis
         raise InputError("control has a single degenerate eigenspace; "
@@ -397,7 +383,12 @@ def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_T
     Enumerates bipartitions of the controls' joint invariant blocks
     (degenerate eigenspaces are indivisible units) and keeps the one whose
     off-block drift part is smallest in operator norm: the first in
-    enumeration order unless a later one is smaller by more than 1e-15.
+    enumeration order unless a later one is smaller by more than 1e-12 times
+    the largest candidate norm. Norms that tie in exact arithmetic differ
+    only by roundoff, far below that margin, so a tie always goes to the
+    earliest candidate whatever the order of floating-point operations (a
+    Haar-rotated basis, say). The pick's norm exceeds the smallest by at
+    most that margin.
     All 2^(nb-1) - 1 candidates are scored in one stacked norm evaluation
     in the joint block basis, where the norm of -(P H Q + Q H P) is that of
     the drift masked to the entries crossing the cut; only the winner is
@@ -430,9 +421,10 @@ def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_T
     # ||P H Q + Q H P|| is the norm of h masked to the entries crossing the cut
     h = basis.conj().T @ hd @ basis
     norms = np.linalg.norm(h * cross, 2, axis=(1, 2)).tolist()
+    margin = 1e-12 * max(norms)
     best = 0
     for n, norm in enumerate(norms):
-        if norm < norms[best] - 1e-15:
+        if norm < norms[best] - margin:
             best = n
     side = tuple(i for i in range(nb - 1) if subsets[best] >> i & 1)
     delta, projector = _block_cut_delta(hd, basis, blocks, side)
@@ -583,7 +575,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     gens = system.algebra_generators()
     d = system.dim
     if lie is None:
-        lie = lie_dimension(gens, tol=tol, require_traceless=False)
+        lie = lie_dimension(gens, tol=tol)
     elif any(np.shape(b) != (d, d) for b in lie.basis):
         raise InputError(f"Lie closure basis is not {d} x {d}; it belongs to "
                          "another system")
@@ -594,7 +586,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         perturbed = list(range(len(system.bounded)))
     else:
         hd, controls = gens[0], gens[1:]
-        if is_controllable_lie(controls, tol=tol, require_traceless=False):
+        if is_controllable_lie(controls, tol=tol):
             raise InputError("the controls alone are controllable: no drift "
                              "perturbation can render the system "
                              "uncontrollable")
@@ -648,22 +640,26 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
         raise InputError(f"unknown keys in certificate JSON: {sorted(extra)}")
     if obj.get("format") != 1:
         raise InputError(f"unsupported certificate format {obj.get('format')!r}")
-    perturbations = []
-    for entry in obj.get("perturbations", []):
-        if set(entry) - {"index", "matrix"}:
-            raise InputError("perturbation entries must have keys index, matrix")
-        op = _as_operator(matrix_from_json(entry["matrix"]), tol)
-        perturbations.append((int(entry["index"]), op))
+    entries = obj.get("perturbations", [])
+    if not isinstance(entries, list) or any(
+            not isinstance(e, dict) or set(e) != {"index", "matrix"} for e in entries):
+        raise InputError("perturbations must be a list of objects with keys "
+                         "index, matrix")
+    try:
+        indices = [int(e["index"]) for e in entries]
+        op_norm, l11_norm = float(obj["op_norm"]), float(obj["l11_norm"])
+        method = str(obj["method"])
+        verified = bool(obj["verified_uncontrollable"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed certificate JSON: {exc}") from exc
+    perturbations = [(i, _as_operator(matrix_from_json(e["matrix"]), tol))
+                     for i, e in zip(indices, entries)]
     witness = obj.get("symmetry_witness")
     witness_op = None
     if witness is not None:
         witness_op = _as_operator(matrix_from_json(witness), tol)
     return DistanceCertificate(
-        perturbations=perturbations,
-        op_norm=float(obj["op_norm"]),
-        l11_norm=float(obj["l11_norm"]),
-        method=str(obj["method"]),
-        verified_uncontrollable=bool(obj["verified_uncontrollable"]),
-        symmetry_witness=witness_op,
-        detail=str(obj.get("detail", "")),
+        perturbations=perturbations, op_norm=op_norm, l11_norm=l11_norm,
+        method=method, verified_uncontrollable=verified,
+        symmetry_witness=witness_op, detail=str(obj.get("detail", "")),
     )

@@ -1,8 +1,8 @@
 """Dimension of the dynamical Lie algebra generated by i * (the generators).
 
-A traceless pair/set of Hermitian generators is fully controllable exactly
-when the iterated-commutator closure of {i H_k} spans all of su(d), i.e.
-reaches dimension d^2 - 1.
+A pair/set of Hermitian generators, shifted to be traceless, is fully
+controllable exactly when the iterated-commutator closure of {i H_k} spans
+all of su(d), i.e. reaches dimension d^2 - 1.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class LieClosureResult:
     depth: int
 
 
-def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
-                  require_traceless: bool = True) -> LieClosureResult:
+def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
+                  ) -> LieClosureResult:
     """Dimension of the real span of the iterated-commutator closure of {iH_k}.
 
     The algebra is spanned by the right-normed brackets
@@ -51,9 +51,9 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     closure needs right-normed brackets of at most depth + 1 generators. In
     exact arithmetic it does not depend on generator order or basis choice.
 
-    With require_traceless=True a generator with |tr| > trace_tol is an error;
-    otherwise generators are traceless-shifted first. A basis buffer larger
-    than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
+    Generators are traceless-shifted first: an identity shift changes no
+    commutator, so the closure counts dimensions inside su(d). A basis buffer
+    larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -64,12 +64,7 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     for k, m in enumerate(mats):
         if m.shape != (d, d):
             raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
-        if require_traceless:
-            if abs(complex(np.trace(m))) > tol.trace_tol:
-                raise InputError(f"generator {k} is not traceless "
-                                 f"(|tr| = {abs(np.trace(m)):.3e})")
-        else:
-            mats[k] = traceless_part(m)
+        mats[k] = traceless_part(m)
 
     max_dim = d * d - 1
     buffer_bytes = max_dim * 2 * d * d * 8
@@ -147,12 +142,12 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                             depth=max(depths, default=0))
 
 
-def is_controllable_lie(generators, tol: ToleranceConfig = DEFAULT_TOL,
-                        require_traceless: bool = True) -> bool:
-    """True iff the closure spans su(d), i.e. has dimension d^2 - 1."""
+def is_controllable_lie(generators, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff the closure of the traceless-shifted generators spans su(d),
+    i.e. has dimension d^2 - 1."""
     mats = [as_matrix(g) for g in generators]
     if not mats:
         raise InputError("is_controllable_lie needs at least one generator")
     d = mats[0].shape[0]
-    result = lie_dimension(mats, tol=tol, require_traceless=require_traceless)
+    result = lie_dimension(mats, tol=tol)
     return result.dimension == d * d - 1

@@ -149,11 +149,6 @@ def hs_inner(a, b) -> float:
     return float(np.real(np.sum(np.conj(as_matrix(a)) * as_matrix(b))))
 
 
-def hs_norm(m) -> float:
-    """Frobenius / Hilbert-Schmidt norm."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA for square matrices of equal dimension."""
     am, bm = _as_square(a), _as_square(b)

@@ -33,6 +33,9 @@ DELTA_SYMMETRY = float(np.sqrt(2.0))  # orthogonal-state floor with a symmetry
 PROVENANCE_UNIVERSAL = "universal_quarter"
 PROVENANCE_SYMMETRY = "symmetry_sqrt2"
 
+# absolute roundoff allowance of the propagation inequality's comparison
+INEQUALITY_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class PiecewisePulse:
@@ -164,8 +167,7 @@ def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
 
 
 def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
-                 tol: ToleranceConfig = DEFAULT_TOL,
-                 compute_lower: bool = True, *,
+                 tol: ToleranceConfig = DEFAULT_TOL, *,
                  commutant: CommutantResult | None = None) -> SpeedLimitReport:
     """Speed-limit report T* >= delta / (c * epsilon_eff).
 
@@ -178,9 +180,11 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     amplitude defeats the propagation bound.
 
     epsilon_lower is epsilon_lower_svd over the certificate's perturbed
-    generators; commutant is passed on to it, so a caller that already has
-    the unperturbed system's commutant spectrum (epsilon_best returns it on
-    DistanceEstimate.commutant) does not compute it again.
+    generators, always computed; commutant is passed on to it, so a caller
+    that already has the unperturbed system's commutant spectrum
+    (epsilon_best returns it on DistanceEstimate.commutant) pays no SVD
+    here. Without one, the spectrum is computed below COMMUTANT_DIM_GUARD;
+    at or above it, or for an uncontrollable system, epsilon_lower is None.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -202,14 +206,12 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)
     delta, provenance = delta_lower_bound(system, cert, tol=tol)
-    eps_lower = None
-    if compute_lower:
-        try:
-            eps_lower = epsilon_lower_svd(
-                system, sorted({i for i, _ in cert.perturbations}), tol=tol,
-                commutant=commutant)
-        except (DimensionGuardError, UncontrollableSystemError):
-            eps_lower = None
+    try:
+        eps_lower = epsilon_lower_svd(
+            system, sorted({i for i, _ in cert.perturbations}), tol=tol,
+            commutant=commutant)
+    except (DimensionGuardError, UncontrollableSystemError):
+        eps_lower = None
     return SpeedLimitReport(
         epsilon_upper=float(eps_eff), epsilon_lower=eps_lower,
         delta_lower=float(delta), delta_provenance=provenance,
@@ -221,13 +223,14 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
 def verify_perturbation_inequality(system: ControlSystem,
                                    cert: DistanceCertificate,
                                    pulse: PiecewisePulse,
-                                   tol: ToleranceConfig = DEFAULT_TOL,
-                                   slack: float = 1e-9) -> InequalityCheck:
+                                   tol: ToleranceConfig = DEFAULT_TOL
+                                   ) -> InequalityCheck:
     """Check ||U_perturbed - U|| <= sum_segments dt * sum_j |g_j| ||delta_j||.
 
     The right-hand side uses the actual pulse amplitudes (1 for the drift),
     so the check is meaningful for bounded and unbounded perturbed
-    generators alike.
+    generators alike. holds allows INEQUALITY_SLACK of absolute roundoff on
+    top of the right-hand side.
     """
     u1 = evolve(system, pulse)
     perturbed = system.with_perturbations(
@@ -246,7 +249,7 @@ def verify_perturbation_inequality(system: ControlSystem,
             rhs += norm * float(np.sum(pulse.durations
                                        * np.abs(pulse.amplitudes[:, col])))
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs),
-                           holds=bool(lhs <= rhs + slack))
+                           holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 
 
 def _random_pulse(system: ControlSystem, rng, segments: int = 8) -> PiecewisePulse:
@@ -312,8 +315,8 @@ def pulse_from_json(obj) -> PiecewisePulse:
     try:
         durations = np.asarray(obj["durations"], dtype=float)
         amplitudes = np.asarray(obj["amplitudes"], dtype=float)
+        if amplitudes.ndim == 1:
+            amplitudes = amplitudes.reshape(durations.size, -1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed pulse JSON: {exc}") from exc
-    if amplitudes.ndim == 1:
-        amplitudes = amplitudes.reshape(durations.size, -1)
     return PiecewisePulse(durations=durations, amplitudes=amplitudes)

@@ -165,11 +165,18 @@ def system_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
         raise InputError(f"unsupported system format {obj.get('format')!r}, "
                          f"expected {SYSTEM_FORMAT_VERSION}")
     drift = obj.get("drift")
+    entries, unbounded = obj.get("bounded", []), obj.get("unbounded", [])
+    if not isinstance(entries, list) or not isinstance(unbounded, list):
+        raise InputError("bounded and unbounded must be lists in system JSON")
     bounded = []
-    for k, entry in enumerate(obj.get("bounded", [])):
-        if not isinstance(entry, dict) or set(entry) - {"matrix", "cap"}:
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {"matrix", "cap"}:
             raise InputError(f"bounded[{k}] must be an object with keys matrix, cap")
-        bounded.append((matrix_from_json(entry["matrix"]), float(entry["cap"])))
-    unbounded = [matrix_from_json(m) for m in obj.get("unbounded", [])]
+        try:
+            cap = float(entry["cap"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bounded[{k}] cap is not a number: {exc}") from exc
+        bounded.append((matrix_from_json(entry["matrix"]), cap))
+    unbounded = [matrix_from_json(m) for m in unbounded]
     return make_system(drift=None if drift is None else matrix_from_json(drift),
                        bounded=bounded, unbounded=unbounded, tol=tol)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qdist import cli
+from qdist import cli, distance
 from qdist.cli import main
 from qdist.distance import (certificate_to_json, epsilon_upper_drift_removal,
                             epsilon_upper_gap_merge)
+from qdist.linalg import matrix_to_json
 from qdist.models import pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
 
@@ -185,6 +186,59 @@ def test_malformed_json_exit_1(tmp_path, capsys):
     assert "line" in err
 
 
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+SYSTEM_FLAGS = ["lie", "--system", "{system}"]
+CERT_FLAGS = ["qsl", "--system", "{system}", "--cert", "{cert}"]
+PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
+               "--pulse", "{pulse}"]
+
+
+@pytest.mark.parametrize("argv, broken, change", [
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"bounded": [{"matrix": s["drift"]}]},
+                 id="bounded_without_cap"),
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"bounded": [{"matrix": s["drift"], "cap": "abc"}]},
+                 id="cap_not_a_number"),
+    pytest.param(SYSTEM_FLAGS, "system", lambda s: s | {"bounded": 5},
+                 id="bounded_not_a_list"),
+    pytest.param(CERT_FLAGS, "cert", _drop("op_norm"), id="cert_without_op_norm"),
+    pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": [5]},
+                 id="perturbation_not_an_object"),
+    pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": [
+        c["perturbations"][0] | {"index": "abc"}]}, id="index_not_an_integer"),
+    pytest.param(PULSE_FLAGS, "pulse",
+                 lambda p: p | {"amplitudes": [1.0, 0.5, -1.0]},
+                 id="flat_amplitudes_do_not_split_into_segments"),
+    pytest.param(["model", "--name", "hopping_chain", "--param", "d=abc"],
+                 None, None, id="param_d_not_an_integer"),
+    pytest.param(["model", "--name", "global_control_chain", "--param",
+                  "gammas=1,x"], None, None, id="param_gammas_not_numbers"),
+    pytest.param(["model", "--name", "global_control_chain", "--param",
+                  "edges=0-1-2"], None, None, id="param_edge_not_a_pair"),
+])
+def test_malformed_input_exit_1_without_traceback(tmp_path, capsys, argv,
+                                                  broken, change):
+    docs = {
+        "system": {"format": 1, "drift": matrix_to_json(PAULI_Z),
+                   "bounded": [], "unbounded": [matrix_to_json(PAULI_X)]},
+        "cert": certificate_to_json(epsilon_upper_drift_removal(PAULI_Z, PAULI_X)),
+        "pulse": {"durations": [0.5, 0.25], "amplitudes": [[1.0], [-1.0]]},
+    }
+    if broken is not None:
+        docs[broken] = change(docs[broken])
+    paths = {name: str(tmp_path / f"{name}.json") for name in docs}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     doc = {"format": 1, "drift": None, "bounded": [], "unbounded": [],
            "astonishing": True}
@@ -267,7 +321,8 @@ def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
                                                       monkeypatch, flags):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
     calls = []
-    monkeypatch.setattr(cli, "epsilon_best",
+    # epsilon_best checks the methods before its first work, the Lie closure
+    monkeypatch.setattr(distance, "lie_dimension",
                         lambda *args, **kwargs: calls.append(args))
     code, stdout, err = run(capsys, "distance", "--system", path, *flags)
     assert code == 1

@@ -50,11 +50,9 @@ def test_basis_orthonormal_and_skew_hermitian():
             assert hs_inner(a, b) == pytest.approx(expected, abs=1e-10)
 
 
-def test_requires_traceless_by_default():
-    with pytest.raises(InputError):
-        lie_dimension([np.eye(2) + PAULI_Z])
-    # auto-shifted variant accepts the same input
-    r = lie_dimension([np.eye(2) + PAULI_Z], require_traceless=False)
+def test_trace_is_shifted_out():
+    # the trace is shifted out: I + Z closes like Z
+    r = lie_dimension([np.eye(2) + PAULI_Z])
     assert r.dimension == 1
 
 
@@ -122,7 +120,7 @@ DIMENSION_TABLE = [
 @pytest.mark.parametrize("build, expected", DIMENSION_TABLE)
 def test_dimension_table(build, expected):
     gens = build().algebra_generators()
-    assert lie_dimension(gens, require_traceless=False).dimension == expected
+    assert lie_dimension(gens).dimension == expected
 
 
 @pytest.mark.parametrize("d", range(3, 13))

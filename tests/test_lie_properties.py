@@ -15,7 +15,7 @@ scales = st.floats(1e-3, 1e3).flatmap(
 
 
 def closure(gens):
-    result = lie_dimension(gens, require_traceless=False)
+    result = lie_dimension(gens)
     return result.dimension, result.depth
 
 

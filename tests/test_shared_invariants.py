@@ -168,7 +168,7 @@ def test_estimate_returns_the_spectrum_its_lower_bound_read(d):
 def test_wrong_dimension_invariants_are_input_errors():
     small = build_hopping_chain(3).algebra_generators()
     com = commutant_dimension(small, want_symmetries=False)
-    lie = lie_dimension(small, require_traceless=False)
+    lie = lie_dimension(small)
     system = build_hopping_chain(4)
     cert = epsilon_best(system).upper
     with pytest.raises(InputError, match="spectrum"):

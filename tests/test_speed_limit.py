@@ -88,7 +88,7 @@ class TestTStarLower:
             perturbations=[(0, HermitianOperator(-coupling))],
             op_norm=operator_norm(coupling), l11_norm=float(np.sum(np.abs(coupling))),
             method="manual", verified_uncontrollable=True)
-        report = t_star_lower(system, cert, compute_lower=False)
+        report = t_star_lower(system, cert)
         assert report.delta_provenance == "universal_quarter"
         assert report.amplitude_cap_c == cap
         assert report.t_star_lower == pytest.approx(1 / (cap * n_photons ** 2),
@@ -105,11 +105,13 @@ class TestTStarLower:
 
     def test_scaling(self):
         system = build_two_qubit_ising(1.0)
-        cert = epsilon_best(system).upper
-        report = t_star_lower(system, cert, compute_lower=False)
+        estimate = epsilon_best(system)
+        report = t_star_lower(system, estimate.upper,
+                              commutant=estimate.commutant)
         scaled_system = build_two_qubit_ising(3.0)
-        scaled_cert = epsilon_best(scaled_system).upper
-        scaled = t_star_lower(scaled_system, scaled_cert, compute_lower=False)
+        scaled_estimate = epsilon_best(scaled_system)
+        scaled = t_star_lower(scaled_system, scaled_estimate.upper,
+                              commutant=scaled_estimate.commutant)
         assert scaled.epsilon_upper == pytest.approx(3 * report.epsilon_upper,
                                                      rel=1e-12)
         assert scaled.t_star_lower == pytest.approx(report.t_star_lower / 3,
