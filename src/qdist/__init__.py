@@ -2,10 +2,8 @@
 quantum-speed-limit lower bounds for finite-dimensional control systems."""
 
 from .commutant import (CommutantResult, build_stacked_adjoint,
-                        commutant_dimension, extract_original_space_symmetry,
-                        is_controllable_commutant)
-from .distance import (ControlBasisGraph, CutResult, DistanceCertificate,
-                       DistanceEstimate, build_control_basis_graph,
+                        commutant_dimension, extract_original_space_symmetry)
+from .distance import (CutResult, DistanceCertificate, DistanceEstimate,
                        certificate_from_json, certificate_to_json,
                        cut_weight_of, epsilon_best, epsilon_lower_svd,
                        epsilon_upper_block_search, epsilon_upper_drift_removal,
@@ -14,7 +12,7 @@ from .distance import (ControlBasisGraph, CutResult, DistanceCertificate,
                        verify_certificate, verify_uncontrollable)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
-from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
+from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, RankResult,
                      ToleranceConfig, adjoint_action_matrix, commutator,
                      devec_herm, devec_row, haar_unitary,
@@ -36,13 +34,13 @@ from .system import (BoundedControl, ControlSystem, make_system, pair_system,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundedControl", "CommutantResult", "ControlBasisGraph", "ControlSystem",
+    "BoundedControl", "CommutantResult", "ControlSystem",
     "CutResult", "DEFAULT_TOL", "DimensionGuardError", "DistanceCertificate",
     "DistanceEstimate", "HermitianOperator", "InequalityCheck", "InputError",
     "LieClosureResult", "ModelSpec", "NumericalError", "PiecewisePulse",
     "ProbeResult", "QdistError", "RankResult", "SpeedLimitReport",
     "ToleranceConfig", "UncontrollableSystemError", "adjoint_action_matrix",
-    "build_control_basis_graph", "build_cross_kerr",
+    "build_cross_kerr",
     "build_global_control_chain", "build_hopping_chain", "build_model",
     "build_stacked_adjoint", "build_two_qubit_ising", "certificate_from_json",
     "certificate_to_json", "commutant_dimension", "commutator",
@@ -52,7 +50,7 @@ __all__ = [
     "epsilon_upper_drift_removal", "epsilon_upper_gap_merge",
     "epsilon_upper_min_cut", "evolve", "extract_original_space_symmetry",
     "haar_unitary", "hermitian_eigensystem", "hs_inner",
-    "is_controllable_commutant", "is_controllable_lie", "is_symmetry_witness",
+    "is_symmetry_witness",
     "lie_dimension",
     "make_system", "matrix_from_json", "matrix_to_json", "operator_norm",
     "pair_system", "pulse_from_json", "pulse_to_json", "random_hermitian",

@@ -18,13 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .commutant import (COMMUTANT_DIM_GUARD, commutant_dimension,
-                        extract_original_space_symmetry)
+from .commutant import (COMMUTANT_DIM_GUARD, CommutantResult,
+                        commutant_dimension, extract_original_space_symmetry)
 from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
                        epsilon_best, epsilon_lower_svd, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
-from .lie_closure import lie_dimension
+from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json
 from .models import (ModelSpec, build_model, build_global_control_chain,
                      build_two_qubit_ising, delta_gamma, hopping_spectrum,
@@ -39,8 +39,14 @@ EXIT_VERDICT = 2
 EXIT_GUARD = 3
 EXIT_NUMERICAL = 4
 
-_TOL_FIELDS = ("hermiticity_tol", "trace_tol", "rank_rel_tol", "commute_tol",
-               "degeneracy_tol")
+_TOL_FIELDS = tuple(f.name for f in dataclasses.fields(ToleranceConfig))
+
+
+def _tolerance(source: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{source} must be a number, got {value!r}") from None
 
 
 def _resolve_tolerances(args) -> ToleranceConfig:
@@ -48,14 +54,14 @@ def _resolve_tolerances(args) -> ToleranceConfig:
     values = DEFAULT_TOL.to_dict()
     config_path = getattr(args, "tol_config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _load_json(config_path, "tolerance config")
         if not isinstance(loaded, dict) or set(loaded) - set(_TOL_FIELDS):
             raise InputError(f"tolerance config may only set {_TOL_FIELDS}")
-        values.update({k: float(v) for k, v in loaded.items()})
+        values.update({k: _tolerance(f"tolerance config {k}", v)
+                       for k, v in loaded.items()})
     env_rank = os.environ.get("QDIST_TOL_RANK")
     if env_rank is not None:
-        values["rank_rel_tol"] = float(env_rank)
+        values["rank_rel_tol"] = _tolerance("QDIST_TOL_RANK", env_rank)
     for field in _TOL_FIELDS:
         flag = getattr(args, field, None)
         if flag is not None:
@@ -68,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="human-readable table instead of JSON")
     parser.add_argument("--tol-config", help="JSON file overriding tolerances")
     parser.add_argument("--tol-hermiticity", dest="hermiticity_tol", type=float)
-    parser.add_argument("--tol-trace", dest="trace_tol", type=float)
     parser.add_argument("--tol-rank", dest="rank_rel_tol", type=float)
     parser.add_argument("--tol-commute", dest="commute_tol", type=float)
     parser.add_argument("--tol-degeneracy", dest="degeneracy_tol", type=float)
@@ -83,6 +88,15 @@ def _load_json(path: str, kind: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+
+
+def _write_json(path: str, obj, kind: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
 def _load_system(path: str, tol: ToleranceConfig) -> ControlSystem:
@@ -168,9 +182,7 @@ def cmd_model(args) -> int:
     system = build_model(spec, tol=tol)
     doc = system_to_json(system)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc, "system")
     output = doc
     if args.reference:
         output = {"system": doc, "reference": reference_bounds(spec)}
@@ -179,20 +191,25 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
+def _lie_section(lie: LieClosureResult, d: int) -> dict:
+    """The `lie` report of `qdist lie` and of analyze."""
+    return {"dimension": lie.dimension, "max_dimension": d * d - 1,
+            "controllable": lie.controllable, "depth": lie.depth}
+
+
+def _commutant_section(com: CommutantResult) -> dict:
+    """The `commutant` report of `qdist commutant` and of analyze."""
+    return {"rank": com.rank, "expected_rank": com.expected_rank,
+            "nullity": com.nullity, "controllable": com.controllable}
+
+
 def cmd_lie(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
     result = lie_dimension(system.algebra_generators(), tol=tol)
-    d = system.dim
-    controllable = result.dimension == d * d - 1
-    _emit({
-        "dimension": result.dimension,
-        "max_dimension": d * d - 1,
-        "controllable": controllable,
-        "depth": result.depth,
-        "tolerances": tol.to_dict(),
-    }, args.pretty)
-    return EXIT_OK if controllable else EXIT_VERDICT
+    _emit(_lie_section(result, system.dim) | {"tolerances": tol.to_dict()},
+          args.pretty)
+    return EXIT_OK if result.controllable else EXIT_VERDICT
 
 
 def cmd_commutant(args) -> int:
@@ -201,19 +218,13 @@ def cmd_commutant(args) -> int:
     result = commutant_dimension(system.algebra_generators(), tol=tol,
                                  force=args.force,
                                  want_symmetries=bool(args.emit_symmetries))
-    _emit({
-        "rank": result.rank,
-        "expected_rank": result.expected_rank,
-        "nullity": result.nullity,
-        "controllable": result.controllable,
-        "tolerances": tol.to_dict(),
-    }, args.pretty)
     if args.emit_symmetries:
-        with open(args.emit_symmetries, "w", encoding="utf-8") as fh:
-            json.dump({"symmetries": [matrix_to_json(s)
-                                      for s in result.symmetry_basis]},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.emit_symmetries,
+                    {"symmetries": [matrix_to_json(s)
+                                    for s in result.symmetry_basis]},
+                    "symmetries")
+    _emit(_commutant_section(result) | {"tolerances": tol.to_dict()},
+          args.pretty)
     return EXIT_OK if result.controllable else EXIT_VERDICT
 
 
@@ -306,7 +317,6 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
     d = system.dim
     gens = system.algebra_generators()
     lie = lie_dimension(gens, tol=tol)
-    lie_controllable = lie.dimension == d * d - 1
     report: dict = {
         "format": 1,
         "system": {
@@ -316,12 +326,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
             "n_unbounded": len(system.unbounded),
             "caps": [b.cap for b in system.bounded],
         },
-        "lie": {
-            "dimension": lie.dimension,
-            "max_dimension": d * d - 1,
-            "controllable": lie_controllable,
-            "depth": lie.depth,
-        },
+        "lie": _lie_section(lie, d),
         "commutant": None,
         "distance": None,
         "qsl": None,
@@ -333,17 +338,12 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
                                if d >= COMMUTANT_DIM_GUARD else "--skip-commutant"}
     else:
         com = commutant_dimension(gens, tol=tol, want_symmetries=False)
-        report["commutant"] = {
-            "rank": com.rank,
-            "expected_rank": com.expected_rank,
-            "nullity": com.nullity,
-            "controllable": com.controllable,
-        }
-        if com.controllable != lie_controllable:
+        report["commutant"] = _commutant_section(com)
+        if com.controllable != lie.controllable:
             raise NumericalError(
-                f"lie ({lie_controllable}) and commutant ({com.controllable}) "
+                f"lie ({lie.controllable}) and commutant ({com.controllable}) "
                 "verdicts disagree")
-    if not lie_controllable:
+    if not lie.controllable:
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
     try:

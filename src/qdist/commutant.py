@@ -181,14 +181,6 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                            singular_values=r.singular_values)
 
 
-def is_controllable_commutant(generators, tol: ToleranceConfig = DEFAULT_TOL
-                              ) -> bool:
-    """True iff the stacked adjoint matrix has rank d^4 - 2 (guarded like
-    commutant_dimension: d >= COMMUTANT_DIM_GUARD is a DimensionGuardError)."""
-    return commutant_dimension(generators, tol=tol,
-                               want_symmetries=False).controllable
-
-
 def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_TOL
                                     ) -> HermitianOperator | None:
     """A non-trivial Hermitian M with [M, H_k] ~ 0 for all k, if one exists.

@@ -21,7 +21,7 @@ from .commutant import (COMMUTANT_DIM_GUARD, CommutantResult,
                         extract_original_space_symmetry)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
-from .lie_closure import LieClosureResult, is_controllable_lie, lie_dimension
+from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      commutator, devec_herm, hermitian_eigensystem,
                      matrix_from_json, matrix_to_json, operator_norm,
@@ -68,21 +68,6 @@ class CutResult:
 
 
 @dataclass(frozen=True, eq=False)
-class ControlBasisGraph:
-    """Weighted graph of drift matrix elements in a control eigenbasis.
-
-    basis columns are the control eigenvectors; blocks groups column indices
-    into degenerate eigenspaces (eigenvalues within degeneracy_tol), one
-    vertex each. weights sums entry moduli of the drift between blocks (the
-    L11 convention minimized by the min-cut).
-    """
-
-    basis: np.ndarray
-    blocks: list
-    weights: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DistanceEstimate:
     """Best verified certificate, the SVD lower bound on its perturbed
     generators, and the unperturbed system's commutant spectrum that bound
@@ -94,14 +79,17 @@ class DistanceEstimate:
     commutant: CommutantResult | None = None
 
 
-def _control_list(controls) -> list[np.ndarray]:
+def _control_list(controls, drift: np.ndarray) -> list[np.ndarray]:
     if isinstance(controls, (list, tuple)):
         items = list(controls)
     else:
         items = [controls]
     if not items:
         raise InputError("need at least one control")
-    return [as_matrix(c) for c in items]
+    mats = [as_matrix(c) for c in items]
+    if any(m.shape != drift.shape for m in mats):
+        raise InputError("drift/control dimension mismatch")
+    return mats
 
 
 def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -143,7 +131,7 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     # the first verdict decides and any other cross-checks it
     verdicts = {} if witness is None else {"witness": True}
     if witness is None or d <= 4:
-        verdicts["lie"] = not is_controllable_lie(mats, tol=tol)
+        verdicts["lie"] = not lie_dimension(mats, tol=tol).controllable
     if witness is None and d <= 4:
         verdicts["commutant"] = not commutant_dimension(
             mats, tol=tol, want_symmetries=False).controllable
@@ -183,7 +171,7 @@ def epsilon_upper_gap_merge(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     InputError, before anything is verified.
     """
     hd = as_matrix(drift)
-    controls = _control_list(control)
+    controls = _control_list(control, hd)
     w, v = hermitian_eigensystem(hd, tol=tol)
     if len(w) < 2:
         raise InputError("gap merge needs dimension >= 2")
@@ -202,41 +190,20 @@ def epsilon_upper_gap_merge(drift, control, tol: ToleranceConfig = DEFAULT_TOL
                         detail=f"merged eigenvalues {w[k]:.6g} and {w[k + 1]:.6g}")
 
 
-def _grouped_blocks(eigenvalues: np.ndarray, tol: ToleranceConfig) -> list[list[int]]:
-    """Cluster sorted eigenvalue indices whose gaps are below degeneracy_tol."""
-    blocks = [[0]]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[i - 1] <= tol.degeneracy_tol:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
-def build_control_basis_graph(drift, control, tol: ToleranceConfig = DEFAULT_TOL
-                              ) -> ControlBasisGraph:
-    """Complete graph on the control's eigenspaces weighted by drift couplings.
-
-    Eigenvectors of the control within degeneracy_tol are merged into one
-    vertex per eigenspace (basis freedom makes per-vector weights ill-defined
-    inside a degenerate block), and the weight between two vertices sums the
-    entry moduli of the drift's inter-block rectangle in the eigenbasis. For
-    a non-degenerate control this is weight(i, j) = |<e_i| H_d |e_j>|.
-    """
-    hd = as_matrix(drift)
-    hc = as_matrix(control)
-    if hd.shape != hc.shape:
-        raise InputError("drift/control dimension mismatch")
-    w, v = hermitian_eigensystem(hc, tol=tol)
-    hd_basis = v.conj().T @ hd @ v
-    blocks = _grouped_blocks(w, tol)
+def _cut_weights(hd: np.ndarray, basis: np.ndarray, blocks) -> np.ndarray:
+    """Min-cut graph weights, one vertex per block: the weight between two
+    blocks sums the entry moduli of the drift's inter-block rectangle in the
+    block basis (the L11 convention). For a non-degenerate control this is
+    |<e_i| H_d |e_j>|; basis freedom inside a degenerate block makes
+    per-vector weights ill-defined."""
+    h = basis.conj().T @ hd @ basis
     b = len(blocks)
     weights = np.zeros((b, b))
     for i in range(b):
         for j in range(i + 1, b):
-            rect = hd_basis[np.ix_(blocks[i], blocks[j])]
+            rect = h[np.ix_(blocks[i], blocks[j])]
             weights[i, j] = weights[j, i] = float(np.sum(np.abs(rect)))
-    return ControlBasisGraph(basis=v, blocks=blocks, weights=weights)
+    return weights
 
 
 def cut_weight_of(weights: np.ndarray, side) -> float:
@@ -326,25 +293,27 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
                           ) -> DistanceCertificate:
     """Disconnect the drift across the minimum cut of the control-basis graph.
 
-    The removed entries make the perturbed drift block diagonal in an
-    eigenbasis of the control, so the block projector is a symmetry of the
-    perturbed pair. Minimal in the L_{1,1} norm over this family
-    (l11_norm = 2 * cut weight, evaluated in the control eigenbasis);
-    the operator norm of the assembled perturbation is reported alongside.
+    The vertices are the control's degenerate eigenspaces, the same blocks
+    of _joint_control_blocks that the block search enumerates. The removed
+    entries make the perturbed drift block diagonal in an eigenbasis of the
+    control, so the block projector is a symmetry of the perturbed pair.
+    Minimal in the L_{1,1} norm over this family (l11_norm = 2 * cut weight,
+    evaluated in the control eigenbasis); the operator norm of the assembled
+    perturbation is reported alongside. A control that is a multiple of the
+    identity has a single block and no cut: InputError.
     """
     hd = as_matrix(drift)
-    controls = _control_list(control)
+    controls = _control_list(control, hd)
     if len(controls) != 1:
         raise InputError("min cut is defined for a single control; "
                          "use the block search for control families")
-    graph = build_control_basis_graph(hd, controls[0], tol=tol)
-    if len(graph.blocks) < 2:
-        # control is (numerically) a multiple of the identity: no usable basis
+    joint = _joint_control_blocks(controls, tol)
+    if joint is None:
         raise InputError("control has a single degenerate eigenspace; "
                          "no cut structure available")
-    cut = stoer_wagner_min_cut(graph.weights)
-    delta, projector = _block_cut_delta(hd, graph.basis, graph.blocks,
-                                        cut.partition[0])
+    basis, blocks = joint
+    cut = stoer_wagner_min_cut(_cut_weights(hd, basis, blocks))
+    delta, projector = _block_cut_delta(hd, basis, blocks, cut.partition[0])
     witness = HermitianOperator(projector, tol=tol)
     detail = f"cut weight {cut.cut_weight:.6g}, partition {cut.partition}"
     return _certificate(delta, "min_cut", tol, controls, hd,
@@ -354,25 +323,32 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
 def _joint_control_blocks(controls: list[np.ndarray], tol: ToleranceConfig):
     """Finest invariant-subspace decomposition shared by all controls.
 
-    For one control these are its degenerate eigenspaces. For several, a
-    generic Hermitian element of the joint commutant is diagonalized; its
-    spectral projectors commute with every control. Returns (basis, blocks)
-    or None when the joint commutant is trivial.
+    For one control these are its degenerate eigenspaces (eigenvalues
+    within degeneracy_tol). For several, a generic Hermitian element of the
+    joint commutant is diagonalized; its spectral projectors commute with
+    every control. Returns (basis, blocks), blocks listing the basis columns
+    of each, or None when there is a single block. Min cut, block search
+    and the reachable-distance probe (on a symmetry witness) all read their
+    blocks here.
     """
     if len(controls) == 1:
         w, v = hermitian_eigensystem(controls[0], tol=tol)
-        blocks = _grouped_blocks(w, tol)
-        return (v, blocks) if len(blocks) > 1 else None
-    stacked = build_stacked_adjoint(controls, doubled=False, tol=tol)
-    r = rank_and_nullity(stacked, tol=tol)
-    if r.nullity <= 1:
-        return None
-    d = controls[0].shape[0]
-    rng = np.random.default_rng(719)  # fixed: results must be reproducible
-    # null vectors are Hermitian coordinates: a real combination is Hermitian
-    m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
-    w, v = np.linalg.eigh(m)
-    blocks = _grouped_blocks(w, tol)
+    else:
+        stacked = build_stacked_adjoint(controls, doubled=False, tol=tol)
+        r = rank_and_nullity(stacked, tol=tol)
+        if r.nullity <= 1:
+            return None
+        d = controls[0].shape[0]
+        rng = np.random.default_rng(719)  # fixed: results must be reproducible
+        # null vectors are Hermitian coordinates: a real combination is Hermitian
+        m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
+        w, v = np.linalg.eigh(m)
+    blocks = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] <= tol.degeneracy_tol:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
     return (v, blocks) if len(blocks) > 1 else None
 
 
@@ -398,7 +374,7 @@ def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_T
     Above BLOCK_SEARCH_DIM_GUARD the search is a DimensionGuardError.
     """
     hd = as_matrix(drift)
-    ctrls = _control_list(controls)
+    ctrls = _control_list(controls, hd)
     d = hd.shape[0]
     if d > BLOCK_SEARCH_DIM_GUARD:
         raise DimensionGuardError(
@@ -439,7 +415,7 @@ def epsilon_upper_drift_removal(drift, controls,
     """Remove the drift entirely: for a single control this always verifies,
     since a lone control generates a one-dimensional algebra."""
     hd = as_matrix(drift)
-    ctrls = _control_list(controls)
+    ctrls = _control_list(controls, hd)
     delta = -traceless_part(hd)
     return _certificate(delta, "drift_removal", tol, ctrls, hd)
 
@@ -502,8 +478,7 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
     """Apply the certificate's perturbations to the system, then decide
     from scratch with verify_uncontrollable, offering it the certificate's
     witness."""
-    perturbed = system.with_perturbations(
-        [(i, d.matrix) for i, d in cert.perturbations], tol=tol)
+    perturbed = system.with_perturbations(cert.perturbations, tol=tol)
     verified, _ = verify_uncontrollable(perturbed.algebra_generators(), tol,
                                         cert.symmetry_witness)
     return verified
@@ -579,14 +554,14 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     elif any(np.shape(b) != (d, d) for b in lie.basis):
         raise InputError(f"Lie closure basis is not {d} x {d}; it belongs to "
                          "another system")
-    if lie.dimension != d * d - 1:
+    if not lie.controllable:
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
         upper = _remove_bounded_certificate(system, tol)
         perturbed = list(range(len(system.bounded)))
     else:
         hd, controls = gens[0], gens[1:]
-        if is_controllable_lie(controls, tol=tol):
+        if lie_dimension(controls, tol=tol).controllable:
             raise InputError("the controls alone are controllable: no drift "
                              "perturbation can render the system "
                              "uncontrollable")

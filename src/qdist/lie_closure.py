@@ -23,12 +23,15 @@ LIE_BUFFER_GUARD_BYTES = 1 << 30
 @dataclass(frozen=True, eq=False)
 class LieClosureResult:
     """Closure summary: dimension, an orthonormal basis (Hilbert-Schmidt inner
-    product) of skew-Hermitian traceless matrices, and the right-normed
-    bracket depth (see lie_dimension)."""
+    product) of skew-Hermitian traceless matrices, the right-normed bracket
+    depth (see lie_dimension), and the verdict: controllable iff the
+    dimension is d^2 - 1, i.e. the closure spans su(d). lie_dimension is the
+    one place that verdict is decided."""
 
     dimension: int
     basis: list
     depth: int
+    controllable: bool
 
 
 def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
@@ -139,15 +142,5 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
         frontier = new_frontier
 
     return LieClosureResult(dimension=len(basis_mats), basis=list(basis_mats),
-                            depth=max(depths, default=0))
-
-
-def is_controllable_lie(generators, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the closure of the traceless-shifted generators spans su(d),
-    i.e. has dimension d^2 - 1."""
-    mats = [as_matrix(g) for g in generators]
-    if not mats:
-        raise InputError("is_controllable_lie needs at least one generator")
-    d = mats[0].shape[0]
-    result = lie_dimension(mats, tol=tol)
-    return result.dimension == d * d - 1
+                            depth=max(depths, default=0),
+                            controllable=len(basis_mats) == max_dim)

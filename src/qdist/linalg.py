@@ -17,7 +17,7 @@ Conventions fixed for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,32 +31,28 @@ class ToleranceConfig:
 
     rank_rel_tol is the relative singular-value cutoff sigma_i > tol * sigma_max;
     commute_tol and hermiticity_tol are an order looser / tighter respectively
-    because commutation certificates accumulate two matrix products.
+    because commutation certificates accumulate two matrix products;
+    degeneracy_tol groups eigenvalues into degenerate blocks. Every field
+    must be finite and >= 0. The field list is the one list of names:
+    to_dict and the keys a CLI --tol-config file may set follow it.
     """
 
     hermiticity_tol: float = 1e-10
-    trace_tol: float = 1e-10
     rank_rel_tol: float = 1e-9
     commute_tol: float = 1e-9
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("hermiticity_tol", "trace_tol", "rank_rel_tol",
-                     "commute_tol", "degeneracy_tol"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not np.isfinite(value) or value < 0:
-                raise InputError(f"tolerance {name} must be finite and >= 0, got {value}")
+                raise InputError(
+                    f"tolerance {field.name} must be finite and >= 0, got {value}")
         if self.rank_rel_tol >= 1:
             raise InputError("rank_rel_tol must be < 1")
 
     def to_dict(self) -> dict:
-        return {
-            "hermiticity_tol": self.hermiticity_tol,
-            "trace_tol": self.trace_tol,
-            "rank_rel_tol": self.rank_rel_tol,
-            "commute_tol": self.commute_tol,
-            "degeneracy_tol": self.degeneracy_tol,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -101,13 +97,13 @@ def traceless_part(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A dense self-adjoint d x d matrix; drifts and controls may be flagged traceless.
+    """A dense self-adjoint d x d matrix, Hermitian within tol.hermiticity_tol.
 
     The wrapped array is copied and frozen, so instances are safe to share.
+    Its trace is kept: the algebraic tests shift it out where they need to.
     """
 
     matrix: np.ndarray
-    traceless: bool = False
     tol: InitVar[ToleranceConfig | None] = None
 
     def __post_init__(self, tol):
@@ -122,10 +118,6 @@ class HermitianOperator:
             raise InputError(
                 f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
                 f"> {tol.hermiticity_tol:.3e}")
-        if self.traceless:
-            tr = abs(complex(np.trace(a)))
-            if tr > tol.trace_tol:
-                raise InputError(f"operator flagged traceless has |tr| = {tr:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -299,7 +291,7 @@ def random_hermitian(d: int, seed, traceless: bool = False) -> HermitianOperator
     m = (a + a.conj().T) / 2
     if traceless:
         m = m - (np.trace(m) / d) * np.eye(d)
-    return HermitianOperator(m, traceless=traceless)
+    return HermitianOperator(m)
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

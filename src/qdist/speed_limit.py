@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutant import CommutantResult
-from .distance import (DistanceCertificate, _grouped_blocks,
+from .distance import (DistanceCertificate, _joint_control_blocks,
                        certificate_to_json, epsilon_lower_svd,
                        is_symmetry_witness, verify_uncontrollable)
 from .errors import (DimensionGuardError, InputError, UncontrollableSystemError)
-from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix,
-                     hermitian_eigensystem, operator_norm)
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
 from .system import ControlSystem
 
 DELTA_UNIVERSAL = 0.25          # dimension-independent floor
@@ -159,8 +158,7 @@ def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
     witness = cert.symmetry_witness
     if witness is None:
         return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
-    perturbed = system.with_perturbations(
-        [(i, delta.matrix) for i, delta in cert.perturbations], tol=tol)
+    perturbed = system.with_perturbations(cert.perturbations, tol=tol)
     if is_symmetry_witness(witness, perturbed.algebra_generators(), tol):
         return DELTA_SYMMETRY, PROVENANCE_SYMMETRY
     return DELTA_UNIVERSAL, PROVENANCE_UNIVERSAL
@@ -233,8 +231,7 @@ def verify_perturbation_inequality(system: ControlSystem,
     top of the right-hand side.
     """
     u1 = evolve(system, pulse)
-    perturbed = system.with_perturbations(
-        [(i, d.matrix) for i, d in cert.perturbations], tol=tol)
+    perturbed = system.with_perturbations(cert.perturbations, tol=tol)
     u2 = evolve(perturbed, pulse)
     lhs = operator_norm(u2 - u1)
 
@@ -286,10 +283,10 @@ def reachable_distance_probe(system: ControlSystem, target,
         raise InputError("system is controllable: every unitary is reachable "
                          "and the probe is meaningless")
     if witness is not None:
-        w, v = hermitian_eigensystem(witness.matrix, tol=tol)
-        for block in _grouped_blocks(w, tol):
-            if len(block) == d:
-                continue
+        # the witness's blocks are its eigenspaces; a single one (None) is
+        # a multiple of the identity and has no proper projector
+        v, blocks = _joint_control_blocks([witness.matrix], tol) or (None, [])
+        for block in blocks:
             vp = v[:, block]
             p = vp @ vp.conj().T
             if operator_norm(p @ u_target @ p) <= 1e-9:

@@ -49,6 +49,10 @@ class ControlSystem:
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise InputError(f"generator dimensions disagree: {sorted(dims)}")
+        if self.dim < 2:
+            # su(1) is trivial: no control question to ask, and the two
+            # controllability tests would disagree on it
+            raise InputError(f"control system dimension must be >= 2, got {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -90,7 +94,9 @@ class ControlSystem:
 
     def with_perturbations(self, perturbations, tol: ToleranceConfig = DEFAULT_TOL
                            ) -> "ControlSystem":
-        """New system with delta added to each (index, delta) generator."""
+        """New system with delta added to each (index, delta) generator; delta
+        is a matrix or a HermitianOperator (a certificate's perturbations
+        pass as they are)."""
         ops = self.generators()
         deltas: dict[int, np.ndarray] = {}
         for index, delta in perturbations:
@@ -121,13 +127,13 @@ class ControlSystem:
 def _as_operator(m, tol: ToleranceConfig) -> HermitianOperator:
     if isinstance(m, HermitianOperator):
         return m
-    a = as_matrix(m)
-    return HermitianOperator(a, traceless=abs(np.trace(a)) <= tol.trace_tol, tol=tol)
+    return HermitianOperator(as_matrix(m), tol=tol)
 
 
 def make_system(drift=None, bounded=(), unbounded=(),
                 tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
-    """Build a ControlSystem from raw matrices; traceless flags are inferred.
+    """Build a ControlSystem from raw matrices, each checked Hermitian within
+    tol.hermiticity_tol.
 
     `bounded` is a sequence of (matrix, cap) pairs.
     """

@@ -11,11 +11,12 @@ import pytest
 
 from qdist import (epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    epsilon_upper_drift_removal, epsilon_upper_gap_merge,
-                   epsilon_upper_min_cut, evolve, haar_unitary,
-                   is_controllable_commutant, is_controllable_lie, make_system,
-                   operator_norm, random_hermitian, stoer_wagner_min_cut,
-                   t_star_lower, trace_norm, verify_perturbation_inequality)
-from qdist.commutant import extract_original_space_symmetry
+                   epsilon_upper_min_cut, evolve, haar_unitary, lie_dimension,
+                   make_system, operator_norm, random_hermitian,
+                   stoer_wagner_min_cut, t_star_lower, trace_norm,
+                   verify_perturbation_inequality)
+from qdist.commutant import (commutant_dimension,
+                             extract_original_space_symmetry)
 from qdist.distance import cut_weight_of
 from qdist.models import (ModelSpec, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising,
@@ -110,7 +111,7 @@ def test_criterion_4_global_control_chain():
     with Stopwatch(10.0) as watch:
         equal = build_global_control_chain(2, [1.0, 1.0])
         gens = equal.algebra_generators()
-        assert not is_controllable_commutant(gens)
+        assert not commutant_dimension(gens, want_symmetries=False).controllable
         sym = extract_original_space_symmetry(gens)
         assert sym is not None
         stacked = np.column_stack([np.eye(4).ravel(), sym.matrix.ravel()])
@@ -118,7 +119,8 @@ def test_criterion_4_global_control_chain():
         assert np.linalg.norm(stacked @ coef - SWAP_4.ravel()) < 1e-9
 
         distinct = build_global_control_chain(2, [1.0, 1.2])
-        assert is_controllable_commutant(distinct.algebra_generators())
+        assert commutant_dimension(distinct.algebra_generators(),
+                                   want_symmetries=False).controllable
         for cap in (1.0, 2.0):
             ref = reference_bounds(ModelSpec(
                 "global_control_chain",
@@ -139,7 +141,8 @@ def test_criterion_5_oracle_equivalence():
             if seed % 9 == 5:
                 gens = [np.diag(np.diag(g)).copy() - np.trace(np.diag(np.diag(g)))
                         / d * np.eye(d) for g in gens]  # commuting family
-            assert is_controllable_lie(gens) == is_controllable_commutant(gens)
+            assert lie_dimension(gens).controllable == commutant_dimension(
+                gens, want_symmetries=False).controllable
             checked += 1
         assert checked >= 100
     _report(5, "Lie-closure vs commutant verdicts agree on 110 samples", watch)
@@ -151,7 +154,7 @@ def test_criterion_6_distance_consistency():
         for seed in range(50):
             d = 2 + seed % 2
             system = random_pair_system(d, 9000 + seed)
-            if not is_controllable_lie(system.algebra_generators()):
+            if not lie_dimension(system.algebra_generators()).controllable:
                 continue
             drift = system.drift.matrix
             control = system.unbounded[0].matrix

@@ -357,6 +357,55 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert json.loads(stdout)["tolerances"]["rank_rel_tol"] == 1e-7
 
 
+TOL_CONFIG_FLAGS = SYSTEM_FLAGS + ["--tol-config", "{config}"]
+
+
+@pytest.mark.parametrize("argv, config, env", [
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": "abc"}', None,
+                 id="config_value_not_a_number"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": null}', None,
+                 id="config_value_null"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": ', None,
+                 id="config_malformed_json"),
+    pytest.param(SYSTEM_FLAGS + ["--tol-config", "{missing}/tol.json"], None,
+                 None, id="config_file_missing"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"trace_tol": 1e-10}', None,
+                 id="config_sets_unknown_tolerance"),
+    pytest.param(SYSTEM_FLAGS, None, "abc", id="env_rank_not_a_number"),
+    pytest.param(["model", "--name", "hopping_chain", "--param", "d=3",
+                  "--out", "{missing}/x.json"], None, None,
+                 id="model_out_directory_missing"),
+    pytest.param(["commutant", "--system", "{system}", "--emit-symmetries",
+                  "{missing}/s.json"], None, None,
+                 id="emit_symmetries_directory_missing"),
+])
+def test_bad_tolerance_or_output_path_exit_1_without_traceback(
+        tmp_path, capsys, monkeypatch, argv, config, env):
+    system = write_pair_system(tmp_path / "sys.json", PAULI_Z, PAULI_X)
+    if config is not None:
+        (tmp_path / "tol.json").write_text(config)
+    if env is not None:
+        monkeypatch.setenv("QDIST_TOL_RANK", env)
+    paths = {"system": system, "config": str(tmp_path / "tol.json"),
+             "missing": str(tmp_path / "missing")}
+    code, stdout, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "lie", "commutant", "distance",
+                                     "qsl"])
+def test_one_dimensional_system_exit_1(tmp_path, capsys, command):
+    # su(1) is trivial: the two oracles used to disagree on a 1 x 1 system
+    path = write_pair_system(tmp_path / "one.json", [[1.0]], [[2.0]])
+    code, stdout, err = run(capsys, command, "--system", path)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "dimension must be >= 2" in err
+
+
 def test_pretty_and_json_carry_identical_numbers(tmp_path, capsys):
     out = tmp_path / "sys.json"
     run(capsys, "model", "--name", "hopping_chain", "--param", "d=4",

@@ -3,9 +3,8 @@ import pytest
 
 from qdist import (DimensionGuardError, commutant, commutator,
                    commutant_dimension, extract_original_space_symmetry,
-                   haar_unitary, is_controllable_commutant,
-                   is_controllable_lie, operator_norm, random_hermitian,
-                   tensor_double, vec_herm)
+                   haar_unitary, lie_dimension, operator_norm,
+                   random_hermitian, tensor_double, vec_herm)
 from qdist.commutant import build_stacked_adjoint
 from qdist.linalg import rank_and_nullity
 from qdist.models import build_global_control_chain, build_hopping_chain, pauli_on
@@ -48,7 +47,8 @@ class TestCommutantDimension:
         assert not res.controllable
 
     def test_zero_drift_single_control_uncontrollable(self):
-        assert not is_controllable_commutant([np.zeros((2, 2)), PAULI_X])
+        assert not commutant_dimension([np.zeros((2, 2)), PAULI_X],
+                                       want_symmetries=False).controllable
 
     def test_two_qubit_ising_full_local(self):
         gens = [np.kron(PAULI_Z, PAULI_Z),
@@ -62,7 +62,8 @@ class TestCommutantDimension:
         system = build_hopping_chain(3)
         stacked = build_stacked_adjoint(system.algebra_generators())
         assert stacked.shape == (162, 81)
-        assert is_controllable_commutant(system.algebra_generators())
+        assert commutant_dimension(system.algebra_generators(),
+                                   want_symmetries=False).controllable
 
     def test_nullity_at_least_two_always(self):
         for seed in range(10):
@@ -96,9 +97,10 @@ class TestCommutantDimension:
         for seed in (0, 1):
             a = random_hermitian(3, seed, traceless=True).matrix
             b = random_hermitian(3, seed + 5, traceless=True).matrix
-            direct = is_controllable_commutant([a, b])
-            rotated = is_controllable_commutant(
-                [u @ a @ u.conj().T, u @ b @ u.conj().T])
+            direct = commutant_dimension([a, b], want_symmetries=False).controllable
+            rotated = commutant_dimension(
+                [u @ a @ u.conj().T, u @ b @ u.conj().T],
+                want_symmetries=False).controllable
             assert direct == rotated
 
     def test_dimension_guard(self):
@@ -172,6 +174,7 @@ class TestOracleEquivalence:
             b = random_hermitian(d, 7 * seed + 3, traceless=True).matrix
             if seed % 7 == 0:
                 b = a  # force uncontrollable cases into the sample
-            assert is_controllable_commutant([a, b]) == is_controllable_lie([a, b])
+            by_commutant = commutant_dimension([a, b], want_symmetries=False)
+            assert by_commutant.controllable == lie_dimension([a, b]).controllable
             agree += 1
         assert agree == 100

@@ -7,7 +7,7 @@ import pytest
 from qdist import distance
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    NumericalError, UncontrollableSystemError,
-                   build_control_basis_graph, commutator, cut_weight_of,
+                   commutator, cut_weight_of,
                    epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    epsilon_upper_drift_removal, epsilon_upper_gap_merge,
                    epsilon_upper_min_cut, haar_unitary, hermitian_eigensystem,
@@ -17,7 +17,7 @@ from qdist.commutant import (commutant_dimension,
                              extract_original_space_symmetry)
 from qdist.distance import (certificate_from_json, certificate_to_json,
                             is_symmetry_witness, verify_uncontrollable)
-from qdist.lie_closure import is_controllable_lie
+from qdist.lie_closure import lie_dimension
 from qdist.linalg import DEFAULT_TOL, traceless_part
 from qdist.models import (build_global_control_chain, build_hopping_chain,
                           build_two_qubit_ising, hopping_drift,
@@ -38,6 +38,14 @@ def brute_force_min_cut(weights):
             best = w
             best_side = side
     return best, best_side
+
+
+def control_basis_graph(drift, control):
+    """(basis, blocks, weights) of the graph the min cut reads for one
+    control: its blocks from _joint_control_blocks, weights from
+    _cut_weights."""
+    basis, blocks = distance._joint_control_blocks([control], DEFAULT_TOL)
+    return basis, blocks, distance._cut_weights(drift, basis, blocks)
 
 
 def brute_force_block_search(drift, controls):
@@ -137,35 +145,35 @@ class TestGapMerge:
 
 class TestControlBasisGraph:
     def test_commuting_pair_all_zero(self):
-        g = build_control_basis_graph(np.diag([1.0, -1.0, 0.0]),
-                                      np.diag([0.5, 0.2, -0.7]))
-        assert np.max(g.weights) == 0.0
+        _, _, weights = control_basis_graph(np.diag([1.0, -1.0, 0.0]),
+                                            np.diag([0.5, 0.2, -0.7]))
+        assert np.max(weights) == 0.0
 
     def test_hopping_chain_is_path_graph(self):
         d = 4
         control = np.diag(np.arange(d, dtype=float))
-        g = build_control_basis_graph(hopping_drift(d), control)
-        assert len(g.blocks) == d
+        basis, blocks, weights = control_basis_graph(hopping_drift(d), control)
+        assert len(blocks) == d
         # weight 1 exactly between chain neighbours, 0 otherwise
-        sites = [int(np.argmax(np.abs(g.basis[:, b[0]]))) for b in g.blocks]
+        sites = [int(np.argmax(np.abs(basis[:, b[0]]))) for b in blocks]
         for i in range(d):
             for j in range(i + 1, d):
                 expected = 1.0 if abs(sites[i] - sites[j]) == 1 else 0.0
-                assert g.weights[i, j] == pytest.approx(expected, abs=1e-12)
+                assert weights[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_weights_match_change_of_basis(self, rng):
         drift = random_hermitian(4, 21, traceless=True).matrix
         control = random_hermitian(4, 22, traceless=True).matrix
-        g = build_control_basis_graph(drift, control)
+        _, _, weights = control_basis_graph(drift, control)
         w, v = hermitian_eigensystem(control)
         for i in range(4):
             for j in range(i + 1, 4):
                 expected = abs(v[:, i].conj() @ drift @ v[:, j])
-                assert g.weights[i, j] == pytest.approx(expected, abs=1e-10)
+                assert weights[i, j] == pytest.approx(expected, abs=1e-10)
 
     def test_grouping_merges_degenerate_space(self):
-        g = build_control_basis_graph(hopping_drift(4), site_projector(4, 0))
-        assert len(g.blocks) == 2  # rank-1 control: eigenvalue 0 is 3-fold
+        _, blocks, _ = control_basis_graph(hopping_drift(4), site_projector(4, 0))
+        assert len(blocks) == 2  # rank-1 control: eigenvalue 0 is 3-fold
 
 
 class TestStoerWagner:
@@ -244,8 +252,8 @@ class TestMinCut:
         drift = random_hermitian(4, 41, traceless=True).matrix
         control = random_hermitian(4, 42, traceless=True).matrix
         cert = epsilon_upper_min_cut(drift, control)
-        graph = build_control_basis_graph(drift, control)
-        best, _ = brute_force_min_cut(graph.weights)
+        _, _, weights = control_basis_graph(drift, control)
+        best, _ = brute_force_min_cut(weights)
         assert cert.l11_norm == pytest.approx(2 * best, rel=1e-12)
 
 
@@ -323,6 +331,26 @@ class TestBlockSearch:
         cert = epsilon_upper_block_search(drift, control - np.trace(control) / 3
                                           * np.eye(3))
         assert cert.op_norm == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "site_projector", "three_level"])
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_never_loses_to_min_cut(self, d, kind, rotated):
+        # both read their blocks from _joint_control_blocks, and the min-cut
+        # bipartition is one of the candidates the block search scores
+        for seed in range(30):
+            drift = random_hermitian(d, 500 + seed, traceless=True).matrix
+            control = {
+                "random": lambda: random_hermitian(d, 600 + seed).matrix,
+                "site_projector": lambda: site_projector(d, seed % d),
+                "three_level": lambda: np.diag([float(j % 3) for j in range(d)]),
+            }[kind]()
+            if rotated:
+                u = haar_unitary(d, 700 + seed)
+                drift, control = u @ drift @ u.conj().T, u @ control @ u.conj().T
+            block = epsilon_upper_block_search(drift, control)
+            min_cut = epsilon_upper_min_cut(drift, control)
+            assert block.op_norm <= min_cut.op_norm * (1 + 1e-12) + 1e-15, seed
 
 
 class TestDriftRemoval:
@@ -455,7 +483,7 @@ class TestVerifyUncontrollable:
                                  for w in (cert.symmetry_witness, found))
                 by_commutant = not commutant_dimension(
                     gens, want_symmetries=False).controllable
-                by_lie = not is_controllable_lie(gens)
+                by_lie = not lie_dimension(gens).controllable
                 assert by_witness == by_commutant == by_lie, cert.method
                 assert cert.verified_uncontrollable == by_witness
                 checked += 1
@@ -480,7 +508,7 @@ class TestVerifyUncontrollable:
                 [(i, d.matrix) for i, d in cert.perturbations]
             ).algebra_generators() for cert in certificates]
         for gens in generator_sets:
-            assert is_controllable_lie(gens) \
+            assert lie_dimension(gens).controllable \
                 == commutant_dimension(gens, want_symmetries=False).controllable
 
     def test_lie_closure_decides_without_a_d4_svd_above_d4(self, svd_log):
@@ -544,7 +572,7 @@ class TestVerifyUncontrollable:
                 uncontrollable, _ = verify_uncontrollable(gens)
                 if uncontrollable:
                     assert spectrum.nullity > 2, (seed, eta)
-                if not is_controllable_lie(gens):
+                if not lie_dimension(gens).controllable:
                     assert not spectrum.controllable, (seed, eta)
                 verdicts.append(uncontrollable)
         assert verdicts[0] and verdicts[6]  # eta = 0: exact symmetry

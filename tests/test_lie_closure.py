@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qdist import (InputError, haar_unitary, hs_inner, is_controllable_commutant,
-                   is_controllable_lie, lie_closure, lie_dimension,
-                   random_hermitian)
+from qdist import (InputError, commutant_dimension, haar_unitary, hs_inner,
+                   lie_closure, lie_dimension, random_hermitian)
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising, pauli_on)
 
@@ -13,13 +12,13 @@ from conftest import PAULI_X, PAULI_Y, PAULI_Z
 def test_single_qubit_pair_closes_su2():
     result = lie_dimension([PAULI_Z, PAULI_X])
     assert result.dimension == 3
-    assert is_controllable_lie([PAULI_Z, PAULI_X])
+    assert lie_dimension([PAULI_Z, PAULI_X]).controllable
 
 
 def test_single_generator_dimension_one():
     result = lie_dimension([PAULI_Z])
     assert result.dimension == 1
-    assert not is_controllable_lie([PAULI_Z])
+    assert not lie_dimension([PAULI_Z]).controllable
 
 
 def test_two_local_su2_never_couple():
@@ -37,7 +36,7 @@ def test_ising_with_full_local_control():
 
 def test_hopping_chain_with_site_control_controllable():
     system = build_hopping_chain(4)
-    assert is_controllable_lie(system.algebra_generators())
+    assert lie_dimension(system.algebra_generators()).controllable
 
 
 def test_basis_orthonormal_and_skew_hermitian():
@@ -98,8 +97,8 @@ def test_agreement_with_commutant_oracle():
             a = a - np.trace(a) / d * np.eye(d)
         else:
             b = random_hermitian(d, 3 * seed + 1, traceless=True).matrix
-        lie_verdict = is_controllable_lie([a, b])
-        com_verdict = is_controllable_commutant([a, b])
+        lie_verdict = lie_dimension([a, b]).controllable
+        com_verdict = commutant_dimension([a, b], want_symmetries=False).controllable
         assert lie_verdict == com_verdict
         count += 1
     assert count == 50

@@ -228,17 +228,12 @@ class TestRandomGenerators:
     def test_traceless_variant(self):
         h = random_hermitian(5, 3, traceless=True)
         assert abs(np.trace(h.matrix)) <= 1e-12
-        assert h.traceless
 
 
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
             HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_traced_when_flagged(self):
-        with pytest.raises(InputError):
-            HermitianOperator(np.eye(2), traceless=True)
 
     def test_matrix_frozen(self):
         op = HermitianOperator(PAULI_Z)

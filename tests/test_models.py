@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdist import (DimensionGuardError, InputError, commutator,
-                   is_controllable_commutant, is_controllable_lie,
+from qdist import (DimensionGuardError, InputError, commutator, lie_dimension,
                    operator_norm)
 from qdist.commutant import commutant_dimension, extract_original_space_symmetry
 from qdist.models import (ModelSpec, build_cross_kerr,
@@ -29,7 +28,7 @@ class TestTwoQubitIsing:
     def test_controllable_by_both_tests(self):
         system = build_two_qubit_ising(1.0)
         gens = system.algebra_generators()
-        assert is_controllable_lie(gens)
+        assert lie_dimension(gens).controllable
         res = commutant_dimension(gens)
         assert res.nullity == 2
 
@@ -50,16 +49,16 @@ class TestTwoQubitIsing:
 class TestGlobalControlChain:
     def test_distinct_gammas_controllable(self):
         system = build_global_control_chain(2, [1.0, 1.2])
-        assert is_controllable_lie(system.algebra_generators())
+        assert lie_dimension(system.algebra_generators()).controllable
 
     def test_three_qubits_distinct_controllable(self):
         system = build_global_control_chain(3, [1.0, 1.2, 0.9])
-        assert is_controllable_lie(system.algebra_generators())
+        assert lie_dimension(system.algebra_generators()).controllable
 
     def test_equal_gammas_swap_symmetry(self):
         system = build_global_control_chain(2, [1.0, 1.0])
         gens = system.algebra_generators()
-        assert not is_controllable_commutant(gens)
+        assert not commutant_dimension(gens, want_symmetries=False).controllable
         sym = extract_original_space_symmetry(gens)
         assert sym is not None
         a = np.column_stack([np.eye(4).ravel(), sym.matrix.ravel()])
@@ -102,8 +101,9 @@ class TestHoppingChain:
         for d in range(3, 7):
             system = build_hopping_chain(d)
             gens = system.algebra_generators()
-            assert is_controllable_lie(gens), f"lie failed at d={d}"
-            assert is_controllable_commutant(gens), f"commutant failed at d={d}"
+            assert lie_dimension(gens).controllable, f"lie failed at d={d}"
+            assert commutant_dimension(gens, want_symmetries=False).controllable, \
+                f"commutant failed at d={d}"
 
     def test_drift_reconstruction_from_closed_form(self):
         for d in (3, 5, 8):
@@ -176,7 +176,7 @@ class TestCrossKerr:
 
     def test_with_kerr_controllable(self):
         system = build_cross_kerr(2, 4)
-        assert is_controllable_lie(system.algebra_generators())
+        assert lie_dimension(system.algebra_generators()).controllable
 
     def test_linear_optics_only_uncontrollable(self):
         system = build_cross_kerr(3, 2, include_kerr=False)
