@@ -14,12 +14,11 @@ from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, RankResult,
-                     ToleranceConfig, adjoint_action_matrix, commutator,
-                     devec_herm, devec_row, haar_unitary,
+                     ToleranceConfig, commutator, devec_herm, haar_unitary,
                      hermitian_eigensystem, hs_inner, matrix_from_json,
                      matrix_to_json, operator_norm, random_hermitian,
                      rank_and_nullity, tensor_double, trace_norm,
-                     traceless_part, vec_herm, vec_row)
+                     traceless_part, vec_herm)
 from .models import (ModelSpec, build_cross_kerr, build_global_control_chain,
                      build_hopping_chain, build_model, build_two_qubit_ising,
                      delta_gamma, reference_bounds)
@@ -39,13 +38,11 @@ __all__ = [
     "DistanceEstimate", "HermitianOperator", "InequalityCheck", "InputError",
     "LieClosureResult", "ModelSpec", "NumericalError", "PiecewisePulse",
     "ProbeResult", "QdistError", "RankResult", "SpeedLimitReport",
-    "ToleranceConfig", "UncontrollableSystemError", "adjoint_action_matrix",
-    "build_cross_kerr",
+    "ToleranceConfig", "UncontrollableSystemError", "build_cross_kerr",
     "build_global_control_chain", "build_hopping_chain", "build_model",
     "build_stacked_adjoint", "build_two_qubit_ising", "certificate_from_json",
     "certificate_to_json", "commutant_dimension", "commutator",
     "cut_weight_of", "delta_gamma", "delta_lower_bound", "devec_herm",
-    "devec_row",
     "epsilon_best", "epsilon_lower_svd", "epsilon_upper_block_search",
     "epsilon_upper_drift_removal", "epsilon_upper_gap_merge",
     "epsilon_upper_min_cut", "evolve", "extract_original_space_symmetry",
@@ -57,6 +54,6 @@ __all__ = [
     "rank_and_nullity", "reachable_distance_probe", "reference_bounds",
     "stoer_wagner_min_cut", "system_from_json", "system_to_json",
     "t_star_lower", "tensor_double", "trace_norm", "traceless_part",
-    "vec_herm", "vec_row", "verify_certificate", "verify_perturbation_inequality",
+    "vec_herm", "verify_certificate", "verify_perturbation_inequality",
     "verify_uncontrollable",
 ]

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .commutant import (COMMUTANT_DIM_GUARD, CommutantResult,
-                        commutant_dimension, extract_original_space_symmetry)
+from .commutant import (CommutantResult, commutant_dimension,
+                        commutant_spectrum, extract_original_space_symmetry)
 from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
                        epsilon_best, epsilon_lower_svd, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
@@ -216,7 +216,6 @@ def cmd_commutant(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
     result = commutant_dimension(system.algebra_generators(), tol=tol,
-                                 force=args.force,
                                  want_symmetries=bool(args.emit_symmetries))
     if args.emit_symmetries:
         _write_json(args.emit_symmetries,
@@ -259,13 +258,10 @@ def cmd_distance(args) -> int:
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
     estimate = epsilon_best(system, tol=tol, methods=methods)
-    lower = estimate.lower
-    if estimate.commutant is not None and indices != [system.drift_index]:
-        lower = epsilon_lower_svd(system, indices, tol=tol,
-                                  commutant=estimate.commutant)
     _emit({
         "upper": certificate_to_json(estimate.upper),
-        "lower": lower,
+        "lower": epsilon_lower_svd(system, indices, tol=tol,
+                                   commutant=estimate.commutant),
         "perturbed_indices": indices,
         "tolerances": tol.to_dict(),
     }, args.pretty)
@@ -304,15 +300,16 @@ def cmd_verify_ineq(args) -> int:
     return EXIT_OK if check.holds else EXIT_VERDICT
 
 
-def analyze_system(system: ControlSystem, tol: ToleranceConfig,
-                   skip_commutant: bool = False) -> tuple[dict, int]:
+def analyze_system(system: ControlSystem, tol: ToleranceConfig
+                   ) -> tuple[dict, int]:
     """Full pipeline report; returns (report dict, exit code).
 
-    The Lie closure of the unperturbed generators, and their commutant
-    spectrum when the report has a commutant section, are computed once here
-    and passed to epsilon_best. epsilon_best computes the spectrum itself
-    otherwise (--skip-commutant), only once the system passes its gates, and
-    the qsl stage reads it from DistanceEstimate.commutant.
+    The Lie closure of the unperturbed generators and their commutant
+    spectrum (commutant_spectrum; none at or above its dimension guard, and
+    the commutant section then says so) are computed once here and passed
+    to epsilon_best, and the qsl stage reads the spectrum from
+    DistanceEstimate.commutant. Where there is no spectrum, distance.lower
+    and qsl.epsilon_lower are both 0.0.
     """
     d = system.dim
     gens = system.algebra_generators()
@@ -332,12 +329,10 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
         "qsl": None,
         "provenance": {"version": __version__, "tolerances": tol.to_dict()},
     }
-    com = None
-    if skip_commutant or d >= COMMUTANT_DIM_GUARD:
-        report["commutant"] = {"skipped": "dimension guard"
-                               if d >= COMMUTANT_DIM_GUARD else "--skip-commutant"}
+    com = commutant_spectrum(gens, tol)
+    if com is None:
+        report["commutant"] = {"skipped": "dimension guard"}
     else:
-        com = commutant_dimension(gens, tol=tol, want_symmetries=False)
         report["commutant"] = _commutant_section(com)
         if com.controllable != lie.controllable:
             raise NumericalError(
@@ -361,7 +356,7 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig,
 def cmd_analyze(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    report, code = analyze_system(system, tol, skip_commutant=args.skip_commutant)
+    report, code = analyze_system(system, tol)
     _emit(report, args.pretty)
     return code
 
@@ -488,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutant", help="doubled-space commutant test")
     p.add_argument("--system", required=True)
-    p.add_argument("--force", action="store_true",
-                   help="run the dense SVD even for "
-                        f"d >= {COMMUTANT_DIM_GUARD}")
     p.add_argument("--emit-symmetries", metavar="OUT_JSON",
                    help="write the symmetry basis to a file")
     _add_common(p)
@@ -513,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline report")
     p.add_argument("--system", required=True)
-    p.add_argument("--skip-commutant", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -24,8 +24,8 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
                      rank_and_nullity, tensor_double, vec_herm)
 from .system import _as_operator
 
-# dense d^4-column SVDs get expensive/memory hungry beyond this; callers
-# should prefer the Lie-closure test or pass force=True deliberately
+# no d^4-column SVD at or above this d, and no override: the stacked matrix
+# has K d^8 float64 entries (6.9 GB for K = 2 generators at d = 12)
 COMMUTANT_DIM_GUARD = 7
 
 
@@ -54,6 +54,8 @@ def _common_dim(generators, tol: ToleranceConfig
     if not mats:
         raise InputError("need at least one generator")
     d = mats[0].shape[0]
+    if d < 2:
+        raise InputError(f"generator dimension must be >= 2, got {d}")
     for k, m in enumerate(mats):
         if m.shape != (d, d):
             raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
@@ -157,19 +159,19 @@ def _null_symmetries(null_basis: np.ndarray, n: int,
 
 
 def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
-                        force: bool = False,
                         want_symmetries: bool = True) -> CommutantResult:
     """Nullity of the stacked doubled-space adjoint matrix.
 
     Controllable iff the nullity is exactly 2 (rank d^4 - 2): the identity
-    and the swap always commute with every doubled generator. Dimensions
-    d >= 7 are guarded (the SVD has d^4 columns); pass force=True to insist.
+    and the swap always commute with every doubled generator. At
+    d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
+    generators below 2 x 2 are an InputError.
     """
     mats, d = _common_dim(generators, tol)
-    if d >= COMMUTANT_DIM_GUARD and not force:
+    if d >= COMMUTANT_DIM_GUARD:
         raise DimensionGuardError(
             f"commutant test at d={d} needs an SVD with {d ** 4} columns; "
-            "use the Lie-closure test or pass force=True")
+            "use the Lie-closure test")
     stacked = build_stacked_adjoint(mats, doubled=True, tol=tol)
     r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
     symmetries = []
@@ -179,6 +181,18 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                            symmetry_basis=symmetries,
                            controllable=(r.nullity == 2),
                            singular_values=r.singular_values)
+
+
+def commutant_spectrum(generators, tol: ToleranceConfig
+                       ) -> CommutantResult | None:
+    """commutant_dimension without the symmetry operators, or None at or
+    above COMMUTANT_DIM_GUARD: the one decision whether the unperturbed
+    spectrum exists, which analyze's commutant section and the SVD lower
+    bound read."""
+    try:
+        return commutant_dimension(generators, tol=tol, want_symmetries=False)
+    except DimensionGuardError:
+        return None
 
 
 def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_TOL

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import (COMMUTANT_DIM_GUARD, CommutantResult,
-                        build_stacked_adjoint, commutant_dimension,
+from .commutant import (CommutantResult, build_stacked_adjoint,
+                        commutant_dimension, commutant_spectrum,
                         extract_original_space_symmetry)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
@@ -71,8 +71,8 @@ class CutResult:
 class DistanceEstimate:
     """Best verified certificate, the SVD lower bound on its perturbed
     generators, and the unperturbed system's commutant spectrum that bound
-    read (None when epsilon_best was given none at or above
-    COMMUTANT_DIM_GUARD; the lower bound is then 0.0)."""
+    read (None where commutant_spectrum gives none; the lower bound is then
+    0.0)."""
 
     upper: DistanceCertificate
     lower: float
@@ -123,6 +123,8 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     (None when none was accepted).
     """
     mats = [as_matrix(g) for g in gens]
+    if not mats:
+        raise InputError("need at least one generator")
     d = mats[0].shape[0]
     if witness is None or not is_symmetry_witness(witness, mats, tol):
         witness = extract_original_space_symmetry(mats, tol=tol)
@@ -209,8 +211,8 @@ def _cut_weights(hd: np.ndarray, basis: np.ndarray, blocks) -> np.ndarray:
 def cut_weight_of(weights: np.ndarray, side) -> float:
     """Canonical crossing-weight sum for a bipartition (sorted index order).
 
-    Both Stoer-Wagner and the brute-force oracle report through this function
-    so that equal cuts compare bit-for-bit.
+    Both Stoer-Wagner and the exhaustive-enumeration oracle in the tests
+    report through this function, so that equal cuts compare bit-for-bit.
     """
     side = sorted(side)
     inside = set(side)
@@ -449,10 +451,11 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     unitary change of basis, so sigma and the 4 ||delta_j|| bound are those
     of the complex blocks.
 
-    commutant is commutant_dimension's result for system.algebra_generators()
-    at this tol, when the caller already has it; None computes it here, so
-    commutant_dimension's dimension guard applies. A commutant whose spectrum
-    does not have d^4 values is an InputError.
+    commutant is commutant_spectrum's result for system.algebra_generators()
+    at this tol, when the caller already has it; None computes it here. Where
+    there is no spectrum (commutant_spectrum gives None) the bound is 0.0,
+    which is trivially valid. A commutant whose spectrum does not have d^4
+    values is an InputError.
     """
     indices = sorted(set(int(i) for i in perturbed_indices))
     gens = system.algebra_generators()
@@ -461,7 +464,9 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     if indices[0] < 0 or indices[-1] >= len(gens):
         raise InputError(f"perturbed index out of range 0..{len(gens) - 1}")
     if commutant is None:
-        commutant = commutant_dimension(gens, tol=tol, want_symmetries=False)
+        commutant = commutant_spectrum(gens, tol)
+        if commutant is None:
+            return 0.0
     elif len(commutant.singular_values) != system.dim ** 4:
         raise InputError(
             f"commutant spectrum has {len(commutant.singular_values)} values; "
@@ -536,11 +541,11 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     the verified certificates wins, the earlier method on a tie. InputError
     when no selected method applies; NumericalError when none verified.
 
-    lie and commutant are lie_dimension's and commutant_dimension's results
+    lie and commutant are lie_dimension's and commutant_spectrum's results
     for system.algebra_generators() at this tol, for a caller that already
-    has them; None computes either here, the commutant only below
-    COMMUTANT_DIM_GUARD (at or above it the lower bound is 0.0, trivially
-    valid). The spectrum is returned on DistanceEstimate.commutant for the
+    has them; None computes either here. The lower bound is
+    epsilon_lower_svd on that spectrum, 0.0 where commutant_spectrum gives
+    none. The spectrum is returned on DistanceEstimate.commutant for the
     caller's other bounds. A lie whose basis is not d x d, or a commutant
     without d^4 values, is an InputError.
     """
@@ -580,12 +585,9 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
             raise NumericalError("no estimator produced a verified certificate")
         upper = min(verified, key=lambda c: c.op_norm)
         perturbed = [0]
-    if commutant is None and d < COMMUTANT_DIM_GUARD:
-        commutant = commutant_dimension(gens, tol=tol, want_symmetries=False)
-    lower = 0.0
-    if commutant is not None:
-        lower = epsilon_lower_svd(system, perturbed, tol=tol,
-                                  commutant=commutant)
+    if commutant is None:
+        commutant = commutant_spectrum(gens, tol)
+    lower = epsilon_lower_svd(system, perturbed, tol=tol, commutant=commutant)
     return DistanceEstimate(upper=upper, lower=lower, commutant=commutant)
 
 

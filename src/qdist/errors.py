@@ -19,7 +19,7 @@ class UncontrollableSystemError(QdistError):
 
 
 class DimensionGuardError(QdistError):
-    """Problem size exceeds a safety guard; pass force=True or use a cheaper test."""
+    """Problem size exceeds a safety guard that has no override; use a cheaper test."""
 
 
 class NumericalError(QdistError, RuntimeError):

@@ -56,7 +56,8 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
 
     Generators are traceless-shifted first: an identity shift changes no
     commutator, so the closure counts dimensions inside su(d). A basis buffer
-    larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
+    larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError, and
+    generators below 2 x 2 (su(1) is trivial) an InputError.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -64,6 +65,8 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
     d = mats[0].shape[0]
     if mats[0].shape[0] != mats[0].shape[1]:
         raise InputError("generators must be square")
+    if d < 2:
+        raise InputError(f"generator dimension must be >= 2, got {d}")
     for k, m in enumerate(mats):
         if m.shape != (d, d):
             raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
@@ -75,7 +78,12 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
         raise DimensionGuardError(
             f"Lie closure at d={d} needs a {buffer_bytes / 2 ** 30:.2f} GiB basis "
             f"buffer, above the {LIE_BUFFER_GUARD_BYTES / 2 ** 30:g} GiB guard")
-    basis_vecs = np.empty((max_dim, 2 * d * d))
+    # BLAS runs the projections below markedly slower on a buffer at
+    # malloc's 16-byte alignment than on a 64-byte-aligned one, so align it
+    # here instead of leaving the speed to where the allocator puts it
+    raw = np.empty(max_dim * 2 * d * d + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    basis_vecs = raw[start:start + max_dim * 2 * d * d].reshape(max_dim, 2 * d * d)
     basis_mats: list[np.ndarray] = []
     depths: list[int] = []
 

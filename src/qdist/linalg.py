@@ -1,11 +1,12 @@
-"""Dense complex matrix substrate: norms, commutators, doubled-space and
-adjoint-representation constructions, vectorization, rank/nullity.
+"""Dense complex matrix substrate: norms, commutators, the doubled-space
+construction, real vectorization, rank/nullity.
 
 Conventions fixed for the whole package:
 
-* vectorization is row-major (``vec_row``), so ``vec_row(B @ X) =
-  kron(B, 1) @ vec_row(X)`` and the map ``X -> [B, X]`` is represented by
-  ``kron(B, 1) - kron(1, B.T)``;
+* matrices are flattened row-major (``real_vec``); the complex
+  row-vectorized map ``X -> [B, X]``, ``kron(B, 1) - kron(1, B.T)``, is
+  kept only in the tests, as the reference the real adjoint blocks of
+  ``commutant.build_stacked_adjoint`` are checked against;
 * Hermitian matrices also have real coordinates (``vec_herm``) in the
   orthonormal Hermitian basis laid on the row-major positions: E_jj at
   (j, j), (E_jk + E_kj)/sqrt(2) at (j, k) and i(E_jk - E_kj)/sqrt(2) at
@@ -154,26 +155,6 @@ def tensor_double(a) -> np.ndarray:
     am = _as_square(a)
     eye = np.eye(am.shape[0])
     return np.kron(am, eye) + np.kron(eye, am)
-
-
-def adjoint_action_matrix(b) -> np.ndarray:
-    """Matrix of X -> [B, X] under row vectorization: B (x) 1 - 1 (x) B^T."""
-    bm = _as_square(b)
-    eye = np.eye(bm.shape[0])
-    return np.kron(bm, eye) - np.kron(eye, bm.T)
-
-
-def vec_row(m) -> np.ndarray:
-    """Row-major flattening of a matrix into a vector."""
-    return as_matrix(m).ravel(order="C").copy()
-
-
-def devec_row(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec_row. Raises on length mismatch."""
-    a = np.asarray(v, dtype=np.complex128).ravel()
-    if a.size != rows * cols:
-        raise InputError(f"cannot reshape length-{a.size} vector to {rows}x{cols}")
-    return a.reshape(rows, cols).copy()
 
 
 def real_vec(m: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .commutant import CommutantResult
 from .distance import (DistanceCertificate, _joint_control_blocks,
                        certificate_to_json, epsilon_lower_svd,
                        is_symmetry_witness, verify_uncontrollable)
-from .errors import (DimensionGuardError, InputError, UncontrollableSystemError)
+from .errors import InputError, UncontrollableSystemError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
 from .system import ControlSystem
 
@@ -75,7 +75,7 @@ class SpeedLimitReport:
     """Distance bounds, the geometric constant, and the resulting T* bound."""
 
     epsilon_upper: float
-    epsilon_lower: float | None
+    epsilon_lower: float
     delta_lower: float
     delta_provenance: str
     amplitude_cap_c: float
@@ -181,8 +181,8 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     generators, always computed; commutant is passed on to it, so a caller
     that already has the unperturbed system's commutant spectrum
     (epsilon_best returns it on DistanceEstimate.commutant) pays no SVD
-    here. Without one, the spectrum is computed below COMMUTANT_DIM_GUARD;
-    at or above it, or for an uncontrollable system, epsilon_lower is None.
+    here. It is 0.0 where there is no spectrum (commutant_spectrum gives
+    none), and 0.0 for an uncontrollable system, whose distance is 0.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -208,8 +208,8 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
         eps_lower = epsilon_lower_svd(
             system, sorted({i for i, _ in cert.perturbations}), tol=tol,
             commutant=commutant)
-    except (DimensionGuardError, UncontrollableSystemError):
-        eps_lower = None
+    except UncontrollableSystemError:
+        eps_lower = 0.0
     return SpeedLimitReport(
         epsilon_upper=float(eps_eff), epsilon_lower=eps_lower,
         delta_lower=float(delta), delta_provenance=provenance,

@@ -4,7 +4,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qdist import distance, haar_unitary, make_system, random_hermitian
+from qdist import (InputError, distance, haar_unitary, make_system,
+                   random_hermitian)
 from qdist.commutant import commutant_dimension
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -15,6 +16,28 @@ SWAP_4 = np.array([[1, 0, 0, 0],
                    [0, 0, 1, 0],
                    [0, 1, 0, 0],
                    [0, 0, 0, 1]], dtype=complex)
+
+
+def adjoint_action_matrix(b) -> np.ndarray:
+    """Matrix of X -> [B, X] under row vectorization: B (x) 1 - 1 (x) B^T.
+    The complex reference the real blocks of build_stacked_adjoint are
+    checked against."""
+    bm = np.asarray(b, dtype=np.complex128)
+    eye = np.eye(bm.shape[0])
+    return np.kron(bm, eye) - np.kron(eye, bm.T)
+
+
+def vec_row(m) -> np.ndarray:
+    """Row-major flattening of a matrix into a vector."""
+    return np.asarray(m, dtype=np.complex128).ravel(order="C").copy()
+
+
+def devec_row(v, rows: int, cols: int) -> np.ndarray:
+    """Inverse of vec_row. Raises on length mismatch."""
+    a = np.asarray(v, dtype=np.complex128).ravel()
+    if a.size != rows * cols:
+        raise InputError(f"cannot reshape length-{a.size} vector to {rows}x{cols}")
+    return a.reshape(rows, cols).copy()
 
 
 @pytest.fixture

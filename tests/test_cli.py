@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdist import cli, distance
-from qdist.cli import main
+from qdist.cli import build_parser, main
 from qdist.distance import (certificate_to_json, epsilon_upper_drift_removal,
                             epsilon_upper_gap_merge)
 from qdist.linalg import matrix_to_json
@@ -264,7 +267,46 @@ def test_dimension_guard_exit_3(tmp_path, capsys):
         "--out", str(out))
     code, _, err = run(capsys, "commutant", "--system", str(out))
     assert code == 3
-    assert "force" in err.lower()
+    assert "lie-closure test" in err.lower()
+
+
+@pytest.mark.parametrize("command, flag", [("commutant", "--force"),
+                                           ("analyze", "--skip-commutant")])
+def test_removed_flags_are_unknown_arguments(tmp_path, capsys, command, flag):
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--system", path, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _parser_flags() -> dict:
+    """subcommand -> the long options build_parser gives it (not --help)."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_cli_block_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    documented = {}
+    for line in block.split("```", 1)[0].splitlines():
+        usage = line.split("#", 1)[0]
+        if usage.startswith("qdist "):
+            documented[usage.split()[1]] = set(
+                re.findall(r"--[a-z][a-z-]*", usage))
+    flags = _parser_flags()
+    # the flags every subcommand shares need only appear somewhere
+    common = set.intersection(*flags.values())
+    assert {f for f in common if f not in readme} == set()
+    assert {name: documented[name] - common for name in documented} == {
+        name: f - common for name, f in flags.items()}
+    assert all(documented[name] <= flags[name] for name in documented)
 
 
 def test_lie_guard_exit_3_without_traceback(tmp_path, capsys):

@@ -460,6 +460,17 @@ class TestVerifyUncontrollable:
     def test_controllable_pair_has_no_witness(self):
         assert verify_uncontrollable([PAULI_Z, PAULI_X]) == (False, None)
 
+    @pytest.mark.parametrize("oracle", [lie_dimension, commutant_dimension,
+                                        verify_uncontrollable])
+    def test_one_dimensional_generators_are_input_errors(self, oracle):
+        # su(1) is trivial: the oracles used to return opposite verdicts
+        with pytest.raises(InputError, match="dimension must be >= 2"):
+            oracle([[[1.0]], [[2.0]]])
+
+    def test_no_generators_is_an_input_error(self):
+        with pytest.raises(InputError, match="at least one generator"):
+            verify_uncontrollable([])
+
     def test_witness_commutant_and_lie_agree_at_d5(self):
         # d = 5 is above the built-in commutant cross-check, so compare all
         # three oracles on every certificate the four estimators produce

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from qdist import (DEFAULT_TOL, InputError, adjoint_action_matrix,
-                   commutant_dimension, devec_herm, hs_inner,
-                   random_hermitian, tensor_double, vec_herm)
+from qdist import (DEFAULT_TOL, InputError, commutant_dimension,
+                   devec_herm, hs_inner, random_hermitian, tensor_double,
+                   vec_herm)
 from qdist.cli import analyze_system, main
 from qdist.commutant import build_stacked_adjoint
 from qdist.distance import certificate_to_json, epsilon_best
@@ -17,7 +17,7 @@ from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising)
 from qdist.system import system_to_json
 
-from conftest import random_pair_system
+from conftest import adjoint_action_matrix, random_pair_system
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from qdist import (HermitianOperator, InputError, ToleranceConfig,
-                   adjoint_action_matrix, commutator, devec_row, haar_unitary,
-                   hermitian_eigensystem, operator_norm, random_hermitian,
-                   rank_and_nullity, tensor_double, trace_norm, vec_row)
+                   commutator, haar_unitary, hermitian_eigensystem,
+                   operator_norm, random_hermitian, rank_and_nullity,
+                   tensor_double, trace_norm)
 from qdist.commutant import build_stacked_adjoint
 
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_density
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, adjoint_action_matrix,
+                      devec_row, random_density, vec_row)
 
 
 class TestOperatorNorm:

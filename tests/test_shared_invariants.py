@@ -12,7 +12,8 @@ from qdist.cli import analyze_system, main
 from qdist.commutant import (COMMUTANT_DIM_GUARD, build_stacked_adjoint,
                              commutant_dimension)
 from qdist.distance import certificate_to_json
-from qdist.models import build_cross_kerr, build_hopping_chain
+from qdist.models import (build_cross_kerr, build_global_control_chain,
+                          build_hopping_chain)
 from qdist.speed_limit import t_star_lower
 from qdist.system import make_system, system_to_json
 
@@ -70,14 +71,11 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True)
 
 
-@pytest.mark.parametrize("name, skip_commutant", [
-    ("hopping_d4", False), ("cross_kerr_2_3", False), ("hopping_d4", True)])
-def test_analyze_computes_each_invariant_once(monkeypatch, svd_log, name,
-                                              skip_commutant):
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_analyze_computes_each_invariant_once(monkeypatch, svd_log, name):
     system = SYSTEMS[name]()
     counts = count_unperturbed_work(monkeypatch, svd_log, system)
-    report, code = analyze_system(system, DEFAULT_TOL,
-                                  skip_commutant=skip_commutant)
+    report, code = analyze_system(system, DEFAULT_TOL)
     assert code == 0 and report["qsl"] is not None
     assert counts() == {"svd": 1, "lie": 1}
 
@@ -106,9 +104,8 @@ def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
     assert counts() == {"svd": 1, "lie": 1}
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["distance"], 1), (["qsl"], 1), (["analyze", "--skip-commutant"], 0)],
-    ids=["distance", "qsl", "analyze_skip_commutant"])
+@pytest.mark.parametrize("argv, code", [(["distance"], 1), (["qsl"], 1)],
+                         ids=["distance", "qsl"])
 def test_controllable_controls_are_rejected_before_any_svd(
         tmp_path, capsys, svd_log, argv, code):
     # the controls X, Y alone generate su(2), so no drift perturbation can
@@ -123,9 +120,8 @@ def test_controllable_controls_are_rejected_before_any_svd(
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["distance", "--perturb", "all"], 1), (["qsl"], 1),
-    (["analyze", "--skip-commutant"], 0)],
-    ids=["distance_all", "qsl", "analyze_skip_commutant"])
+    (["distance", "--perturb", "all"], 1), (["qsl"], 1)],
+    ids=["distance_all", "qsl"])
 def test_controllable_unbounded_controls_are_rejected_before_the_svd(
         tmp_path, capsys, monkeypatch, svd_log, argv, code):
     # driftless: X, Y alone generate su(2), so removing the bounded Z cannot
@@ -139,9 +135,8 @@ def test_controllable_unbounded_controls_are_rejected_before_the_svd(
     assert counts() == {"svd": 0, "lie": 1}
 
 
-@pytest.mark.parametrize("argv", [
-    ["distance"], ["qsl"], ["analyze", "--skip-commutant"]],
-    ids=["distance", "qsl", "analyze_skip_commutant"])
+@pytest.mark.parametrize("argv", [["distance"], ["qsl"], ["analyze"]],
+                         ids=["distance", "qsl", "analyze"])
 def test_controls_alone_are_closed_once(tmp_path, capsys, monkeypatch, argv):
     system = build_hopping_chain(4)
     path = write_system(tmp_path, system)
@@ -163,6 +158,26 @@ def test_estimate_returns_the_spectrum_its_lower_bound_read(d):
             system, [0], commutant=estimate.commutant) > 0
     else:
         assert estimate.commutant is None and estimate.lower == 0.0
+
+
+CONTROLLABLE_GRID = {
+    **{f"hopping_d{d}": (lambda d=d: build_hopping_chain(d))
+       for d in range(3, 9)},
+    "cross_kerr_2_3": lambda: build_cross_kerr(2, 3),
+    "cross_kerr_3_3": lambda: build_cross_kerr(3, 3),
+    "global_chain_1_1.2": lambda: build_global_control_chain(2, [1.0, 1.2]),
+}
+
+
+@pytest.mark.parametrize("name", CONTROLLABLE_GRID)
+def test_analyze_reports_one_lower_bound(name):
+    # distance.lower and qsl.epsilon_lower are the same bound on the same
+    # generators, with or without a spectrum at this dimension
+    report, code = analyze_system(CONTROLLABLE_GRID[name](), DEFAULT_TOL)
+    assert code == 0
+    lower = report["qsl"]["epsilon_lower"]
+    assert isinstance(lower, float)
+    assert lower == report["distance"]["lower"]
 
 
 def test_wrong_dimension_invariants_are_input_errors():

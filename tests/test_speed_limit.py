@@ -117,6 +117,17 @@ class TestTStarLower:
         assert scaled.t_star_lower == pytest.approx(report.t_star_lower / 3,
                                                     rel=1e-12)
 
+    def test_uncontrollable_system_has_zero_lower_bound(self):
+        # drift and control both Z: the distance to uncontrollability is 0
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
+        cert = DistanceCertificate(
+            perturbations=[(0, HermitianOperator(0.1 * PAULI_Z))],
+            op_norm=0.1, l11_norm=0.2, method="manual",
+            verified_uncontrollable=True)
+        report = t_star_lower(system, cert)
+        assert report.epsilon_lower == 0.0
+        assert isinstance(report.epsilon_lower, float)
+
 
 class TestEvolve:
     def test_zero_hamiltonian(self):
