@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -50,7 +49,7 @@ def _tolerance(source: str, value) -> float:
 
 
 def _resolve_tolerances(args) -> ToleranceConfig:
-    """defaults < --tol-config file < QDIST_TOL_RANK env < explicit flags."""
+    """defaults < --tol-config file < explicit flags."""
     values = DEFAULT_TOL.to_dict()
     config_path = getattr(args, "tol_config", None)
     if config_path:
@@ -59,9 +58,6 @@ def _resolve_tolerances(args) -> ToleranceConfig:
             raise InputError(f"tolerance config may only set {_TOL_FIELDS}")
         values.update({k: _tolerance(f"tolerance config {k}", v)
                        for k, v in loaded.items()})
-    env_rank = os.environ.get("QDIST_TOL_RANK")
-    if env_rank is not None:
-        values["rank_rel_tol"] = _tolerance("QDIST_TOL_RANK", env_rank)
     for field in _TOL_FIELDS:
         flag = getattr(args, field, None)
         if flag is not None:

@@ -9,20 +9,25 @@ row-vectorized matrix, with the same singular values, decomposed in float64.
 Its nullspace holds the coordinates of the Hermitian part of the commutant
 of the doubled generators: dimension 2 (identity and swap) means
 controllable, anything larger exposes explicit symmetry operators.
+
+The same construction on the original space (X -> i[H_k, X]) gives the
+generators' joint commutant. joint_blocks reads their finest joint
+invariant blocks from it, the one place they are found: min cut, block
+search, the drift-removal witness, symmetry extraction and the
+reachable-distance probe all take theirs from there. That is the
+commutant criterion of Zimboras et al., PRA 92, 042309 (2015).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionGuardError, InputError
+from .errors import DimensionGuardError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
-                     as_matrix, devec_herm, hermiticity_defect,
-                     rank_and_nullity, tensor_double, vec_herm)
-from .system import _as_operator
+                     checked_generators, devec_herm, hermitian_eigensystem,
+                     rank_and_nullity, tensor_double)
 
 # no d^4-column SVD at or above this d, and no override: the stacked matrix
 # has K d^8 float64 entries (6.9 GB for K = 2 generators at d = 12)
@@ -46,26 +51,6 @@ class CommutantResult:
         # controllable systems sit exactly at rank d^4 - 2
         n = self.rank + self.nullity
         return n - 2
-
-
-def _common_dim(generators, tol: ToleranceConfig
-                ) -> tuple[list[np.ndarray], int]:
-    mats = [as_matrix(g) for g in generators]
-    if not mats:
-        raise InputError("need at least one generator")
-    d = mats[0].shape[0]
-    if d < 2:
-        raise InputError(f"generator dimension must be >= 2, got {d}")
-    for k, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
-        # the real Hermitian-basis blocks exist only for Hermitian generators
-        defect = hermiticity_defect(m)
-        if defect > tol.hermiticity_tol:
-            raise InputError(
-                f"generator {k} is not Hermitian: max |M - M^dagger| = "
-                f"{defect:.3e} > {tol.hermiticity_tol:.3e}")
-    return mats, d
 
 
 def _hermitian_adjoint_entries(n: int):
@@ -115,9 +100,9 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     complex row-vectorized blocks (i H_k^(2))^(ad). A generator that is not
     Hermitian within tol.hermiticity_tol is an InputError. With
     doubled=False the blocks are those of X -> i[H_k, X] on the original
-    space (n = d), which is what original-space symmetry extraction needs.
+    space (n = d), whose nullspace joint_blocks reads.
     """
-    mats, _ = _common_dim(generators, tol)
+    mats, _ = checked_generators(generators, tol)
     lifted = [tensor_double(m) if doubled else m for m in mats]
     n = lifted[0].shape[0]
     flat, z_index, weight = _hermitian_adjoint_entries(n)
@@ -130,34 +115,6 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     return stacked.reshape(len(lifted) * n * n, n * n)
 
 
-def _null_symmetries(null_basis: np.ndarray, n: int,
-                     project_out: list | None = None) -> Iterator[np.ndarray]:
-    """Yield the null vectors as Hermitian n x n operators.
-
-    The null vectors are Hermitian-basis coordinates, so each is an exact
-    Hermitian operator, and the orthonormal columns give operators
-    orthonormal under the Hilbert-Schmidt inner product. Given Hermitian
-    directions (e.g. the identity) are projected out first, and the
-    survivors re-orthonormalized; a null vector inside their span drops out.
-    Matrices are built as the caller asks for them, so a caller that needs
-    only the first pays for the candidates up to it, not for the whole null
-    basis.
-    """
-    fixed = [vec_herm(m) / np.linalg.norm(vec_herm(m))
-             for m in project_out or []]
-    kept: list[np.ndarray] = []
-    for v in null_basis.T:
-        for _ in range(2):
-            for b in fixed + kept:
-                v = v - b * (b @ v)
-        rem = float(np.linalg.norm(v))
-        if rem <= 1e-7:
-            continue
-        v = v / rem
-        kept.append(v)
-        yield devec_herm(v, n)
-
-
 def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                         want_symmetries: bool = True) -> CommutantResult:
     """Nullity of the stacked doubled-space adjoint matrix.
@@ -167,16 +124,16 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
     generators below 2 x 2 are an InputError.
     """
-    mats, d = _common_dim(generators, tol)
+    mats, d = checked_generators(generators, tol)
     if d >= COMMUTANT_DIM_GUARD:
         raise DimensionGuardError(
             f"commutant test at d={d} needs an SVD with {d ** 4} columns; "
             "use the Lie-closure test")
     stacked = build_stacked_adjoint(mats, doubled=True, tol=tol)
     r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
-    symmetries = []
-    if want_symmetries:
-        symmetries = list(_null_symmetries(r.null_basis, d * d))
+    # the null vectors are orthonormal Hermitian-basis coordinates, so the
+    # operators are exactly Hermitian and orthonormal in Hilbert-Schmidt
+    symmetries = [devec_herm(v, d * d) for v in r.null_basis.T]
     return CommutantResult(nullity=r.nullity, rank=r.rank,
                            symmetry_basis=symmetries,
                            controllable=(r.nullity == 2),
@@ -195,22 +152,56 @@ def commutant_spectrum(generators, tol: ToleranceConfig
         return None
 
 
+def joint_blocks(generators, tol: ToleranceConfig):
+    """Finest invariant-subspace decomposition shared by all generators.
+
+    For one generator these are its degenerate eigenspaces (eigenvalues
+    within degeneracy_tol). For several, a generic Hermitian element of the
+    joint commutant (the nullspace of the stacked original-space blocks of
+    X -> i[H_k, X]) is diagonalized; its spectral projectors commute with
+    every generator. Returns (basis, blocks), blocks listing the basis
+    columns of each, or None when there is a single block.
+    """
+    mats, d = checked_generators(generators, tol)
+    if len(mats) == 1:
+        w, v = hermitian_eigensystem(mats[0], tol=tol)
+    else:
+        stacked = build_stacked_adjoint(mats, doubled=False, tol=tol)
+        r = rank_and_nullity(stacked, tol=tol)
+        if r.nullity <= 1:
+            return None
+        rng = np.random.default_rng(719)  # fixed: results must be reproducible
+        # null vectors are Hermitian coordinates: a real combination is Hermitian
+        m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
+        w, v = np.linalg.eigh(m)
+    blocks = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] <= tol.degeneracy_tol:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return (v, blocks) if len(blocks) > 1 else None
+
+
+def block_projector(basis: np.ndarray, cols) -> np.ndarray:
+    """Orthogonal projector onto the span of the given basis columns,
+    symmetrized so that it is exactly Hermitian."""
+    vp = basis[:, cols]
+    p = vp @ vp.conj().T
+    return (p + p.conj().T) / 2
+
+
 def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_TOL
                                     ) -> HermitianOperator | None:
-    """A non-trivial Hermitian M with [M, H_k] ~ 0 for all k, if one exists.
+    """The projector onto the generators' first joint block (joint_blocks),
+    or None when they have a single block.
 
-    Works on the original d-dimensional space: the nullspace of the stacked
-    real blocks of X -> i[H_k, X] always contains the identity's
-    coordinates; any Hermitian direction orthogonal to it is a genuine
-    symmetry. Returns None when the joint commutant is trivial.
+    It commutes with every generator and is not a multiple of the identity,
+    so it is a symmetry witness; distance.verify_uncontrollable still
+    accepts it only through is_symmetry_witness.
     """
-    mats, d = _common_dim(generators, tol)
-    stacked = build_stacked_adjoint(mats, doubled=False, tol=tol)
-    r = rank_and_nullity(stacked, tol=tol)
-    if r.nullity <= 1:
+    joint = joint_blocks(generators, tol)
+    if joint is None:
         return None
-    first = next(_null_symmetries(r.null_basis, d, project_out=[np.eye(d)]),
-                 None)
-    if first is None:
-        return None
-    return _as_operator(first, tol)
+    basis, blocks = joint
+    return HermitianOperator(block_projector(basis, blocks[0]), tol=tol)

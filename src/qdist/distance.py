@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import (CommutantResult, build_stacked_adjoint,
-                        commutant_dimension, commutant_spectrum,
-                        extract_original_space_symmetry)
+from .commutant import (CommutantResult, block_projector, commutant_dimension,
+                        commutant_spectrum, extract_original_space_symmetry,
+                        joint_blocks)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     commutator, devec_herm, hermitian_eigensystem,
-                     matrix_from_json, matrix_to_json, operator_norm,
-                     rank_and_nullity, traceless_part)
-from .system import ControlSystem, _as_operator
+                     as_operator, checked_generators, commutator,
+                     hermitian_eigensystem, matrix_from_json, matrix_to_json,
+                     operator_norm, traceless_part)
+from .system import ControlSystem
 
 BLOCK_SEARCH_DIM_GUARD = 12
 
@@ -113,19 +113,18 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     """Decide from scratch whether the generators are uncontrollable.
 
     The same order runs at every dimension. A symmetry witness is tried
-    first: the given one, then the one extract_original_space_symmetry
-    finds, each accepted only through is_symmetry_witness. Checking one
-    costs O(K d^3) and, unlike a deep Lie closure, does not amplify noise.
+    first: the given one, then the projector onto the generators' first
+    joint block that extract_original_space_symmetry finds, each accepted
+    only through is_symmetry_witness. Checking one costs O(K d^3) and,
+    unlike a deep Lie closure, does not amplify noise.
     Without a witness the Lie closure decides, at every dimension. For
     d <= 4 a second oracle cross-checks every verdict, the Lie closure a
     witness and the commutant spectrum the Lie closure, and a disagreement
     raises NumericalError. Returns the verdict and the accepted witness
-    (None when none was accepted).
+    (None when none was accepted). The generators are checked by
+    linalg.checked_generators first.
     """
-    mats = [as_matrix(g) for g in gens]
-    if not mats:
-        raise InputError("need at least one generator")
-    d = mats[0].shape[0]
+    mats, d = checked_generators(gens, tol)
     if witness is None or not is_symmetry_witness(witness, mats, tol):
         witness = extract_original_space_symmetry(mats, tol=tol)
         if witness is not None and not is_symmetry_witness(witness, mats, tol):
@@ -155,7 +154,7 @@ def _certificate(delta, method, tol, controls, drift, l11=None, witness=None,
     if l11 is None:
         l11 = np.sum(np.abs(delta))
     return DistanceCertificate(
-        perturbations=[(0, _as_operator(delta, tol))],
+        perturbations=[(0, as_operator(delta, tol))],
         op_norm=float(operator_norm(delta)), l11_norm=float(l11), method=method,
         verified_uncontrollable=verified, symmetry_witness=witness, detail=detail)
 
@@ -282,10 +281,7 @@ def _block_cut_delta(hd: np.ndarray, basis: np.ndarray, blocks, side) -> tuple:
     `side` lists block indices; returns (delta, projector) in the original
     basis with delta = -(P H Q + Q H P), P the projector onto those blocks.
     """
-    cols = [i for bi in side for i in blocks[bi]]
-    vp = basis[:, cols]
-    p = vp @ vp.conj().T
-    p = (p + p.conj().T) / 2
+    p = block_projector(basis, [i for bi in side for i in blocks[bi]])
     q = np.eye(hd.shape[0]) - p
     delta = -(p @ hd @ q + q @ hd @ p)
     return (delta + delta.conj().T) / 2, p
@@ -296,7 +292,7 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     """Disconnect the drift across the minimum cut of the control-basis graph.
 
     The vertices are the control's degenerate eigenspaces, the same blocks
-    of _joint_control_blocks that the block search enumerates. The removed
+    of commutant.joint_blocks that the block search enumerates. The removed
     entries make the perturbed drift block diagonal in an eigenbasis of the
     control, so the block projector is a symmetry of the perturbed pair.
     Minimal in the L_{1,1} norm over this family (l11_norm = 2 * cut weight,
@@ -309,7 +305,7 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     if len(controls) != 1:
         raise InputError("min cut is defined for a single control; "
                          "use the block search for control families")
-    joint = _joint_control_blocks(controls, tol)
+    joint = joint_blocks(controls, tol)
     if joint is None:
         raise InputError("control has a single degenerate eigenspace; "
                          "no cut structure available")
@@ -320,38 +316,6 @@ def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     detail = f"cut weight {cut.cut_weight:.6g}, partition {cut.partition}"
     return _certificate(delta, "min_cut", tol, controls, hd,
                         l11=2 * cut.cut_weight, witness=witness, detail=detail)
-
-
-def _joint_control_blocks(controls: list[np.ndarray], tol: ToleranceConfig):
-    """Finest invariant-subspace decomposition shared by all controls.
-
-    For one control these are its degenerate eigenspaces (eigenvalues
-    within degeneracy_tol). For several, a generic Hermitian element of the
-    joint commutant is diagonalized; its spectral projectors commute with
-    every control. Returns (basis, blocks), blocks listing the basis columns
-    of each, or None when there is a single block. Min cut, block search
-    and the reachable-distance probe (on a symmetry witness) all read their
-    blocks here.
-    """
-    if len(controls) == 1:
-        w, v = hermitian_eigensystem(controls[0], tol=tol)
-    else:
-        stacked = build_stacked_adjoint(controls, doubled=False, tol=tol)
-        r = rank_and_nullity(stacked, tol=tol)
-        if r.nullity <= 1:
-            return None
-        d = controls[0].shape[0]
-        rng = np.random.default_rng(719)  # fixed: results must be reproducible
-        # null vectors are Hermitian coordinates: a real combination is Hermitian
-        m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
-        w, v = np.linalg.eigh(m)
-    blocks = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= tol.degeneracy_tol:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return (v, blocks) if len(blocks) > 1 else None
 
 
 def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_TOL
@@ -382,7 +346,7 @@ def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_T
         raise DimensionGuardError(
             f"block search enumerates subsets exhaustively; d={d} exceeds "
             f"{BLOCK_SEARCH_DIM_GUARD}. Use the min-cut estimator instead")
-    joint = _joint_control_blocks(ctrls, tol)
+    joint = joint_blocks(ctrls, tol)
     if joint is None:
         raise InputError("the controls share no invariant block structure: "
                          "no block symmetry to search")
@@ -415,11 +379,19 @@ def epsilon_upper_drift_removal(drift, controls,
                                 tol: ToleranceConfig = DEFAULT_TOL
                                 ) -> DistanceCertificate:
     """Remove the drift entirely: for a single control this always verifies,
-    since a lone control generates a one-dimensional algebra."""
+    since a lone control generates a one-dimensional algebra.
+
+    The verifier is offered the projector onto the controls' first joint
+    block (extract_original_space_symmetry of the controls), which commutes
+    with every control and with the removed drift, as min cut and block
+    search offer theirs. Controls with a single joint block offer none.
+    """
     hd = as_matrix(drift)
     ctrls = _control_list(controls, hd)
     delta = -traceless_part(hd)
-    return _certificate(delta, "drift_removal", tol, ctrls, hd)
+    witness = extract_original_space_symmetry(ctrls, tol=tol)
+    return _certificate(delta, "drift_removal", tol, ctrls, hd,
+                        witness=witness)
 
 
 def _estimators() -> dict:
@@ -513,7 +485,7 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
                              "render the system uncontrollable")
     deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
     return DistanceCertificate(
-        perturbations=[(j, _as_operator(d, tol)) for j, d in enumerate(deltas)],
+        perturbations=[(j, as_operator(d, tol)) for j, d in enumerate(deltas)],
         op_norm=max(operator_norm(d) for d in deltas),
         l11_norm=float(sum(np.sum(np.abs(d)) for d in deltas)),
         method="drift_removal", verified_uncontrollable=True,
@@ -629,12 +601,12 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
         verified = bool(obj["verified_uncontrollable"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
-    perturbations = [(i, _as_operator(matrix_from_json(e["matrix"]), tol))
+    perturbations = [(i, as_operator(matrix_from_json(e["matrix"]), tol))
                      for i, e in zip(indices, entries)]
     witness = obj.get("symmetry_witness")
     witness_op = None
     if witness is not None:
-        witness_op = _as_operator(matrix_from_json(witness), tol)
+        witness_op = as_operator(matrix_from_json(witness), tol)
     return DistanceCertificate(
         perturbations=perturbations, op_norm=op_norm, l11_norm=l11_norm,
         method=method, verified_uncontrollable=verified,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionGuardError, InputError
-from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, from_real_vec,
-                     real_vec, traceless_part)
+from .errors import DimensionGuardError
+from .linalg import (DEFAULT_TOL, ToleranceConfig, checked_generators,
+                     from_real_vec, real_vec, traceless_part)
 
 # the closure preallocates its (d^2 - 1) x 2d^2 float64 basis buffer, 16 d^4
 # bytes; above this size (d >= 91) the allocation alone can exhaust memory
@@ -56,21 +56,13 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
 
     Generators are traceless-shifted first: an identity shift changes no
     commutator, so the closure counts dimensions inside su(d). A basis buffer
-    larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError, and
-    generators below 2 x 2 (su(1) is trivial) an InputError.
+    larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
+    Input that linalg.checked_generators rejects (no generators, unequal
+    shapes, below 2 x 2 where su(1) is trivial, not Hermitian) is an
+    InputError.
     """
-    mats = [as_matrix(g) for g in generators]
-    if not mats:
-        raise InputError("lie_dimension needs at least one generator")
-    d = mats[0].shape[0]
-    if mats[0].shape[0] != mats[0].shape[1]:
-        raise InputError("generators must be square")
-    if d < 2:
-        raise InputError(f"generator dimension must be >= 2, got {d}")
-    for k, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
-        mats[k] = traceless_part(m)
+    mats, d = checked_generators(generators, tol)
+    mats = [traceless_part(m) for m in mats]
 
     max_dim = d * d - 1
     buffer_bytes = max_dim * 2 * d * d * 8

@@ -127,6 +127,39 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
+def as_operator(m, tol: ToleranceConfig) -> HermitianOperator:
+    """m itself if it is a HermitianOperator, else m wrapped as one (checked
+    Hermitian within tol.hermiticity_tol)."""
+    if isinstance(m, HermitianOperator):
+        return m
+    return HermitianOperator(as_matrix(m), tol=tol)
+
+
+def checked_generators(generators, tol: ToleranceConfig
+                       ) -> tuple[list[np.ndarray], int]:
+    """The generators as complex matrices, and their common dimension d.
+
+    The one check every algebraic test runs on its input: at least one
+    generator, all d x d with d >= 2, each Hermitian within
+    tol.hermiticity_tol. Anything else is an InputError.
+    """
+    mats = [as_matrix(g) for g in generators]
+    if not mats:
+        raise InputError("need at least one generator")
+    d = mats[0].shape[0]
+    if d < 2:
+        raise InputError(f"generator dimension must be >= 2, got {d}")
+    for k, m in enumerate(mats):
+        if m.shape != (d, d):
+            raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
+        defect = hermiticity_defect(m)
+        if defect > tol.hermiticity_tol:
+            raise InputError(
+                f"generator {k} is not Hermitian: max |M - M^dagger| = "
+                f"{defect:.3e} > {tol.hermiticity_tol:.3e}")
+    return mats, d
+
+
 def operator_norm(m) -> float:
     """Largest singular value (the operator norm ||.||_inf on matrices)."""
     return float(np.linalg.norm(as_matrix(m), 2))

@@ -242,14 +242,11 @@ def cross_kerr_sector_dim(n_modes: int, n_photons: int) -> int:
 
 
 def build_cross_kerr(n_modes: int, n_photons: int, cap_c: float = 1.0,
-                     include_kerr: bool = True,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
     """Fixed-photon-number sector of n_modes bosonic modes: unbounded linear
     optics (all hopping quadratures and number operators) plus bounded
-    nearest-neighbour cross-Kerr couplings with cap c.
-
-    include_kerr=False builds the passive linear-optics-only system (useful to
-    demonstrate its non-universality on the sector).
+    nearest-neighbour cross-Kerr couplings with cap c. The passive
+    linear-optics-only system is the result's unbounded generators alone.
     """
     dim = cross_kerr_sector_dim(n_modes, n_photons)
     if dim > 5000:
@@ -261,10 +258,8 @@ def build_cross_kerr(n_modes: int, n_photons: int, cap_c: float = 1.0,
     def shifted(m):
         return m - (np.trace(m) / dim) * eye
 
-    bounded = []
-    if include_kerr:
-        for j in range(n_modes - 1):
-            bounded.append((shifted(cross_kerr_coupling(basis, j)), cap_c))
+    bounded = [(shifted(cross_kerr_coupling(basis, j)), cap_c)
+               for j in range(n_modes - 1)]
     unbounded = []
     for k in range(n_modes):
         for l in range(k + 1, n_modes):

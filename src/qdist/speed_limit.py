@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import CommutantResult
-from .distance import (DistanceCertificate, _joint_control_blocks,
-                       certificate_to_json, epsilon_lower_svd,
-                       is_symmetry_witness, verify_uncontrollable)
+from .commutant import CommutantResult, block_projector, joint_blocks
+from .distance import (DistanceCertificate, certificate_to_json,
+                       epsilon_lower_svd, is_symmetry_witness,
+                       verify_uncontrollable)
 from .errors import InputError, UncontrollableSystemError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
 from .system import ControlSystem
@@ -266,32 +266,34 @@ def reachable_distance_probe(system: ControlSystem, target,
     """How far the target unitary stays from everything this (uncontrollable)
     system can reach.
 
-    Uncontrollability is decided by distance.verify_uncontrollable. If the
-    symmetry witness it accepts has a spectral projector P with
-    P (target) P = 0 (the target maps range(P) into its kernel),
-    the exact floor sqrt(2) is certified: orthogonal states stay at distance
-    sqrt(2). Otherwise random piecewise pulses are sampled and the smallest
-    ||U_pulse - target|| is returned as a heuristic estimate only.
+    Uncontrollability is decided by distance.verify_uncontrollable, which
+    is offered the projector onto the generators' first joint block
+    (commutant.joint_blocks). Every reachable unitary maps each joint block
+    into itself. If some block's projector P has P (target) P = 0 (the
+    target maps range(P) into its orthogonal complement) and passes
+    is_symmetry_witness, the exact floor sqrt(2) is certified: orthogonal
+    states stay at distance sqrt(2). Otherwise random piecewise pulses are
+    sampled and the smallest ||U_pulse - target|| is returned as a
+    heuristic estimate only.
     """
     u_target = as_matrix(target)
     d = system.dim
     if u_target.shape != (d, d):
         raise InputError("target dimension mismatch")
-    uncontrollable, witness = verify_uncontrollable(system.algebra_generators(),
-                                                    tol)
+    gens = system.algebra_generators()
+    # a single block (None) has no proper projector
+    basis, blocks = joint_blocks(gens, tol) or (None, [])
+    projectors = [block_projector(basis, block) for block in blocks]
+    witness = projectors[0] if projectors else None
+    uncontrollable, _ = verify_uncontrollable(gens, tol, witness)
     if not uncontrollable:
         raise InputError("system is controllable: every unitary is reachable "
                          "and the probe is meaningless")
-    if witness is not None:
-        # the witness's blocks are its eigenspaces; a single one (None) is
-        # a multiple of the identity and has no proper projector
-        v, blocks = _joint_control_blocks([witness.matrix], tol) or (None, [])
-        for block in blocks:
-            vp = v[:, block]
-            p = vp @ vp.conj().T
-            if operator_norm(p @ u_target @ p) <= 1e-9:
-                return ProbeResult(value=DELTA_SYMMETRY, certified=True,
-                                   method="symmetry_floor")
+    for p in projectors:
+        if (operator_norm(p @ u_target @ p) <= 1e-9
+                and is_symmetry_witness(p, gens, tol)):
+            return ProbeResult(value=DELTA_SYMMETRY, certified=True,
+                               method="symmetry_floor")
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(int(sample_budget)):
@@ -312,8 +314,6 @@ def pulse_from_json(obj) -> PiecewisePulse:
     try:
         durations = np.asarray(obj["durations"], dtype=float)
         amplitudes = np.asarray(obj["amplitudes"], dtype=float)
-        if amplitudes.ndim == 1:
-            amplitudes = amplitudes.reshape(durations.size, -1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed pulse JSON: {exc}") from exc
     return PiecewisePulse(durations=durations, amplitudes=amplitudes)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     matrix_from_json, matrix_to_json, traceless_part)
+                     as_operator, matrix_from_json, matrix_to_json,
+                     traceless_part)
 
 SYSTEM_FORMAT_VERSION = 1
 
@@ -110,7 +111,7 @@ class ControlSystem:
         def rebuilt(index: int) -> HermitianOperator:
             if index not in deltas:
                 return ops[index]
-            return _as_operator(ops[index].matrix + deltas[index], tol)
+            return as_operator(ops[index].matrix + deltas[index], tol)
 
         k = 0
         drift = None
@@ -124,12 +125,6 @@ class ControlSystem:
         return ControlSystem(drift=drift, bounded=bounded, unbounded=unbounded)
 
 
-def _as_operator(m, tol: ToleranceConfig) -> HermitianOperator:
-    if isinstance(m, HermitianOperator):
-        return m
-    return HermitianOperator(as_matrix(m), tol=tol)
-
-
 def make_system(drift=None, bounded=(), unbounded=(),
                 tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
     """Build a ControlSystem from raw matrices, each checked Hermitian within
@@ -137,10 +132,10 @@ def make_system(drift=None, bounded=(), unbounded=(),
 
     `bounded` is a sequence of (matrix, cap) pairs.
     """
-    drift_op = None if drift is None else _as_operator(drift, tol)
-    bounded_ops = tuple(BoundedControl(_as_operator(m, tol), float(cap))
+    drift_op = None if drift is None else as_operator(drift, tol)
+    bounded_ops = tuple(BoundedControl(as_operator(m, tol), float(cap))
                         for m, cap in bounded)
-    unbounded_ops = tuple(_as_operator(m, tol) for m in unbounded)
+    unbounded_ops = tuple(as_operator(m, tol) for m in unbounded)
     return ControlSystem(drift=drift_op, bounded=bounded_ops, unbounded=unbounded_ops)
 
 

@@ -216,6 +216,9 @@ PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
     pytest.param(PULSE_FLAGS, "pulse",
                  lambda p: p | {"amplitudes": [1.0, 0.5, -1.0]},
                  id="flat_amplitudes_do_not_split_into_segments"),
+    pytest.param(PULSE_FLAGS, "pulse",
+                 lambda p: p | {"amplitudes": [1.0, -1.0]},
+                 id="flat_amplitudes_one_per_segment"),
     pytest.param(["model", "--name", "hopping_chain", "--param", "d=abc"],
                  None, None, id="param_d_not_an_integer"),
     pytest.param(["model", "--name", "global_control_chain", "--param",
@@ -389,45 +392,32 @@ def test_distance_methods_that_do_not_apply_exit_1(tmp_path, capsys, methods,
     assert "Traceback" not in err
 
 
-def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "sys.json"
-    run(capsys, "model", "--name", "hopping_chain", "--param", "d=3",
-        "--out", str(out))
-    monkeypatch.setenv("QDIST_TOL_RANK", "1e-7")
-    code, stdout, _ = run(capsys, "lie", "--system", str(out))
-    assert code == 0
-    assert json.loads(stdout)["tolerances"]["rank_rel_tol"] == 1e-7
-
-
 TOL_CONFIG_FLAGS = SYSTEM_FLAGS + ["--tol-config", "{config}"]
 
 
-@pytest.mark.parametrize("argv, config, env", [
-    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": "abc"}', None,
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": "abc"}',
                  id="config_value_not_a_number"),
-    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": null}', None,
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": null}',
                  id="config_value_null"),
-    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": ', None,
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": ',
                  id="config_malformed_json"),
     pytest.param(SYSTEM_FLAGS + ["--tol-config", "{missing}/tol.json"], None,
-                 None, id="config_file_missing"),
-    pytest.param(TOL_CONFIG_FLAGS, '{"trace_tol": 1e-10}', None,
+                 id="config_file_missing"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"trace_tol": 1e-10}',
                  id="config_sets_unknown_tolerance"),
-    pytest.param(SYSTEM_FLAGS, None, "abc", id="env_rank_not_a_number"),
     pytest.param(["model", "--name", "hopping_chain", "--param", "d=3",
-                  "--out", "{missing}/x.json"], None, None,
+                  "--out", "{missing}/x.json"], None,
                  id="model_out_directory_missing"),
     pytest.param(["commutant", "--system", "{system}", "--emit-symmetries",
-                  "{missing}/s.json"], None, None,
+                  "{missing}/s.json"], None,
                  id="emit_symmetries_directory_missing"),
 ])
 def test_bad_tolerance_or_output_path_exit_1_without_traceback(
-        tmp_path, capsys, monkeypatch, argv, config, env):
+        tmp_path, capsys, argv, config):
     system = write_pair_system(tmp_path / "sys.json", PAULI_Z, PAULI_X)
     if config is not None:
         (tmp_path / "tol.json").write_text(config)
-    if env is not None:
-        monkeypatch.setenv("QDIST_TOL_RANK", env)
     paths = {"system": system, "config": str(tmp_path / "tol.json"),
              "missing": str(tmp_path / "missing")}
     code, stdout, err = run(capsys, *(arg.format(**paths) for arg in argv))

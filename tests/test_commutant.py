@@ -3,10 +3,10 @@ import pytest
 
 from qdist import (DimensionGuardError, commutant, commutator,
                    commutant_dimension, extract_original_space_symmetry,
-                   haar_unitary, lie_dimension, operator_norm,
-                   random_hermitian, tensor_double, vec_herm)
+                   haar_unitary, is_symmetry_witness, lie_dimension,
+                   operator_norm, random_hermitian, tensor_double, vec_herm)
 from qdist.commutant import build_stacked_adjoint
-from qdist.linalg import rank_and_nullity
+from qdist.linalg import DEFAULT_TOL
 from qdist.models import build_global_control_chain, build_hopping_chain, pauli_on
 
 from conftest import PAULI_X, PAULI_Z, SWAP_4
@@ -141,28 +141,42 @@ class TestExtractOriginalSpaceSymmetry:
         coef, *_ = np.linalg.lstsq(a, SWAP_4.ravel(), rcond=None)
         assert np.linalg.norm(a @ coef - SWAP_4.ravel()) < 1e-9
 
-    def test_stops_at_the_first_witness(self, monkeypatch):
-        # drift removed from hopping d=16: the site control alone has a
-        # 1 + 15^2 dimensional commutant, but one symmetry is all it returns
+    def test_returns_the_first_joint_block_projector(self):
+        # drift removed from hopping d=16: the site control alone has two
+        # eigenspaces, its site and the other 15 sites
         gens = build_hopping_chain(16).algebra_generators()[1:]
-        r = rank_and_nullity(build_stacked_adjoint(gens, doubled=False))
-        assert r.nullity == 226
-        eye = np.eye(16) / 4.0
-        first = list(commutant._null_symmetries(
-            r.null_basis, 16, project_out=[eye]))[0]
-
-        built = 0
-        devec_herm = commutant.devec_herm
-
-        def counting_devec_herm(v, n):
-            nonlocal built
-            built += 1
-            return devec_herm(v, n)
-
-        monkeypatch.setattr(commutant, "devec_herm", counting_devec_herm)
+        basis, blocks = commutant.joint_blocks(gens, DEFAULT_TOL)
+        assert sorted(len(b) for b in blocks) == [1, 15]
         sym = extract_original_space_symmetry(gens)
-        assert built == 1
-        np.testing.assert_array_equal(sym.matrix, (first + first.conj().T) / 2)
+        np.testing.assert_array_equal(
+            sym.matrix, commutant.block_projector(basis, blocks[0]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rotated_block_diagonal_witness_is_a_projector(self, seed):
+        # K generators block diagonal over a random partition of d, seen in
+        # a Haar-rotated basis: the witness is an orthogonal projector that
+        # is_symmetry_witness accepts
+        rng = np.random.default_rng(3100 + seed)
+        d = int(rng.integers(3, 8))
+        cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(
+            1, min(3, d - 1) + 1)), replace=False))
+        sizes = np.diff(np.concatenate([[0], cuts, [d]]))
+        u = haar_unitary(d, 3200 + seed)
+        gens = []
+        for k in range(int(rng.integers(1, 4))):
+            h = np.zeros((d, d), dtype=complex)
+            start = 0
+            for j, size in enumerate(sizes):
+                h[start:start + size, start:start + size] = random_hermitian(
+                    int(size), 3300 + 100 * seed + 10 * k + j).matrix
+                start += size
+            gens.append(u @ h @ u.conj().T)
+        sym = extract_original_space_symmetry(gens)
+        assert sym is not None
+        p = sym.matrix
+        assert np.max(np.abs(p @ p - p)) <= 1e-12
+        assert np.max(np.abs(p - p.conj().T)) <= 1e-12
+        assert is_symmetry_witness(p, gens)
 
 
 class TestOracleEquivalence:

@@ -13,8 +13,8 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    epsilon_upper_min_cut, haar_unitary, hermitian_eigensystem,
                    make_system, operator_norm, random_hermitian,
                    stoer_wagner_min_cut, verify_certificate)
-from qdist.commutant import (commutant_dimension,
-                             extract_original_space_symmetry)
+from qdist.commutant import (block_projector, commutant_dimension,
+                             extract_original_space_symmetry, joint_blocks)
 from qdist.distance import (certificate_from_json, certificate_to_json,
                             is_symmetry_witness, verify_uncontrollable)
 from qdist.lie_closure import lie_dimension
@@ -42,9 +42,9 @@ def brute_force_min_cut(weights):
 
 def control_basis_graph(drift, control):
     """(basis, blocks, weights) of the graph the min cut reads for one
-    control: its blocks from _joint_control_blocks, weights from
+    control: its blocks from commutant.joint_blocks, weights from
     _cut_weights."""
-    basis, blocks = distance._joint_control_blocks([control], DEFAULT_TOL)
+    basis, blocks = joint_blocks([control], DEFAULT_TOL)
     return basis, blocks, distance._cut_weights(drift, basis, blocks)
 
 
@@ -52,7 +52,7 @@ def brute_force_block_search(drift, controls):
     """Assemble and norm every bipartition of the controls' joint blocks one
     at a time; the first candidate wins unless a later one is smaller by more
     than 1e-15. Returns the winner's (norm, side)."""
-    basis, blocks = distance._joint_control_blocks(controls, DEFAULT_TOL)
+    basis, blocks = joint_blocks(controls, DEFAULT_TOL)
     nb = len(blocks)
     best = None
     for bits in range(1, 2 ** (nb - 1)):
@@ -285,7 +285,7 @@ class TestBlockSearch:
         best, _ = brute_force_block_search(drift, controls)
         assert cert.op_norm == pytest.approx(best, rel=1e-12)
         # the subset named in detail reaches the minimum
-        basis, blocks = distance._joint_control_blocks(controls, DEFAULT_TOL)
+        basis, blocks = joint_blocks(controls, DEFAULT_TOL)
         match = re.fullmatch(r"best block subset \(([\d, ]*)\) of (\d+) blocks",
                              cert.detail)
         assert int(match.group(2)) == len(blocks)
@@ -336,7 +336,7 @@ class TestBlockSearch:
     @pytest.mark.parametrize("kind", ["random", "site_projector", "three_level"])
     @pytest.mark.parametrize("d", range(3, 8))
     def test_never_loses_to_min_cut(self, d, kind, rotated):
-        # both read their blocks from _joint_control_blocks, and the min-cut
+        # both read their blocks from commutant.joint_blocks, and the min-cut
         # bipartition is one of the candidates the block search scores
         for seed in range(30):
             drift = random_hermitian(d, 500 + seed, traceless=True).matrix
@@ -370,6 +370,26 @@ class TestDriftRemoval:
         assert cert.op_norm == pytest.approx(np.sqrt(3), abs=1e-12)
         assert cert.op_norm == pytest.approx(np.max(np.abs(hopping_spectrum(5))),
                                              abs=1e-12)
+
+    @pytest.mark.parametrize("system", [
+        build_hopping_chain(5), build_two_qubit_ising(1.0),
+        build_global_control_chain(2, [1.0, 1.0]),
+        build_global_control_chain(2, [1.0, 1.2]),
+        random_pair_system(4, 3), random_pair_system(6, 7),
+    ], ids=["hopping_5", "ising", "chain_equal", "chain_distinct",
+            "random_4", "random_6"])
+    def test_carries_the_controls_first_block_projector(self, system):
+        drift, *controls = system.algebra_generators()
+        cert = epsilon_upper_drift_removal(drift, controls)
+        assert cert.verified_uncontrollable
+        joint = joint_blocks(controls, DEFAULT_TOL)
+        if joint is None:
+            assert cert.symmetry_witness is None
+        else:
+            basis, blocks = joint
+            np.testing.assert_array_equal(
+                cert.symmetry_witness.matrix,
+                block_projector(basis, blocks[0]))
 
 
 class TestLowerBound:

@@ -1,9 +1,10 @@
 """Static checks that the package carries no dead surface.
 
-Every module in src/qdist uses each name it imports, and every name that
-qdist exports is read somewhere in src/, tests/ or perfbench/ besides its
-own definition and the re-export in qdist/__init__.py. Only the standard
-library's ast module is used, so nothing is imported or run.
+Every module in src/qdist uses each name it imports, imports no other
+module's underscore (private) name, and every name that qdist exports is
+read somewhere in src/, tests/ or perfbench/ besides its own definition and
+the re-export in qdist/__init__.py. Only the standard library's ast module
+is used, so nothing is imported or run.
 """
 
 import ast
@@ -63,6 +64,17 @@ def test_every_module_uses_its_imports():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_every_export_is_read():

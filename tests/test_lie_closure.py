@@ -60,6 +60,17 @@ def test_dimension_mismatch():
         lie_dimension([PAULI_Z, np.kron(PAULI_Z, PAULI_Z)])
 
 
+def test_non_hermitian_list_is_the_commutant_input_error():
+    # both oracles run the one input check, linalg.checked_generators
+    gens = [PAULI_Z, np.array([[0, 1], [0, 0]], dtype=complex)]
+    messages = []
+    for oracle in (lie_dimension, commutant_dimension):
+        with pytest.raises(InputError, match="not Hermitian") as info:
+            oracle(gens)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_invariant_under_conjugation():
     u = haar_unitary(4, 5)
     gens = [np.kron(PAULI_Z, PAULI_Z), pauli_on(2, 0, "X"), pauli_on(2, 1, "Y")]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdist import (DimensionGuardError, InputError, commutator, lie_dimension,
-                   operator_norm)
+from qdist import (ControlSystem, DimensionGuardError, InputError, commutator,
+                   lie_dimension, operator_norm)
 from qdist.commutant import commutant_dimension, extract_original_space_symmetry
 from qdist.models import (ModelSpec, build_cross_kerr,
                           build_global_control_chain, build_hopping_chain,
@@ -179,7 +179,7 @@ class TestCrossKerr:
         assert lie_dimension(system.algebra_generators()).controllable
 
     def test_linear_optics_only_uncontrollable(self):
-        system = build_cross_kerr(3, 2, include_kerr=False)
+        system = ControlSystem(unbounded=build_cross_kerr(3, 2).unbounded)
         assert system.dim == 6
         res = commutant_dimension(system.algebra_generators(),
                                   want_symmetries=False)

@@ -247,6 +247,16 @@ class TestReachableDistanceProbe:
             u = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
             assert operator_norm(u - PAULI_X) >= np.sqrt(2) - 1e-6
 
+    def test_finest_joint_blocks_certify_a_site_swap(self):
+        # every reachable unitary is diagonal; the swap of sites 0 and 1
+        # maps site 0 onto site 1, so the site-0 projector certifies sqrt(2)
+        system = make_system(drift=np.diag([1.0, 2.0, 3.0]),
+                             unbounded=[np.diag([1.0, -1.0, 0.5])])
+        target = np.eye(3)[:, [1, 0, 2]].astype(complex)
+        probe = reachable_distance_probe(system, target, sample_budget=10)
+        assert probe.certified
+        assert probe.value == pytest.approx(np.sqrt(2))
+
     def test_controllable_input_rejected(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         with pytest.raises(InputError):
