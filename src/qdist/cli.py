@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .commutant import (CommutantResult, commutant_dimension,
                         commutant_spectrum, extract_original_space_symmetry)
-from .distance import (ESTIMATORS, certificate_from_json, certificate_to_json,
-                       epsilon_best, epsilon_lower_svd, verify_certificate)
+from .distance import (ESTIMATORS, agreed_verdict, certificate_from_json,
+                       certificate_to_json, epsilon_best, epsilon_lower_svd,
+                       verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
@@ -326,15 +327,10 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig
         "provenance": {"version": __version__, "tolerances": tol.to_dict()},
     }
     com = commutant_spectrum(gens, tol)
-    if com is None:
-        report["commutant"] = {"skipped": "dimension guard"}
-    else:
-        report["commutant"] = _commutant_section(com)
-        if com.controllable != lie.controllable:
-            raise NumericalError(
-                f"lie ({lie.controllable}) and commutant ({com.controllable}) "
-                "verdicts disagree")
-    if not lie.controllable:
+    report["commutant"] = ({"skipped": "dimension guard"} if com is None
+                           else _commutant_section(com))
+    spectrum = None if com is None else com.controllable
+    if not agreed_verdict({"lie": lie.controllable, "commutant": spectrum}, d):
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
     try:

@@ -108,6 +108,16 @@ def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return operator_norm(traceless_part(m)) > 1e-8 * max(scale, 1.0)
 
 
+def agreed_verdict(verdicts: dict, d: int) -> bool:
+    """The first verdict of those that ran (name -> True if controllable, None
+    if it did not run), once all agree; else a NumericalError naming each."""
+    ran = {name: v for name, v in verdicts.items() if v is not None}
+    if len(set(ran.values())) > 1:
+        raise NumericalError(f"controllability oracles disagree at d={d}: "
+                             + ", ".join(f"{k}={v}" for k, v in ran.items()))
+    return next(iter(ran.values()))
+
+
 def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
                           ) -> tuple[bool, HermitianOperator | None]:
     """Decide from scratch whether the generators are uncontrollable.
@@ -118,30 +128,23 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     only through is_symmetry_witness. Checking one costs O(K d^3) and,
     unlike a deep Lie closure, does not amplify noise.
     Without a witness the Lie closure decides, at every dimension. For
-    d <= 4 a second oracle cross-checks every verdict, the Lie closure a
-    witness and the commutant spectrum the Lie closure, and a disagreement
-    raises NumericalError. Returns the verdict and the accepted witness
-    (None when none was accepted). The generators are checked by
-    linalg.checked_generators first.
+    d <= 4 agreed_verdict cross-checks every verdict: the Lie closure a
+    witness, the commutant spectrum the Lie closure. Returns the verdict
+    and the accepted witness (None when none was accepted). The
+    generators are checked by linalg.checked_generators first.
     """
     mats, d = checked_generators(gens, tol)
     if witness is None or not is_symmetry_witness(witness, mats, tol):
         witness = extract_original_space_symmetry(mats, tol=tol)
         if witness is not None and not is_symmetry_witness(witness, mats, tol):
             witness = None
-    # the first verdict decides and any other cross-checks it
-    verdicts = {} if witness is None else {"witness": True}
+    verdicts = {} if witness is None else {"witness": False}
     if witness is None or d <= 4:
-        verdicts["lie"] = not lie_dimension(mats, tol=tol).controllable
+        verdicts["lie"] = lie_dimension(mats, tol=tol).controllable
     if witness is None and d <= 4:
-        verdicts["commutant"] = not commutant_dimension(
+        verdicts["commutant"] = commutant_dimension(
             mats, tol=tol, want_symmetries=False).controllable
-    uncontrollable = next(iter(verdicts.values()))
-    if len(set(verdicts.values())) > 1:
-        raise NumericalError(
-            f"controllability oracles disagree at d={d}: " + ", ".join(
-                f"{name}={not v}" for name, v in verdicts.items()))
-    return uncontrollable, witness
+    return not agreed_verdict(verdicts, d), witness
 
 
 def _certificate(delta, method, tol, controls, drift, l11=None, witness=None,
@@ -424,10 +427,10 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     of the complex blocks.
 
     commutant is commutant_spectrum's result for system.algebra_generators()
-    at this tol, when the caller already has it; None computes it here. Where
-    there is no spectrum (commutant_spectrum gives None) the bound is 0.0,
-    which is trivially valid. A commutant whose spectrum does not have d^4
-    values is an InputError.
+    at this tol, when the caller already has it; None computes it here. The
+    bound is 0.0 where the spectrum proves nothing: none exists, or its
+    nullity exceeds 2 (an uncontrollable system is at distance 0). It
+    decides no verdict. A spectrum without d^4 values is an InputError.
     """
     indices = sorted(set(int(i) for i in perturbed_indices))
     gens = system.algebra_generators()
@@ -437,15 +440,12 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
         raise InputError(f"perturbed index out of range 0..{len(gens) - 1}")
     if commutant is None:
         commutant = commutant_spectrum(gens, tol)
-        if commutant is None:
-            return 0.0
     elif len(commutant.singular_values) != system.dim ** 4:
         raise InputError(
             f"commutant spectrum has {len(commutant.singular_values)} values; "
             f"a d={system.dim} system needs {system.dim ** 4}")
-    if not commutant.controllable:
-        raise UncontrollableSystemError(
-            "system is not controllable; its distance to uncontrollability is zero")
+    if commutant is None or not commutant.controllable:
+        return 0.0
     sigma = float(commutant.singular_values[system.dim ** 4 - 3])
     return sigma / (4.0 * len(indices))
 
@@ -470,19 +470,22 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
     bounded set is a verified uncontrollable perturbation with
     max_j ||delta_j|| = the largest bounded generator norm. The check of the
     unbounded controls is the driftless "controls alone" gate; the witness
-    it finds becomes the certificate's.
+    it finds becomes the certificate's. Every projector commutes with zero,
+    so where no unbounded control is left but zeros (after the trace shift),
+    the check is offered block_projector(eye, [0]).
     """
     if not system.bounded:
         raise InputError("system has neither drift nor bounded generators "
                          "to perturb")
-    remaining = [traceless_part(op.matrix) for op in system.unbounded]
-    witness = None
-    if remaining:
-        uncontrollable, witness = verify_uncontrollable(remaining, tol)
-        if not uncontrollable:
-            raise InputError("the unbounded controls alone are controllable: "
-                             "no perturbation of the bounded generators can "
-                             "render the system uncontrollable")
+    eye = np.eye(system.dim)
+    remaining = [traceless_part(op.matrix) for op in system.unbounded] or [0 * eye]
+    zero = all(operator_norm(m) <= tol.degeneracy_tol for m in remaining)
+    offered = HermitianOperator(block_projector(eye, [0]), tol=tol) if zero else None
+    uncontrollable, witness = verify_uncontrollable(remaining, tol, offered)
+    if not uncontrollable:
+        raise InputError("the unbounded controls alone are controllable: "
+                         "no perturbation of the bounded generators can "
+                         "render the system uncontrollable")
     deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
     return DistanceCertificate(
         perturbations=[(j, as_operator(d, tol)) for j, d in enumerate(deltas)],
@@ -505,7 +508,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     SVD is paid only by a system that passes them: controllability from the
     Lie closure (UncontrollableSystemError), then the controls-alone gate
     (InputError): the Lie closure of the controls with a drift, the
-    bounded-removal check of the unbounded controls without one.
+    bounded-removal check of the unbounded controls without one; then the
+    spectrum's verdict must agree with the Lie closure's (agreed_verdict).
 
     Each method in `methods` builds and verifies its certificate once; one
     that does not apply (InputError) or is guarded off at this size
@@ -516,10 +520,9 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     lie and commutant are lie_dimension's and commutant_spectrum's results
     for system.algebra_generators() at this tol, for a caller that already
     has them; None computes either here. The lower bound is
-    epsilon_lower_svd on that spectrum, 0.0 where commutant_spectrum gives
-    none. The spectrum is returned on DistanceEstimate.commutant for the
-    caller's other bounds. A lie whose basis is not d x d, or a commutant
-    without d^4 values, is an InputError.
+    epsilon_lower_svd on that spectrum, which is returned on
+    DistanceEstimate.commutant for the caller's other bounds. A lie whose
+    basis is not d x d, or a commutant without d^4 values, is an InputError.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
@@ -535,18 +538,21 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
         upper = _remove_bounded_certificate(system, tol)
+    elif lie_dimension(gens[1:], tol=tol).controllable:
+        raise InputError("the controls alone are controllable: no drift "
+                         "perturbation can render the system uncontrollable")
+    if commutant is None:
+        commutant = commutant_spectrum(gens, tol)
+    spectrum = None if commutant is None else commutant.controllable
+    agreed_verdict({"lie": lie.controllable, "commutant": spectrum}, d)
+    if system.drift is None:
         perturbed = list(range(len(system.bounded)))
     else:
-        hd, controls = gens[0], gens[1:]
-        if lie_dimension(controls, tol=tol).controllable:
-            raise InputError("the controls alone are controllable: no drift "
-                             "perturbation can render the system "
-                             "uncontrollable")
         estimators = _estimators()
         certificates: list[DistanceCertificate] = []
         for method in methods:
             try:
-                certificates.append(estimators[method](hd, controls, tol=tol))
+                certificates.append(estimators[method](gens[0], gens[1:], tol=tol))
             except (InputError, DimensionGuardError):
                 pass  # the construction does not apply to this system
         if not certificates:
@@ -557,8 +563,6 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
             raise NumericalError("no estimator produced a verified certificate")
         upper = min(verified, key=lambda c: c.op_norm)
         perturbed = [0]
-    if commutant is None:
-        commutant = commutant_spectrum(gens, tol)
     lower = epsilon_lower_svd(system, perturbed, tol=tol, commutant=commutant)
     return DistanceEstimate(upper=upper, lower=lower, commutant=commutant)
 

@@ -65,16 +65,21 @@ def _validated_params(name: str, params: dict) -> dict:
             return default
         return kind(params.pop(key))
 
+    def finite(value) -> float:
+        if not math.isfinite(value := float(value)):
+            raise InputError(f"model {name} parameters must be finite, got {value}")
+        return value
+
     if name == "two_qubit_ising":
-        out = {"delta": take("delta", float, required=True)}
+        out = {"delta": take("delta", finite, required=True)}
         if out["delta"] == 0:
             raise InputError("two_qubit_ising requires delta != 0")
     elif name == "global_control_chain":
         n = take("n_qubits", int, required=True)
-        gammas = take("gammas", lambda v: [float(x) for x in v], required=True)
+        gammas = take("gammas", lambda v: [finite(x) for x in v], required=True)
         edges = take("edges", lambda v: [(int(i), int(j)) for i, j in v],
                      default=[(k, k + 1) for k in range(n - 1)])
-        cap_c = take("cap_c", float, default=1.0)
+        cap_c = take("cap_c", finite, default=1.0)
         if n < 2:
             raise InputError("global_control_chain needs n_qubits >= 2")
         if len(gammas) != n:
@@ -100,7 +105,7 @@ def _validated_params(name: str, params: dict) -> dict:
     else:  # cross_kerr
         n_modes = take("n_modes", int, required=True)
         n_photons = take("n_photons", int, required=True)
-        cap_c = take("cap_c", float, default=1.0)
+        cap_c = take("cap_c", finite, default=1.0)
         if n_modes < 2 or n_photons < 1 or cap_c <= 0:
             raise InputError("cross_kerr needs n_modes >= 2, n_photons >= 1, cap_c > 0")
         out = {"n_modes": n_modes, "n_photons": n_photons, "cap_c": cap_c}
@@ -112,9 +117,8 @@ def _validated_params(name: str, params: dict) -> dict:
 def build_two_qubit_ising(delta: float,
                           tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
     """Two qubits with full local control and drift delta * Z(x)Z."""
-    if delta == 0:
-        raise InputError("two_qubit_ising requires delta != 0")
-    drift = float(delta) * np.kron(PAULI_Z, PAULI_Z)
+    delta = ModelSpec("two_qubit_ising", {"delta": delta}).parameters["delta"]
+    drift = delta * np.kron(PAULI_Z, PAULI_Z)
     locals_ = [pauli_on(2, 0, "X"), pauli_on(2, 0, "Y"),
                pauli_on(2, 1, "X"), pauli_on(2, 1, "Y")]
     return make_system(drift=drift, unbounded=locals_, tol=tol)

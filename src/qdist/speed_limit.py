@@ -22,7 +22,7 @@ from .commutant import CommutantResult, block_projector, joint_blocks
 from .distance import (DistanceCertificate, certificate_to_json,
                        epsilon_lower_svd, is_symmetry_witness,
                        verify_uncontrollable)
-from .errors import InputError, UncontrollableSystemError
+from .errors import InputError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
 from .system import ControlSystem
 
@@ -178,11 +178,10 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     amplitude defeats the propagation bound.
 
     epsilon_lower is epsilon_lower_svd over the certificate's perturbed
-    generators, always computed; commutant is passed on to it, so a caller
-    that already has the unperturbed system's commutant spectrum
-    (epsilon_best returns it on DistanceEstimate.commutant) pays no SVD
-    here. It is 0.0 where there is no spectrum (commutant_spectrum gives
-    none), and 0.0 for an uncontrollable system, whose distance is 0.
+    generators (0.0 where the spectrum proves nothing), always computed;
+    commutant is passed on to it, so a caller that already has the
+    unperturbed system's commutant spectrum (epsilon_best returns it on
+    DistanceEstimate.commutant) pays no SVD here.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -204,12 +203,9 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)
     delta, provenance = delta_lower_bound(system, cert, tol=tol)
-    try:
-        eps_lower = epsilon_lower_svd(
-            system, sorted({i for i, _ in cert.perturbations}), tol=tol,
-            commutant=commutant)
-    except UncontrollableSystemError:
-        eps_lower = 0.0
+    eps_lower = epsilon_lower_svd(
+        system, sorted({i for i, _ in cert.perturbations}), tol=tol,
+        commutant=commutant)
     return SpeedLimitReport(
         epsilon_upper=float(eps_eff), epsilon_lower=eps_lower,
         delta_lower=float(delta), delta_provenance=provenance,

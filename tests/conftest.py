@@ -4,9 +4,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qdist import (InputError, distance, haar_unitary, make_system,
-                   random_hermitian)
-from qdist.commutant import commutant_dimension
+from qdist import (InputError, cli, commutant, distance, haar_unitary,
+                   make_system, random_hermitian)
+from qdist.commutant import commutant_dimension, commutant_spectrum
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,3 +102,15 @@ def flip_commutant_verdicts(monkeypatch):
                                    controllable=not result.controllable)
 
     monkeypatch.setattr(distance, "commutant_dimension", flipped)
+
+
+def flip_spectrum_verdicts(monkeypatch):
+    """Make every binding of commutant_spectrum report the opposite verdict
+    (no spectrum stays none)."""
+    def flipped(*args, **kwargs):
+        result = commutant_spectrum(*args, **kwargs)
+        return None if result is None else dataclasses.replace(
+            result, controllable=not result.controllable)
+
+    for module in (commutant, distance, cli):
+        monkeypatch.setattr(module, "commutant_spectrum", flipped)

@@ -469,3 +469,14 @@ def test_reproduce_paper_passes(capsys):
     examples = {row["example"] for row in doc["rows"]}
     assert examples == {"two_qubit_ising", "hopping_chain",
                         "global_control_chain", "cross_kerr"}
+
+
+@pytest.mark.parametrize("params", [
+    ["--name", "two_qubit_ising", "--param", "delta=inf"],
+    ["--name", "global_control_chain", "--param", "n_qubits=2",
+     "--param", "gammas=1,inf"]], ids=["ising_delta", "chain_gamma"])
+def test_non_finite_model_parameter_is_one_error_line(capsys, params):
+    # rejected before any arithmetic: no numpy warning precedes the error
+    code, stdout, err = run(capsys, "model", *params)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1

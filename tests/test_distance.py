@@ -398,10 +398,11 @@ class TestLowerBound:
         lower = epsilon_lower_svd(system, [0])
         assert lower > 0
 
-    def test_uncontrollable_input_rejected(self):
+    def test_uncontrollable_input_is_at_distance_zero(self):
+        # the bound never decides a verdict: an uncontrollable system is at
+        # distance 0, and epsilon_best is the one that rejects it
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
-        with pytest.raises(UncontrollableSystemError):
-            epsilon_lower_svd(system, [0])
+        assert epsilon_lower_svd(system, [0]) == 0.0
 
     def test_scaling_linear_in_generators(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
@@ -640,10 +641,12 @@ class TestEpsilonBest:
         with pytest.raises(InputError, match="gap_merge, min_cut, block_search"):
             epsilon_best(build_two_qubit_ising(1.0), methods=methods)
 
-    def test_uncontrollable_input_is_error(self):
+    def test_uncontrollable_input_is_error(self, svd_log):
+        # the Lie closure's verdict ends it before any SVD
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
         with pytest.raises(UncontrollableSystemError):
             epsilon_best(system)
+        assert svd_log == []
 
     def test_all_returned_certificates_verified(self):
         for seed in range(8):

@@ -40,6 +40,10 @@ class TestTwoQubitIsing:
         with pytest.raises(InputError):
             build_two_qubit_ising(0.0)
 
+    def test_builder_validates_through_the_spec(self):
+        with pytest.raises(InputError, match="must be finite"):
+            build_two_qubit_ising(math.inf)
+
     def test_reference_bounds(self):
         ref = reference_bounds(ModelSpec("two_qubit_ising", {"delta": 2.0}))
         assert ref["exact_t_star"] == pytest.approx(math.pi / 4, abs=1e-15)
@@ -226,3 +230,14 @@ class TestModelSpec:
         spec = ModelSpec("global_control_chain",
                          {"n_qubits": 3, "gammas": [1.0, 2.0, 3.0]})
         assert spec.parameters["edges"] == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("name, params", [
+        ("two_qubit_ising", {"delta": math.nan}),
+        ("two_qubit_ising", {"delta": -math.inf}),
+        ("global_control_chain", {"n_qubits": 2, "gammas": [1.0, math.nan]}),
+        ("global_control_chain", {"n_qubits": 2, "gammas": [1.0, 1.2],
+                                  "cap_c": math.inf}),
+        ("cross_kerr", {"n_modes": 2, "n_photons": 2, "cap_c": math.nan})])
+    def test_non_finite_parameters_rejected(self, name, params):
+        with pytest.raises(InputError, match="must be finite"):
+            ModelSpec(name, params)

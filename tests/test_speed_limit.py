@@ -12,7 +12,8 @@ from qdist.models import (build_cross_kerr, build_hopping_chain,
                           fock_sector_basis, hopping_drift, site_projector)
 from qdist.speed_limit import DELTA_SYMMETRY, DELTA_UNIVERSAL
 
-from conftest import PAULI_X, PAULI_Z, random_density, random_pair_system
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_density,
+                      random_pair_system)
 
 
 class TestDeltaSelection:
@@ -76,6 +77,20 @@ class TestTStarLower:
             np.sqrt(2) / estimate.upper.op_norm, rel=1e-12)
         assert report.epsilon_lower is not None
         assert report.epsilon_lower <= report.epsilon_upper
+
+    @pytest.mark.parametrize("unbounded", [
+        [], [np.eye(2)], [np.eye(2), 2 * np.eye(2)]],
+        ids=["none", "identity", "two_identities"])
+    def test_removing_every_bounded_control_gets_sqrt2(self, unbounded):
+        # only phases stay reachable: the same perturbed dynamics, so the
+        # same rank-1 projector witness in every case
+        system = make_system(bounded=[(PAULI_X, 1.0), (PAULI_Y, 1.0)],
+                             unbounded=unbounded)
+        estimate = epsilon_best(system)
+        report = t_star_lower(system, estimate.upper,
+                              commutant=estimate.commutant)
+        assert report.delta_lower == DELTA_SYMMETRY
+        assert report.t_star_lower == pytest.approx(0.7071, abs=1e-4)
 
     def test_cross_kerr_paper_convention(self):
         # perturbing the physical coupling by its negative (norm N^2/4) and
