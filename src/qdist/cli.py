@@ -238,11 +238,10 @@ def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
         except ValueError:
             raise InputError(f"--perturb control:k needs an integer k, "
                              f"got {spec!r}") from None
-        offset = 1 if system.drift is not None else 0
-        index = offset + k
-        if not 0 <= k < n - offset:
+        n_controls = len(system.bounded) + len(system.unbounded)
+        if not 0 <= k < n_controls:
             raise InputError(f"control index {k} out of range")
-        return [index]
+        return [n - n_controls + k]
     raise InputError(f"--perturb must be drift, all, or control:k, got {spec!r}")
 
 

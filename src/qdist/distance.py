@@ -520,9 +520,10 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     lie and commutant are lie_dimension's and commutant_spectrum's results
     for system.algebra_generators() at this tol, for a caller that already
     has them; None computes either here. The lower bound is
-    epsilon_lower_svd on that spectrum, which is returned on
-    DistanceEstimate.commutant for the caller's other bounds. A lie whose
-    basis is not d x d, or a commutant without d^4 values, is an InputError.
+    epsilon_lower_svd on that spectrum over the generators upper perturbs
+    (as in t_star_lower); the spectrum is returned on DistanceEstimate.commutant
+    for the caller's other bounds. A lie whose basis is not d x d, or a
+    commutant without d^4 values, is an InputError.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
@@ -545,9 +546,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         commutant = commutant_spectrum(gens, tol)
     spectrum = None if commutant is None else commutant.controllable
     agreed_verdict({"lie": lie.controllable, "commutant": spectrum}, d)
-    if system.drift is None:
-        perturbed = list(range(len(system.bounded)))
-    else:
+    if system.drift is not None:
         estimators = _estimators()
         certificates: list[DistanceCertificate] = []
         for method in methods:
@@ -562,8 +561,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         if not verified:
             raise NumericalError("no estimator produced a verified certificate")
         upper = min(verified, key=lambda c: c.op_norm)
-        perturbed = [0]
-    lower = epsilon_lower_svd(system, perturbed, tol=tol, commutant=commutant)
+    lower = epsilon_lower_svd(system, [i for i, _ in upper.perturbations],
+                              tol=tol, commutant=commutant)
     return DistanceEstimate(upper=upper, lower=lower, commutant=commutant)
 
 

@@ -30,10 +30,11 @@ from .errors import InputError, NumericalError
 class ToleranceConfig:
     """Numerical tolerance policy shared by all modules.
 
-    rank_rel_tol is the relative singular-value cutoff sigma_i > tol * sigma_max;
-    commute_tol and hermiticity_tol are an order looser / tighter respectively
-    because commutation certificates accumulate two matrix products;
-    degeneracy_tol groups eigenvalues into degenerate blocks. Every field
+    rank_rel_tol (default 1e-9) is the relative singular-value cutoff
+    sigma_i > tol * sigma_max; commute_tol (1e-9) bounds a symmetry
+    witness's commutators relative to the operators' norms; hermiticity_tol
+    (1e-10) bounds max |M - M^dagger| of an input; degeneracy_tol (1e-8)
+    groups eigenvalues into degenerate blocks. Every field
     must be finite and >= 0. The field list is the one list of names:
     to_dict and the keys a CLI --tol-config file may set follow it.
     """

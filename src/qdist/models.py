@@ -12,6 +12,7 @@ constructors in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -63,23 +64,34 @@ def _validated_params(name: str, params: dict) -> dict:
             if required:
                 raise InputError(f"model {name} requires parameter {key!r}")
             return default
-        return kind(params.pop(key))
+        try:
+            return kind(params.pop(key))
+        except (TypeError, ValueError) as exc:  # also a malformed list
+            raise InputError(f"model {name} parameter {key!r}: {exc}") from None
 
-    def finite(value) -> float:
+    def real(value) -> float:
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"must be a real number, got {value!r}")
         if not math.isfinite(value := float(value)):
-            raise InputError(f"model {name} parameters must be finite, got {value}")
+            raise ValueError(f"must be finite, got {value}")
         return value
 
+    def integer(value) -> int:
+        if not (isinstance(value, numbers.Integral)
+                or isinstance(value, numbers.Real) and float(value).is_integer()):
+            raise TypeError(f"must be an integer, got {value!r}")
+        return int(value)
+
     if name == "two_qubit_ising":
-        out = {"delta": take("delta", finite, required=True)}
+        out = {"delta": take("delta", real, required=True)}
         if out["delta"] == 0:
             raise InputError("two_qubit_ising requires delta != 0")
     elif name == "global_control_chain":
-        n = take("n_qubits", int, required=True)
-        gammas = take("gammas", lambda v: [finite(x) for x in v], required=True)
-        edges = take("edges", lambda v: [(int(i), int(j)) for i, j in v],
+        n = take("n_qubits", integer, required=True)
+        gammas = take("gammas", lambda v: [real(x) for x in v], required=True)
+        edges = take("edges", lambda v: [(integer(i), integer(j)) for i, j in v],
                      default=[(k, k + 1) for k in range(n - 1)])
-        cap_c = take("cap_c", finite, default=1.0)
+        cap_c = take("cap_c", real, default=1.0)
         if n < 2:
             raise InputError("global_control_chain needs n_qubits >= 2")
         if len(gammas) != n:
@@ -98,14 +110,14 @@ def _validated_params(name: str, params: dict) -> dict:
             raise InputError("cap_c must be > 0")
         out = {"n_qubits": n, "gammas": gammas, "edges": edges, "cap_c": cap_c}
     elif name == "hopping_chain":
-        d = take("d", int, required=True)
+        d = take("d", integer, required=True)
         if d < 2:
             raise InputError("hopping_chain needs d >= 2")
         out = {"d": d}
     else:  # cross_kerr
-        n_modes = take("n_modes", int, required=True)
-        n_photons = take("n_photons", int, required=True)
-        cap_c = take("cap_c", finite, default=1.0)
+        n_modes = take("n_modes", integer, required=True)
+        n_photons = take("n_photons", integer, required=True)
+        cap_c = take("cap_c", real, default=1.0)
         if n_modes < 2 or n_photons < 1 or cap_c <= 0:
             raise InputError("cross_kerr needs n_modes >= 2, n_photons >= 1, cap_c > 0")
         out = {"n_modes": n_modes, "n_photons": n_photons, "cap_c": cap_c}
@@ -188,6 +200,7 @@ def hopping_eigenvectors(d: int) -> np.ndarray:
 
 def build_hopping_chain(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
     """Hopping chain with a single unbounded control on the first site."""
+    d = ModelSpec("hopping_chain", {"d": d}).parameters["d"]
     drift = hopping_drift(d)
     control = site_projector(d, 0) - np.eye(d) / d
     return make_system(drift=drift, unbounded=[control], tol=tol)
@@ -252,6 +265,9 @@ def build_cross_kerr(n_modes: int, n_photons: int, cap_c: float = 1.0,
     nearest-neighbour cross-Kerr couplings with cap c. The passive
     linear-optics-only system is the result's unbounded generators alone.
     """
+    p = ModelSpec("cross_kerr", {"n_modes": n_modes, "n_photons": n_photons,
+                                 "cap_c": cap_c}).parameters
+    n_modes, n_photons, cap_c = p["n_modes"], p["n_photons"], p["cap_c"]
     dim = cross_kerr_sector_dim(n_modes, n_photons)
     if dim > 5000:
         raise DimensionGuardError(

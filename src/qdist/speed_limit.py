@@ -40,7 +40,7 @@ INEQUALITY_SLACK = 1e-9
 class PiecewisePulse:
     """Piecewise-constant pulse: positive segment durations and one amplitude
     row per segment (bounded controls first, then unbounded; the drift is
-    implicit with amplitude 1)."""
+    implicit with amplitude 1, see ControlSystem.generator_amplitudes)."""
 
     durations: np.ndarray
     amplitudes: np.ndarray
@@ -60,14 +60,6 @@ class PiecewisePulse:
         amplitudes.setflags(write=False)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "amplitudes", amplitudes)
-
-    @property
-    def segments(self) -> int:
-        return self.durations.size
-
-    @property
-    def total_duration(self) -> float:
-        return float(np.sum(self.durations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,18 +104,6 @@ class ProbeResult:
     method: str
 
 
-def _validate_pulse(system: ControlSystem, pulse: PiecewisePulse) -> None:
-    n_controls = len(system.bounded) + len(system.unbounded)
-    if pulse.amplitudes.shape[1] != n_controls:
-        raise InputError(f"pulse has {pulse.amplitudes.shape[1]} amplitude columns, "
-                         f"system has {n_controls} controls")
-    for j, b in enumerate(system.bounded):
-        worst = float(np.max(np.abs(pulse.amplitudes[:, j]))) if pulse.segments else 0.0
-        if worst > b.cap * (1 + 1e-12):
-            raise InputError(f"pulse violates cap on bounded control {j}: "
-                             f"|amplitude| {worst} > {b.cap}")
-
-
 def _segment_unitary(h: np.ndarray, dt: float) -> np.ndarray:
     # eigendecomposition keeps the result unitary at machine precision
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
@@ -131,20 +111,18 @@ def _segment_unitary(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def evolve(system: ControlSystem, pulse: PiecewisePulse) -> np.ndarray:
-    """Propagator of the piecewise-constant pulse, later segments leftmost."""
-    _validate_pulse(system, pulse)
+    """Propagator of the piecewise-constant pulse, later segments leftmost.
+
+    Segment s evolves under sum_j A[s, j] H_j, with A the pulse's amplitudes
+    in flat generator order (system.generator_amplitudes), one segment at a
+    time: beyond A, the pulse's size, memory is O(K d^2) for K generators."""
+    amps = system.generator_amplitudes(pulse.amplitudes)
     d = system.dim
-    mats = [b.operator.matrix for b in system.bounded]
-    mats += [op.matrix for op in system.unbounded]
-    drift = system.drift.matrix if system.drift is not None else np.zeros((d, d))
+    stack = np.array([op.matrix for op in system.generators()],
+                     dtype=complex).reshape(-1, d * d)
     u = np.eye(d, dtype=complex)
-    for seg in range(pulse.segments):
-        h = drift.astype(complex).copy()
-        for j, m in enumerate(mats):
-            a = pulse.amplitudes[seg, j]
-            if a != 0.0:
-                h = h + a * m
-        u = _segment_unitary(h, float(pulse.durations[seg])) @ u
+    for row, dt in zip(amps, pulse.durations):
+        u = _segment_unitary((row @ stack).reshape(d, d), float(dt)) @ u
     return u
 
 
@@ -197,8 +175,7 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
                 "speed-limit argument needs a bounded amplitude")
         caps.append(cap)
         norms.append(operator_norm(delta_op.matrix))
-    m_count = len(cert.perturbations)
-    eps_eff = norms[0] if m_count == 1 else m_count * max(norms)
+    eps_eff = len(norms) * max(norms)
     if eps_eff <= 0:
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)
@@ -221,26 +198,21 @@ def verify_perturbation_inequality(system: ControlSystem,
                                    ) -> InequalityCheck:
     """Check ||U_perturbed - U|| <= sum_segments dt * sum_j |g_j| ||delta_j||.
 
-    The right-hand side uses the actual pulse amplitudes (1 for the drift),
-    so the check is meaningful for bounded and unbounded perturbed
-    generators alike. holds allows INEQUALITY_SLACK of absolute roundoff on
-    top of the right-hand side.
+    The right-hand side is sum_j ||delta_j|| (durations @ |A|)[j], with A
+    as in evolve (1 for the drift): the actual amplitudes, so the check is
+    meaningful for bounded and unbounded perturbed generators alike. holds
+    allows INEQUALITY_SLACK of absolute roundoff on top of the right-hand
+    side.
     """
     u1 = evolve(system, pulse)
     perturbed = system.with_perturbations(cert.perturbations, tol=tol)
     u2 = evolve(perturbed, pulse)
     lhs = operator_norm(u2 - u1)
 
-    offset = 1 if system.drift is not None else 0
-    rhs = 0.0
-    for index, delta_op in cert.perturbations:
-        norm = operator_norm(delta_op.matrix)
-        if system.drift is not None and index == 0:
-            rhs += norm * pulse.total_duration
-        else:
-            col = index - offset
-            rhs += norm * float(np.sum(pulse.durations
-                                       * np.abs(pulse.amplitudes[:, col])))
+    amps = system.generator_amplitudes(pulse.amplitudes)
+    weights = pulse.durations @ np.abs(amps)
+    rhs = sum(operator_norm(delta_op.matrix) * float(weights[index])
+              for index, delta_op in cert.perturbations)
     return InequalityCheck(lhs=float(lhs), rhs=float(rhs),
                            holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 

@@ -4,7 +4,8 @@ A system is one optional drift, a list of amplitude-capped (bounded)
 generators and a list of unbounded generators, all Hermitian and of one
 common dimension. Generators are addressed by a flat index with the drift
 first (index 0 when present), then bounded, then unbounded; distance
-certificates and CLI flags use these indices.
+certificates and CLI flags use these indices. ControlSystem alone maps
+indices to roles and caps, and a pulse's control columns to generators.
 """
 
 from __future__ import annotations
@@ -59,31 +60,48 @@ class ControlSystem:
     def dim(self) -> int:
         return self.generators()[0].dim
 
+    def _layout(self) -> list[tuple[str, HermitianOperator, float | None]]:
+        """(role, operator, cap) per generator in flat order: the drift (cap
+        1.0) if present, the bounded controls, then the unbounded (cap None)."""
+        layout = [] if self.drift is None else [("drift", self.drift, 1.0)]
+        layout += [("bounded", b.operator, b.cap) for b in self.bounded]
+        layout += [("unbounded", op, None) for op in self.unbounded]
+        return layout
+
     def generators(self) -> list[HermitianOperator]:
         """Flat generator list: drift (if present), bounded, then unbounded."""
-        ops: list[HermitianOperator] = []
-        if self.drift is not None:
-            ops.append(self.drift)
-        ops.extend(b.operator for b in self.bounded)
-        ops.extend(self.unbounded)
-        return ops
+        return [op for _, op, _ in self._layout()]
 
     @property
     def drift_index(self) -> int | None:
         return 0 if self.drift is not None else None
 
     def amplitude_cap(self, index: int) -> float | None:
-        """Cap for generator `index`: 1.0 for the drift, None for unbounded."""
-        n = len(self.generators())
-        if not 0 <= index < n:
-            raise InputError(f"generator index {index} out of range 0..{n - 1}")
-        if self.drift is not None:
-            if index == 0:
-                return 1.0
-            index -= 1
-        if index < len(self.bounded):
-            return self.bounded[index].cap
-        return None
+        """Cap of flat generator `index`, from its role: 1.0 for the drift (its
+        amplitude is always 1), None for an unbounded control."""
+        layout = self._layout()
+        if not 0 <= index < len(layout):
+            raise InputError(f"generator index {index} out of range "
+                             f"0..{len(layout) - 1}")
+        return layout[index][2]
+
+    def generator_amplitudes(self, amplitudes) -> np.ndarray:
+        """(segments x generators) amplitudes in flat order from a pulse's
+        rows (one column per control, bounded first): a column of ones for
+        the drift, then the pulse's columns. InputError on a wrong column
+        count or a bounded amplitude above its cap (1e-12 relative slack)."""
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        n_controls = len(self.bounded) + len(self.unbounded)
+        if amplitudes.shape[1] != n_controls:
+            raise InputError(f"pulse has {amplitudes.shape[1]} amplitude columns, "
+                             f"system has {n_controls} controls")
+        for j, b in enumerate(self.bounded):
+            worst = float(np.max(np.abs(amplitudes[:, j]), initial=0.0))
+            if worst > b.cap * (1 + 1e-12):
+                raise InputError(f"pulse violates cap on bounded control {j}: "
+                                 f"|amplitude| {worst} > {b.cap}")
+        n_drift = len(self.generators()) - n_controls
+        return np.hstack([np.ones((len(amplitudes), n_drift)), amplitudes])
 
     def algebra_generators(self) -> list[np.ndarray]:
         """Traceless-shifted generator matrices for Lie/commutant tests.
@@ -98,31 +116,23 @@ class ControlSystem:
         """New system with delta added to each (index, delta) generator; delta
         is a matrix or a HermitianOperator (a certificate's perturbations
         pass as they are)."""
-        ops = self.generators()
+        layout = self._layout()
         deltas: dict[int, np.ndarray] = {}
         for index, delta in perturbations:
-            if not 0 <= index < len(ops):
+            if not 0 <= index < len(layout):
                 raise InputError(f"perturbation index {index} out of range")
             dm = as_matrix(delta)
-            if dm.shape != ops[index].matrix.shape:
+            if dm.shape != (self.dim, self.dim):
                 raise InputError("perturbation dimension mismatch")
             deltas[index] = deltas.get(index, 0) + dm
-
-        def rebuilt(index: int) -> HermitianOperator:
-            if index not in deltas:
-                return ops[index]
-            return as_operator(ops[index].matrix + deltas[index], tol)
-
-        k = 0
-        drift = None
-        if self.drift is not None:
-            drift = rebuilt(0)
-            k = 1
-        bounded = tuple(BoundedControl(rebuilt(k + j), b.cap)
-                        for j, b in enumerate(self.bounded))
-        k += len(self.bounded)
-        unbounded = tuple(rebuilt(k + j) for j in range(len(self.unbounded)))
-        return ControlSystem(drift=drift, bounded=bounded, unbounded=unbounded)
+        for index, dm in sorted(deltas.items()):
+            role, op, cap = layout[index]
+            layout[index] = (role, as_operator(op.matrix + dm, tol), cap)
+        return ControlSystem(
+            drift=next((op for role, op, _ in layout if role == "drift"), None),
+            bounded=tuple(BoundedControl(op, cap) for role, op, cap in layout
+                          if role == "bounded"),
+            unbounded=tuple(op for role, op, _ in layout if role == "unbounded"))
 
 
 def make_system(drift=None, bounded=(), unbounded=(),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,3 +242,41 @@ class TestModelSpec:
     def test_non_finite_parameters_rejected(self, name, params):
         with pytest.raises(InputError, match="must be finite"):
             ModelSpec(name, params)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ModelSpec("hopping_chain", {"d": 2.7}),
+         "parameter 'd': must be an integer, got 2.7"),
+        (lambda: build_global_control_chain(2.5, [1, 2]),
+         "parameter 'n_qubits': must be an integer, got 2.5"),
+        (lambda: build_hopping_chain(2.7),
+         "parameter 'd': must be an integer, got 2.7"),
+        (lambda: build_cross_kerr(2, 1.5),
+         "parameter 'n_photons': must be an integer, got 1.5"),
+        (lambda: ModelSpec("two_qubit_ising", {"delta": "abc"}),
+         "parameter 'delta': must be a real number, got 'abc'"),
+        (lambda: ModelSpec("two_qubit_ising", {"delta": None}),
+         "parameter 'delta': must be a real number, got None"),
+        (lambda: ModelSpec("hopping_chain", {"d": "3"}),
+         "parameter 'd': must be an integer, got '3'"),
+        (lambda: ModelSpec("global_control_chain",
+                           {"n_qubits": 2, "gammas": [1.0, "x"]}),
+         "parameter 'gammas': must be a real number, got 'x'"),
+        (lambda: ModelSpec("global_control_chain",
+                           {"n_qubits": 2, "gammas": [1.0, 1.2], "edges": [(0, 1.5)]}),
+         "parameter 'edges': must be an integer, got 1.5"),
+        (lambda: ModelSpec("global_control_chain", {"n_qubits": 2, "gammas": 5}),
+         "parameter 'gammas': 'int' object is not iterable"),
+        (lambda: ModelSpec("global_control_chain",
+                           {"n_qubits": 2, "gammas": [1.0, 1.2], "edges": [(0, 1, 1)]}),
+         "parameter 'edges': too many values to unpack")],
+        ids=["spec_d_float", "chain_n_float", "hopping_d_float",
+             "kerr_photons_float", "delta_string", "delta_none", "d_string",
+             "gamma_string", "edge_float", "gammas_scalar", "edge_triple"])
+    def test_non_numeric_parameters_rejected(self, make, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            make()
+
+    def test_integral_values_accepted(self):
+        assert ModelSpec("hopping_chain", {"d": 3.0}).parameters == {"d": 3}
+        assert ModelSpec("hopping_chain", {"d": np.int64(4)}).parameters == {"d": 4}
+        assert build_cross_kerr(2, 2.0, cap_c=np.float64(0.5)).bounded[0].cap == 0.5

@@ -177,10 +177,22 @@ class TestEvolve:
             assert np.max(np.abs(u.conj().T @ u - np.eye(system.dim))) < 1e-10
 
     def test_cap_violation(self):
-        system = make_system(drift=PAULI_Z, bounded=[(PAULI_X, 1.0)])
-        pulse = PiecewisePulse(durations=[1.0], amplitudes=[[1.5]])
-        with pytest.raises(InputError):
+        system = make_system(drift=PAULI_Z, bounded=[(PAULI_X, 2.0), (PAULI_Y, 1.0)])
+        pulse = PiecewisePulse(durations=[1.0, 1.0],
+                               amplitudes=[[0.5, -1.5], [2.0, 0.0]])
+        with pytest.raises(InputError) as info:
             evolve(system, pulse)
+        assert str(info.value) == ("pulse violates cap on bounded control 1: "
+                                   "|amplitude| 1.5 > 1.0")
+
+    def test_column_count(self):
+        system = make_system(drift=PAULI_Z, bounded=[(PAULI_X, 1.0)],
+                             unbounded=[PAULI_Y])
+        pulse = PiecewisePulse(durations=[1.0], amplitudes=[[0.5, 0.1, 0.2]])
+        with pytest.raises(InputError) as info:
+            evolve(system, pulse)
+        assert str(info.value) == ("pulse has 3 amplitude columns, "
+                                   "system has 2 controls")
 
     def test_nonpositive_duration(self):
         with pytest.raises(InputError):
