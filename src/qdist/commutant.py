@@ -1,14 +1,24 @@
 """Path-independent controllability test via the doubled-space commutant.
 
-For generators {H_k}, build one adjoint-representation block of
-i * (H_k (x) 1 + 1 (x) H_k) per generator and stack them into a
-(K d^4) x d^4 matrix. Each block maps Hermitian operators to Hermitian
-operators, so it is written as a real matrix in the orthonormal Hermitian
-basis of linalg.vec_herm: a unitary change of basis from the complex
-row-vectorized matrix, with the same singular values, decomposed in float64.
-Its nullspace holds the coordinates of the Hermitian part of the commutant
-of the doubled generators: dimension 2 (identity and swap) means
-controllable, anything larger exposes explicit symmetry operators.
+For generators {H_k}, the map X -> i[H_k^(2), X] with
+H_k^(2) = H_k (x) 1 + 1 (x) H_k acts on Hermitian operators on the
+d^2-dimensional doubled space. Its stacked blocks form a (K d^4) x d^4
+matrix, written as a real matrix in the orthonormal Hermitian basis of
+linalg.vec_herm: a unitary change of basis from the complex
+row-vectorized matrix, with the same singular values. Its nullspace holds
+the coordinates of the Hermitian part of the commutant of the doubled
+generators: dimension 2 (identity and swap) means controllable, anything
+larger exposes explicit symmetry operators.
+
+Every H_k^(2) commutes with the swap, so the map does not mix three parts
+of the operator space: the Sym^2 (x) Sym^2 block, the Lambda^2 (x) Lambda^2
+block and the off-diagonal Sym^2-Lambda^2 block. From d = SECTOR_MIN_DIM
+the spectrum is decomposed sector by sector (sector_blocks): two real
+matrices with s^2 and a^2 columns and one complex matrix with s a
+columns, s = d(d+1)/2 and a = d(d-1)/2, whose merged values are the d^4
+singular values of the dense matrix. Below it the dense matrix of
+build_stacked_adjoint is decomposed; it stays the oracle the sectors are
+tested against.
 
 The same construction on the original space (X -> i[H_k, X]) gives the
 generators' joint commutant. joint_blocks reads their finest joint
@@ -27,17 +37,25 @@ import numpy as np
 from .errors import DimensionGuardError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
                      checked_generators, devec_herm, hermitian_eigensystem,
-                     rank_and_nullity, tensor_double)
+                     rank_and_nullity, singular_decomposition, tensor_double)
 
-# no d^4-column SVD at or above this d, and no override: the stacked matrix
-# has K d^8 float64 entries (6.9 GB for K = 2 generators at d = 12)
+# no commutant spectrum at or above this d, and no override. The three swap
+# sectors hold K (s^4 + a^4) float64 and K s^2 a^2 complex128 entries,
+# s = d(d+1)/2 and a = d(d-1)/2: 24 MB for K = 2 generators at d = 7 and
+# 1.7 GB at d = 12. The guard stays where the dense d^4-column matrix
+# (K d^8 entries, 6.9 GB at d = 12) put it, since moving it changes what
+# analyze and the lower bound report at d >= 7.
 COMMUTANT_DIM_GUARD = 7
+# from this d the spectrum comes from the three swap sectors; below it the
+# dense matrix has at most 81 columns and the split saves nothing
+SECTOR_MIN_DIM = 4
 
 
 @dataclass(frozen=True, eq=False)
 class CommutantResult:
-    """Nullity/rank and singular values (descending) of the stacked
-    doubled-space adjoint matrix plus the Hermitian symmetry operators whose
+    """Nullity/rank and the d^4 singular values (descending) of the stacked
+    doubled-space adjoint matrix, whether from the dense matrix or merged
+    from its swap sectors, plus the Hermitian symmetry operators whose
     coordinates span its nullspace."""
 
     nullity: int
@@ -100,19 +118,80 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     complex row-vectorized blocks (i H_k^(2))^(ad). A generator that is not
     Hermitian within tol.hermiticity_tol is an InputError. With
     doubled=False the blocks are those of X -> i[H_k, X] on the original
-    space (n = d), whose nullspace joint_blocks reads.
+    space (n = d), whose nullspace joint_blocks reads. The doubled form is
+    the dense oracle the swap sectors of commutant_dimension are tested
+    against, and the kernel itself below SECTOR_MIN_DIM.
     """
     mats, _ = checked_generators(generators, tol)
-    lifted = [tensor_double(m) if doubled else m for m in mats]
-    n = lifted[0].shape[0]
+    return _stacked_adjoint([tensor_double(m) if doubled else m for m in mats])
+
+
+def _stacked_adjoint(mats) -> np.ndarray:
+    """build_stacked_adjoint's blocks for generators that are already
+    Hermitian complex matrices."""
+    n = mats[0].shape[0]
     flat, z_index, weight = _hermitian_adjoint_entries(n)
     values = np.stack([np.concatenate([h.real.ravel(), h.imag.ravel()])
-                       for h in lifted])[:, z_index] * weight
+                       for h in mats])[:, z_index] * weight
     # one accumulation fills all K blocks: block k starts at k n^4
-    flat = (np.arange(len(lifted))[:, None] * n ** 4 + flat).ravel()
+    flat = (np.arange(len(mats))[:, None] * n ** 4 + flat).ravel()
     stacked = np.bincount(flat, weights=values.ravel(),
-                          minlength=len(lifted) * n ** 4)
-    return stacked.reshape(len(lifted) * n * n, n * n)
+                          minlength=len(mats) * n ** 4)
+    return stacked.reshape(len(mats) * n * n, n * n)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
+
+
+def swap_sector_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal bases of Sym^2 and Lambda^2 in C^d (x) C^d: the
+    columns of V_s (d^2 x s, s = d(d+1)/2) are e_i (x) e_i and
+    (e_i (x) e_j + e_j (x) e_i)/sqrt(2), one per pair i <= j, those of V_a
+    (d^2 x a, a = d(d-1)/2) are (e_i (x) e_j - e_j (x) e_i)/sqrt(2), one
+    per pair i < j, the pairs in row-major order."""
+    i, j = np.triu_indices(d)
+    vs = np.zeros((d * d, len(i)))
+    w = np.where(i == j, 1.0, 1 / np.sqrt(2))
+    vs[i * d + j, np.arange(len(i))] = w
+    vs[j * d + i, np.arange(len(i))] = w
+    i, j = np.triu_indices(d, 1)
+    va = np.zeros((d * d, len(i)))
+    va[i * d + j, np.arange(len(i))] = 1 / np.sqrt(2)
+    va[j * d + i, np.arange(len(i))] = -1 / np.sqrt(2)
+    return vs, va
+
+
+def sector_blocks(mats, vs: np.ndarray, va: np.ndarray):
+    """The stacked doubled-space adjoint map split by swap symmetry.
+
+    Every doubled generator H^(2) = H (x) 1 + 1 (x) H commutes with the
+    swap, so in the basis [V_s V_a] it is diag(H_s, H_a) with
+    H_s = V_s^T H^(2) V_s and H_a = V_a^T H^(2) V_a, and X -> i[H^(2), X]
+    maps each of three parts of a Hermitian X to itself: the Hermitian
+    s x s block, the Hermitian a x a block and the complex s x a block Z.
+    Returns (sym, anti, off): the stacked real blocks of X -> i[H_s, X]
+    (K s^2 x s^2) and X -> i[H_a, X] (K a^2 x a^2), as
+    build_stacked_adjoint(doubled=False) would give them, and the stacked
+    complex row-vectorized map Z -> i(H_s Z - Z H_a) (K s a x s a), whose
+    singular values are those of the real map on Z, each counted twice.
+    The generators must already be checked. H_s and H_a are symmetrized,
+    not checked again: a generator accepted within hermiticity_tol can
+    give sectors up to twice as far from Hermitian.
+    """
+    doubled = [tensor_double(m) for m in mats]
+    hs = [_hermitian_part(vs.T @ h @ vs) for h in doubled]
+    ha = [_hermitian_part(va.T @ h @ va) for h in doubled]
+    s, a = vs.shape[1], va.shape[1]
+    # entry ((x, y), (c, e)) of block k is i(H_s[x, c] d[y, e] - d[x, c] H_a[e, y]);
+    # filled by index, since np.kron builds the same matrix 20 times slower
+    off = np.zeros((len(hs), s, a, s, a), dtype=np.complex128)
+    rows, cols = np.arange(s), np.arange(a)
+    for block, p, q in zip(off, hs, ha):
+        block[:, cols, :, cols] = 1j * p
+        block[rows, :, rows, :] -= 1j * q.T
+    return (_stacked_adjoint(hs), _stacked_adjoint(ha),
+            off.reshape(len(hs) * s * a, s * a))
 
 
 def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
@@ -120,24 +199,64 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     """Nullity of the stacked doubled-space adjoint matrix.
 
     Controllable iff the nullity is exactly 2 (rank d^4 - 2): the identity
-    and the swap always commute with every doubled generator. At
+    and the swap always commute with every doubled generator. Below
+    SECTOR_MIN_DIM the dense build_stacked_adjoint matrix is decomposed;
+    from there the three swap sectors of sector_blocks are, and their
+    merged values are the same d^4 singular values. Either way rank counts
+    values above rank_rel_tol times the largest one. At
     d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
     generators below 2 x 2 are an InputError.
     """
     mats, d = checked_generators(generators, tol)
     if d >= COMMUTANT_DIM_GUARD:
         raise DimensionGuardError(
-            f"commutant test at d={d} needs an SVD with {d ** 4} columns; "
-            "use the Lie-closure test")
-    stacked = build_stacked_adjoint(mats, doubled=True, tol=tol)
-    r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
-    # the null vectors are orthonormal Hermitian-basis coordinates, so the
-    # operators are exactly Hermitian and orthonormal in Hilbert-Schmidt
-    symmetries = [devec_herm(v, d * d) for v in r.null_basis.T]
-    return CommutantResult(nullity=r.nullity, rank=r.rank,
+            f"commutant test at d={d} is above the guard (its Sym^2 sector "
+            f"alone has {(d * (d + 1) // 2) ** 2} columns); use the "
+            "Lie-closure test")
+    if d < SECTOR_MIN_DIM:
+        stacked = build_stacked_adjoint(mats, doubled=True, tol=tol)
+        r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
+        # the null vectors are orthonormal Hermitian-basis coordinates, so
+        # the operators are exactly Hermitian and orthonormal in
+        # Hilbert-Schmidt
+        return CommutantResult(nullity=r.nullity, rank=r.rank,
+                               symmetry_basis=[devec_herm(v, d * d)
+                                               for v in r.null_basis.T],
+                               controllable=(r.nullity == 2),
+                               singular_values=r.singular_values)
+    vs, va = swap_sector_bases(d)
+    sym, anti, off = (singular_decomposition(b, want_symmetries)
+                      for b in sector_blocks(mats, vs, va))
+    values = np.sort(np.concatenate([sym[0], anti[0], np.repeat(off[0], 2)]))[::-1]
+    # one cutoff for all three sectors: relative to the largest value overall
+    cutoff = tol.rank_rel_tol * values[0]
+    rank = int(np.count_nonzero(values > cutoff))
+    symmetries = []
+    if want_symmetries:
+        # orthonormal null vectors of each sector are orthonormal
+        # coordinates of operators in that sector; mapped back they stay
+        # orthonormal in Hilbert-Schmidt, and are symmetrized to be exactly
+        # Hermitian. A complex null vector Z of the off-diagonal sector
+        # gives two operators, from Z and iZ.
+        for v, decomposition in ((vs, sym), (va, anti)):
+            symmetries += [_hermitian_part(v @ devec_herm(y, v.shape[1]) @ v.T)
+                           for y in _null_vectors(decomposition, cutoff)]
+        for z in _null_vectors(off, cutoff):
+            z = z.reshape(vs.shape[1], va.shape[1])
+            symmetries += [np.sqrt(2) * _hermitian_part(vs @ w @ va.T)
+                           for w in (z, 1j * z)]
+    nullity = d ** 4 - rank
+    return CommutantResult(nullity=nullity, rank=rank,
                            symmetry_basis=symmetries,
-                           controllable=(r.nullity == 2),
-                           singular_values=r.singular_values)
+                           controllable=(nullity == 2),
+                           singular_values=values)
+
+
+def _null_vectors(decomposition, cutoff: float) -> np.ndarray:
+    """Rows: the null vectors of a singular_decomposition, those of its
+    right singular vectors whose values are at most cutoff."""
+    s, vh = decomposition
+    return vh[np.count_nonzero(s > cutoff):].conj()
 
 
 def commutant_spectrum(generators, tol: ToleranceConfig
@@ -187,8 +306,7 @@ def block_projector(basis: np.ndarray, cols) -> np.ndarray:
     """Orthogonal projector onto the span of the given basis columns,
     symmetrized so that it is exactly Hermitian."""
     vp = basis[:, cols]
-    p = vp @ vp.conj().T
-    return (p + p.conj().T) / 2
+    return _hermitian_part(vp @ vp.conj().T)
 
 
 def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_TOL

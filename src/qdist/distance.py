@@ -504,8 +504,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     The estimators perturb the drift; for a driftless system the bounded
     generators are removed instead. Requires a controllable system whose
     controls are not already controllable on their own (otherwise the
-    distance is infinite). The checks run first, so the d^4-column commutant
-    SVD is paid only by a system that passes them: controllability from the
+    distance is infinite). The checks run first, so the commutant spectrum
+    is paid for only by a system that passes them: controllability from the
     Lie closure (UncontrollableSystemError), then the controls-alone gate
     (InputError): the Lie closure of the controls with a drift, the
     bounded-removal check of the unbounded controls without one; then the

@@ -235,38 +235,42 @@ class RankResult(NamedTuple):
     singular_values: np.ndarray  # descending
 
 
+def singular_decomposition(m, want_vectors: bool = True):
+    """Singular values (descending) of m and, with want_vectors, the rows
+    of V^dagger: all of them, so that a wide matrix exposes every null
+    direction (None without want_vectors). A real input stays real
+    (float64) all the way into LAPACK; anything else is decomposed in
+    complex128. An SVD that does not converge is a NumericalError."""
+    a = as_matrix(m, keep_real=True)
+    rows, cols = a.shape
+    try:
+        if want_vectors:
+            _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
+            return s, vh
+        return np.linalg.svd(a, compute_uv=False), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"SVD did not converge on a {rows}x{cols} matrix: {exc}") from exc
+
+
 def rank_and_nullity(m, tol: ToleranceConfig = DEFAULT_TOL,
                      want_null_basis: bool = True) -> RankResult:
     """Numerical rank, nullity, singular values and an orthonormal null-space
-    basis via SVD.
+    basis via SVD (singular_decomposition).
 
     rank counts singular values above rank_rel_tol * sigma_max; each returned
     null vector v satisfies ||M v|| <= 10 * rank_rel_tol * sigma_max.
     Set want_null_basis=False to skip computing singular vectors (cheaper for
     large stacked matrices when only the counts are needed). A real input
-    stays real (float64) all the way into LAPACK, and so does its null
-    basis; anything else is decomposed in complex128.
+    keeps a real null basis.
     """
     a = as_matrix(m, keep_real=True)
-    rows, cols = a.shape
-    try:
-        if want_null_basis:
-            # wide matrices need the full V to expose all null directions
-            _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-        else:
-            s = np.linalg.svd(a, compute_uv=False)
-            vh = None
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD did not converge on a {rows}x{cols} matrix: {exc}") from exc
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel_tol * smax))
-    nullity = cols - rank
+    s, vh = singular_decomposition(a, want_null_basis)
+    # with sigma_max = 0 the cutoff is 0 and the rank 0
+    rank = int(np.count_nonzero(s > tol.rank_rel_tol * (s[0] if s.size else 0.0)))
+    nullity = a.shape[1] - rank
     if vh is None:
-        basis = np.empty((cols, 0), dtype=a.dtype)
+        basis = np.empty((a.shape[1], 0), dtype=a.dtype)
     else:
         basis = vh[rank:].conj().T
     return RankResult(rank=rank, nullity=nullity, null_basis=basis,

@@ -67,6 +67,14 @@ def svd_log(monkeypatch):
     return log
 
 
+def sector_widths(d):
+    """Columns (s^2, a^2, s a) of the Sym^2, Lambda^2 and off-diagonal swap
+    sectors, s = d(d+1)/2 and a = d(d-1)/2, that the commutant spectrum
+    decomposes at d >= 4: one SVD of width s^2 is one spectrum."""
+    s, a = d * (d + 1) // 2, d * (d - 1) // 2
+    return s * s, a * a, s * a
+
+
 def random_pair_system(d, seed):
     """Random traceless (drift, control) pair; almost surely controllable."""
     drift = random_hermitian(d, seed, traceless=True)

@@ -24,7 +24,7 @@ from qdist.models import (ModelSpec, build_global_control_chain,
                           hopping_spectrum, reference_bounds)
 from qdist.speed_limit import PiecewisePulse
 
-from conftest import SWAP_4, random_density, random_pair_system
+from conftest import SWAP_4, random_density, random_pair_system, sector_widths
 
 
 class Stopwatch:
@@ -68,8 +68,10 @@ def test_criterion_1_two_qubit_bound(svd_log):
     with Stopwatch(1.0) as watch:
         _criterion_1_pass()
     # per delta: the unperturbed spectrum and the witness-free d <= 4
-    # commutant cross-check of the drift removal, each 1280 x 256
-    assert [c.shape for c in svd_log if c.shape[-1] == 4 ** 4] == [(1280, 256)] * 6
+    # commutant cross-check of the drift removal, each one 500 x 100 SVD of
+    # the Sym^2 sector of the five generators
+    sym2 = sector_widths(4)[0]
+    assert [c.shape for c in svd_log if c.shape[-1] == sym2] == [(500, 100)] * 6
     _report(1, "two-qubit bound 1/(4 delta), exact pi/(2 delta)", watch)
 
 

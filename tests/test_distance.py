@@ -24,7 +24,7 @@ from qdist.models import (build_global_control_chain, build_hopping_chain,
                           hopping_spectrum, pauli_on, site_projector)
 
 from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
-                      random_pair_system)
+                      random_pair_system, sector_widths)
 
 
 def brute_force_min_cut(weights):
@@ -99,10 +99,10 @@ def block_search_systems():
     return cases
 
 
-def d4_shapes(svd_log, d):
-    """Shapes of the logged SVD inputs with d^4 columns, the width of the
-    stacked doubled-space adjoint matrix the commutant test decomposes."""
-    return [c.shape for c in svd_log if c.shape[-1] == d ** 4]
+def spectrum_shapes(svd_log, d):
+    """Shapes of the logged SVD inputs as wide as the Sym^2 swap sector, one
+    per commutant spectrum at d >= 4."""
+    return [c.shape for c in svd_log if c.shape[-1] == sector_widths(d)[0]]
 
 
 class TestGapMerge:
@@ -553,17 +553,17 @@ class TestVerifyUncontrollable:
         assert verify_certificate(system, cert) is False
         assert cert.verified_uncontrollable is False
         assert cert.symmetry_witness is None
-        assert d4_shapes(svd_log, 6) == []
+        assert spectrum_shapes(svd_log, 6) == []
         # at d <= 4 the commutant still cross-checks the Lie closure: exactly
-        # one d^4 SVD; a witness is cross-checked by the Lie closure alone
+        # one spectrum; a witness is cross-checked by the Lie closure alone
         system = build_hopping_chain(4)
         drift, control = system.algebra_generators()
         cert = epsilon_upper_drift_removal(drift, control)
         svd_log.clear()
         assert verify_uncontrollable([drift, control]) == (False, None)
-        assert len(d4_shapes(svd_log, 4)) == 1
+        assert len(spectrum_shapes(svd_log, 4)) == 1
         assert verify_certificate(system, cert) is True
-        assert len(d4_shapes(svd_log, 4)) == 1
+        assert len(spectrum_shapes(svd_log, 4)) == 1
 
     def test_commutant_disagreement_at_d4_is_numerical_error(self,
                                                              monkeypatch):
@@ -631,7 +631,8 @@ class TestEpsilonBest:
         build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2])])
     def test_each_d4_input_is_decomposed_once(self, svd_log, system):
         epsilon_best(system)
-        inputs = [c.matrix for c in svd_log if c.shape[-1] == system.dim ** 4]
+        sym2 = sector_widths(system.dim)[0]
+        inputs = [c.matrix for c in svd_log if c.shape[-1] == sym2]
         assert len(inputs) == 2  # the drift removal's cross-check, the spectrum
         for a, b in itertools.combinations(inputs, 2):
             assert a.shape != b.shape or not np.array_equal(a, b)

@@ -9,8 +9,9 @@ import pytest
 from qdist import (DEFAULT_TOL, InputError, cli, distance, epsilon_best,
                    epsilon_lower_svd, lie_closure, lie_dimension)
 from qdist.cli import analyze_system, main
-from qdist.commutant import (COMMUTANT_DIM_GUARD, build_stacked_adjoint,
-                             commutant_dimension)
+from qdist.commutant import (COMMUTANT_DIM_GUARD, SECTOR_MIN_DIM,
+                             build_stacked_adjoint, commutant_dimension,
+                             sector_blocks, swap_sector_bases)
 from qdist.distance import certificate_to_json
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain)
@@ -45,11 +46,16 @@ def count_closures(monkeypatch, gens, counts, key):
 
 
 def count_unperturbed_work(monkeypatch, svd_log, system):
-    """Count SVDs of the unperturbed stacked adjoint matrix and Lie closures
-    of the unperturbed generators; other inputs are not counted. Returns a
-    function that gives the counts so far."""
+    """Count the unperturbed commutant spectra and the Lie closures of the
+    unperturbed generators; other inputs are not counted. A spectrum is
+    counted as one SVD of the stacked adjoint matrix below SECTOR_MIN_DIM,
+    and of its Sym^2 swap sector from there. Returns a function that gives
+    the counts so far."""
     gens = system.algebra_generators()
-    stacked = build_stacked_adjoint(gens)
+    if system.dim < SECTOR_MIN_DIM:
+        stacked = build_stacked_adjoint(gens)
+    else:
+        stacked = sector_blocks(gens, *swap_sector_bases(system.dim))[0]
     closures = {}
     count_closures(monkeypatch, gens, closures, "lie")
 
