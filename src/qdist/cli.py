@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .commutant import (CommutantResult, commutant_dimension,
-                        commutant_spectrum, extract_original_space_symmetry)
-from .distance import (ESTIMATORS, agreed_verdict, certificate_from_json,
+                        extract_original_space_symmetry)
+from .distance import (ESTIMATORS, Invariants, certificate_from_json,
                        certificate_to_json, epsilon_best, epsilon_lower_svd,
                        verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
@@ -253,11 +253,12 @@ def cmd_distance(args) -> int:
     alias = {"gap": "gap_merge", "cut": "min_cut", "block": "block_search",
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
-    estimate = epsilon_best(system, tol=tol, methods=methods)
+    invariants = Invariants(system, tol)
+    estimate = epsilon_best(system, tol, methods, invariants=invariants)
     _emit({
         "upper": certificate_to_json(estimate.upper),
         "lower": epsilon_lower_svd(system, indices, tol=tol,
-                                   commutant=estimate.commutant),
+                                   invariants=invariants),
         "perturbed_indices": indices,
         "tolerances": tol.to_dict(),
     }, args.pretty)
@@ -267,7 +268,7 @@ def cmd_distance(args) -> int:
 def cmd_qsl(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    com = None
+    invariants = Invariants(system, tol)
     if args.cert:
         cert = certificate_from_json(_load_json(args.cert, "certificate"), tol=tol)
         # never trust a serialized flag: the bound is only sound if the
@@ -278,9 +279,8 @@ def cmd_qsl(args) -> int:
                              "controllability")
         cert = dataclasses.replace(cert, verified_uncontrollable=True)
     else:
-        estimate = epsilon_best(system, tol=tol)
-        cert, com = estimate.upper, estimate.commutant
-    report = t_star_lower(system, cert, tol=tol, commutant=com)
+        cert = epsilon_best(system, tol=tol, invariants=invariants).upper
+    report = t_star_lower(system, cert, tol=tol, invariants=invariants)
     _emit(report.to_dict() | {"tolerances": tol.to_dict()}, args.pretty)
     return EXIT_OK
 
@@ -300,47 +300,40 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig
                    ) -> tuple[dict, int]:
     """Full pipeline report; returns (report dict, exit code).
 
-    The Lie closure of the unperturbed generators and their commutant
-    spectrum (commutant_spectrum; none at or above its dimension guard, and
-    the commutant section then says so) are computed once here and passed
-    to epsilon_best, and the qsl stage reads the spectrum from
-    DistanceEstimate.commutant. Where there is no spectrum, distance.lower
-    and qsl.epsilon_lower are both 0.0.
+    Every stage reads one Invariants of the system. Where it has no
+    spectrum (the commutant's dimension guard), the commutant section says
+    so, and distance.lower and qsl.epsilon_lower are both 0.0.
     """
-    d = system.dim
-    gens = system.algebra_generators()
-    lie = lie_dimension(gens, tol=tol)
+    invariants = Invariants(system, tol)
     report: dict = {
         "format": 1,
         "system": {
-            "dim": d,
+            "dim": system.dim,
             "has_drift": system.drift is not None,
             "n_bounded": len(system.bounded),
             "n_unbounded": len(system.unbounded),
             "caps": [b.cap for b in system.bounded],
         },
-        "lie": _lie_section(lie, d),
-        "commutant": None,
+        "lie": _lie_section(invariants.lie, system.dim),
+        "commutant": ({"skipped": "dimension guard"}
+                      if invariants.spectrum is None
+                      else _commutant_section(invariants.spectrum)),
         "distance": None,
         "qsl": None,
         "provenance": {"version": __version__, "tolerances": tol.to_dict()},
     }
-    com = commutant_spectrum(gens, tol)
-    report["commutant"] = ({"skipped": "dimension guard"} if com is None
-                           else _commutant_section(com))
-    spectrum = None if com is None else com.controllable
-    if not agreed_verdict({"lie": lie.controllable, "commutant": spectrum}, d):
+    if not invariants.controllable:
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
     try:
-        estimate = epsilon_best(system, tol=tol, lie=lie, commutant=com)
+        estimate = epsilon_best(system, tol=tol, invariants=invariants)
     except InputError as exc:
         report["note"] = f"distance stage unavailable: {exc}"
         return report, EXIT_OK
     report["distance"] = {"upper": certificate_to_json(estimate.upper),
                           "lower": estimate.lower}
     report["qsl"] = t_star_lower(system, estimate.upper, tol=tol,
-                                 commutant=estimate.commutant).to_dict()
+                                 invariants=invariants).to_dict()
     return report, EXIT_OK
 
 
@@ -367,9 +360,9 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     # two-qubit Ising: bound 1/(4 delta), exact value pi/(2 delta)
     for delta in (0.5, 1.0, 2.0):
         system = build_two_qubit_ising(delta, tol=tol)
-        estimate = epsilon_best(system, tol=tol)
-        report = t_star_lower(system, estimate.upper, tol=tol,
-                              commutant=estimate.commutant)
+        invariants = Invariants(system, tol)
+        estimate = epsilon_best(system, tol=tol, invariants=invariants)
+        report = t_star_lower(system, estimate.upper, tol, invariants=invariants)
         bound = 1.0 / (4.0 * delta)
         exact = math.pi / (2.0 * delta)
         ratio = exact / report.t_star_lower
@@ -394,8 +387,7 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
 
     # global-control chain: controllability verdicts plus the crowding bound
     uncontrolled = build_global_control_chain(2, [1.0, 1.0], tol=tol)
-    res_equal = commutant_dimension(uncontrolled.algebra_generators(), tol=tol,
-                                    want_symmetries=False)
+    res_equal = Invariants(uncontrolled, tol).spectrum
     witness = extract_original_space_symmetry(uncontrolled.algebra_generators(),
                                               tol=tol)
     row("global_control_chain", "gamma=(1,1) uncontrollable",
@@ -403,8 +395,7 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
         (not res_equal.controllable) and witness is not None,
         detail="nullity > 2 with extracted symmetry")
     controlled = build_global_control_chain(2, [1.0, 1.2], tol=tol)
-    res_distinct = commutant_dimension(controlled.algebra_generators(), tol=tol,
-                                       want_symmetries=False)
+    res_distinct = Invariants(controlled, tol).spectrum
     dg = delta_gamma([1.0, 1.2])
     t_bound = math.sqrt(2.0) / (1.0 * dg)
     ok = res_distinct.controllable and abs(t_bound - math.sqrt(2.0) / 0.2) <= 1e-12

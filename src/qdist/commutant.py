@@ -263,8 +263,7 @@ def commutant_spectrum(generators, tol: ToleranceConfig
                        ) -> CommutantResult | None:
     """commutant_dimension without the symmetry operators, or None at or
     above COMMUTANT_DIM_GUARD: the one decision whether the unperturbed
-    spectrum exists, which analyze's commutant section and the SVD lower
-    bound read."""
+    spectrum exists, asked once per command by distance.Invariants."""
     try:
         return commutant_dimension(generators, tol=tol, want_symmetries=False)
     except DimensionGuardError:

@@ -13,6 +13,7 @@ doubled-space adjoint matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,14 +70,10 @@ class CutResult:
 
 @dataclass(frozen=True, eq=False)
 class DistanceEstimate:
-    """Best verified certificate, the SVD lower bound on its perturbed
-    generators, and the unperturbed system's commutant spectrum that bound
-    read (None where commutant_spectrum gives none; the lower bound is then
-    0.0)."""
+    """Best verified certificate and the SVD lower bound on its generators."""
 
     upper: DistanceCertificate
     lower: float
-    commutant: CommutantResult | None = None
 
 
 def _control_list(controls, drift: np.ndarray) -> list[np.ndarray]:
@@ -116,6 +113,41 @@ def agreed_verdict(verdicts: dict, d: int) -> bool:
         raise NumericalError(f"controllability oracles disagree at d={d}: "
                              + ", ".join(f"{k}={v}" for k, v in ran.items()))
     return next(iter(ran.values()))
+
+
+@dataclass(frozen=True, eq=False)
+class Invariants:
+    """One command's unperturbed invariants, each computed on first read:
+    lie and spectrum are lie_dimension and commutant_spectrum of
+    system.algebra_generators() at tol (spectrum is None only where the
+    guard gives none), and controllable is agreed_verdict over both."""
+
+    system: ControlSystem
+    tol: ToleranceConfig = DEFAULT_TOL
+
+    @cached_property
+    def lie(self) -> LieClosureResult:
+        return lie_dimension(self.system.algebra_generators(), tol=self.tol)
+
+    @cached_property
+    def spectrum(self) -> CommutantResult | None:
+        return commutant_spectrum(self.system.algebra_generators(), self.tol)
+
+    @property
+    def controllable(self) -> bool:
+        verdicts = {"lie": self.lie.controllable,
+                    "commutant": getattr(self.spectrum, "controllable", None)}
+        return agreed_verdict(verdicts, self.system.dim)
+
+
+def resolve_invariants(system: ControlSystem, tol: ToleranceConfig,
+                       invariants: Invariants | None) -> Invariants:
+    """invariants, checked against system and tol, or a new Invariants."""
+    if invariants is None:
+        return Invariants(system, tol)
+    if invariants.system is not system or invariants.tol != tol:
+        raise InputError("invariants belong to another system or tolerance")
+    return invariants
 
 
 def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
@@ -412,7 +444,7 @@ METHODS = ESTIMATORS + ("manual",)
 
 def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
                       tol: ToleranceConfig = DEFAULT_TOL, *,
-                      commutant: CommutantResult | None = None) -> float:
+                      invariants: Invariants | None = None) -> float:
     """Rigorous lower bound on the distance to uncontrollability.
 
     Let sigma be the (d^4 - 2)-th largest singular value of the stacked
@@ -426,27 +458,21 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     unitary change of basis, so sigma and the 4 ||delta_j|| bound are those
     of the complex blocks.
 
-    commutant is commutant_spectrum's result for system.algebra_generators()
-    at this tol, when the caller already has it; None computes it here. The
-    bound is 0.0 where the spectrum proves nothing: none exists, or its
+    sigma is read from resolve_invariants(system, tol, invariants).spectrum.
+    The bound is 0.0 where the spectrum proves nothing: none exists, or its
     nullity exceeds 2 (an uncontrollable system is at distance 0). It
-    decides no verdict. A spectrum without d^4 values is an InputError.
+    decides no verdict.
     """
     indices = sorted(set(int(i) for i in perturbed_indices))
-    gens = system.algebra_generators()
+    n = len(system.generators())
     if not indices:
         raise InputError("perturbed_indices must be non-empty")
-    if indices[0] < 0 or indices[-1] >= len(gens):
-        raise InputError(f"perturbed index out of range 0..{len(gens) - 1}")
-    if commutant is None:
-        commutant = commutant_spectrum(gens, tol)
-    elif len(commutant.singular_values) != system.dim ** 4:
-        raise InputError(
-            f"commutant spectrum has {len(commutant.singular_values)} values; "
-            f"a d={system.dim} system needs {system.dim ** 4}")
-    if commutant is None or not commutant.controllable:
+    if indices[0] < 0 or indices[-1] >= n:
+        raise InputError(f"perturbed index out of range 0..{n - 1}")
+    spectrum = resolve_invariants(system, tol, invariants).spectrum
+    if spectrum is None or not spectrum.controllable:
         return 0.0
-    sigma = float(commutant.singular_values[system.dim ** 4 - 3])
+    sigma = float(spectrum.singular_values[system.dim ** 4 - 3])
     return sigma / (4.0 * len(indices))
 
 
@@ -497,19 +523,19 @@ def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
 
 
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
-                 methods=ESTIMATORS, *, commutant: CommutantResult | None = None,
-                 lie: LieClosureResult | None = None) -> DistanceEstimate:
+                 methods=ESTIMATORS, *, invariants: Invariants | None = None
+                 ) -> DistanceEstimate:
     """Best verified upper-bound certificate plus the SVD lower bound.
 
     The estimators perturb the drift; for a driftless system the bounded
     generators are removed instead. Requires a controllable system whose
     controls are not already controllable on their own (otherwise the
     distance is infinite). The checks run first, so the commutant spectrum
-    is paid for only by a system that passes them: controllability from the
-    Lie closure (UncontrollableSystemError), then the controls-alone gate
-    (InputError): the Lie closure of the controls with a drift, the
-    bounded-removal check of the unbounded controls without one; then the
-    spectrum's verdict must agree with the Lie closure's (agreed_verdict).
+    is paid for only by a system that passes them: controllability from
+    invariants.lie (UncontrollableSystemError), then the controls-alone
+    gate (InputError): the Lie closure of the controls with a drift, the
+    bounded-removal check of the unbounded controls without one; then
+    invariants.controllable (agreed_verdict), the spectrum's first read.
 
     Each method in `methods` builds and verifies its certificate once; one
     that does not apply (InputError) or is guarded off at this size
@@ -517,35 +543,22 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     the verified certificates wins, the earlier method on a tie. InputError
     when no selected method applies; NumericalError when none verified.
 
-    lie and commutant are lie_dimension's and commutant_spectrum's results
-    for system.algebra_generators() at this tol, for a caller that already
-    has them; None computes either here. The lower bound is
-    epsilon_lower_svd on that spectrum over the generators upper perturbs
-    (as in t_star_lower); the spectrum is returned on DistanceEstimate.commutant
-    for the caller's other bounds. A lie whose basis is not d x d, or a
-    commutant without d^4 values, is an InputError.
+    The lower bound is epsilon_lower_svd, with the same invariants
+    (resolve_invariants), over the generators upper perturbs.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
         raise InputError(f"unknown distance methods: {sorted(unknown)}")
+    invariants = resolve_invariants(system, tol, invariants)
     gens = system.algebra_generators()
-    d = system.dim
-    if lie is None:
-        lie = lie_dimension(gens, tol=tol)
-    elif any(np.shape(b) != (d, d) for b in lie.basis):
-        raise InputError(f"Lie closure basis is not {d} x {d}; it belongs to "
-                         "another system")
-    if not lie.controllable:
+    if not invariants.lie.controllable:
         raise UncontrollableSystemError("system is already uncontrollable")
     if system.drift is None:
         upper = _remove_bounded_certificate(system, tol)
     elif lie_dimension(gens[1:], tol=tol).controllable:
         raise InputError("the controls alone are controllable: no drift "
                          "perturbation can render the system uncontrollable")
-    if commutant is None:
-        commutant = commutant_spectrum(gens, tol)
-    spectrum = None if commutant is None else commutant.controllable
-    agreed_verdict({"lie": lie.controllable, "commutant": spectrum}, d)
+    invariants.controllable  # NumericalError if the spectrum's verdict disagrees
     if system.drift is not None:
         estimators = _estimators()
         certificates: list[DistanceCertificate] = []
@@ -562,8 +575,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
             raise NumericalError("no estimator produced a verified certificate")
         upper = min(verified, key=lambda c: c.op_norm)
     lower = epsilon_lower_svd(system, [i for i, _ in upper.perturbations],
-                              tol=tol, commutant=commutant)
-    return DistanceEstimate(upper=upper, lower=lower, commutant=commutant)
+                              tol=tol, invariants=invariants)
+    return DistanceEstimate(upper=upper, lower=lower)
 
 
 def certificate_to_json(cert: DistanceCertificate) -> dict:

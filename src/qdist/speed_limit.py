@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import CommutantResult, block_projector, joint_blocks
-from .distance import (DistanceCertificate, certificate_to_json,
+from .commutant import block_projector, joint_blocks
+from .distance import (DistanceCertificate, Invariants, certificate_to_json,
                        epsilon_lower_svd, is_symmetry_witness,
                        verify_uncontrollable)
 from .errors import InputError
@@ -144,7 +144,7 @@ def delta_lower_bound(system: ControlSystem, cert: DistanceCertificate,
 
 def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
                  tol: ToleranceConfig = DEFAULT_TOL, *,
-                 commutant: CommutantResult | None = None) -> SpeedLimitReport:
+                 invariants: Invariants | None = None) -> SpeedLimitReport:
     """Speed-limit report T* >= delta / (c * epsilon_eff).
 
     epsilon_eff is ||delta H|| for a single perturbed generator and
@@ -156,10 +156,8 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     amplitude defeats the propagation bound.
 
     epsilon_lower is epsilon_lower_svd over the certificate's perturbed
-    generators (0.0 where the spectrum proves nothing), always computed;
-    commutant is passed on to it, so a caller that already has the
-    unperturbed system's commutant spectrum (epsilon_best returns it on
-    DistanceEstimate.commutant) pays no SVD here.
+    generators (0.0 where the spectrum proves nothing), always computed,
+    with the invariants passed on to it.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
@@ -180,9 +178,8 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)
     delta, provenance = delta_lower_bound(system, cert, tol=tol)
-    eps_lower = epsilon_lower_svd(
-        system, sorted({i for i, _ in cert.perturbations}), tol=tol,
-        commutant=commutant)
+    eps_lower = epsilon_lower_svd(system, [i for i, _ in cert.perturbations],
+                                  tol=tol, invariants=invariants)
     return SpeedLimitReport(
         epsilon_upper=float(eps_eff), epsilon_lower=eps_lower,
         delta_lower=float(delta), delta_provenance=provenance,

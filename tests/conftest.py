@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qdist import (InputError, cli, commutant, distance, haar_unitary,
+from qdist import (InputError, commutant, distance, haar_unitary,
                    make_system, random_hermitian)
 from qdist.commutant import commutant_dimension, commutant_spectrum
 
@@ -120,5 +120,5 @@ def flip_spectrum_verdicts(monkeypatch):
         return None if result is None else dataclasses.replace(
             result, controllable=not result.controllable)
 
-    for module in (commutant, distance, cli):
+    for module in (commutant, distance):
         monkeypatch.setattr(module, "commutant_spectrum", flipped)

@@ -17,7 +17,7 @@ from qdist import (epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    verify_perturbation_inequality)
 from qdist.commutant import (commutant_dimension,
                              extract_original_space_symmetry)
-from qdist.distance import cut_weight_of
+from qdist.distance import Invariants, cut_weight_of
 from qdist.models import (ModelSpec, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising,
                           cross_kerr_coupling, fock_sector_basis,
@@ -49,9 +49,9 @@ def _report(n, name, watch):
 def _criterion_1_pass():
     for delta in (0.5, 1.0, 2.0):
         system = build_two_qubit_ising(delta)
-        estimate = epsilon_best(system)
-        report = t_star_lower(system, estimate.upper,
-                              commutant=estimate.commutant)
+        invariants = Invariants(system)
+        estimate = epsilon_best(system, invariants=invariants)
+        report = t_star_lower(system, estimate.upper, invariants=invariants)
         bound = 1.0 / (4.0 * delta)
         assert abs(report.t_star_lower - bound) <= 1e-12
         ref = reference_bounds(ModelSpec("two_qubit_ising", {"delta": delta}))

@@ -1,18 +1,21 @@
-"""Each command computes the unperturbed Lie closure and commutant spectrum
-once and passes them on; the shared objects give bit-identical numbers."""
+"""Each command builds one distance.Invariants of the unperturbed system and
+passes it to every stage, so the Lie closure and the commutant spectrum
+(or, at or above the dimension guard, the answer that there is none) are
+computed once; the shared object gives bit-identical numbers, and one
+built for another system or tolerance is an InputError."""
 
 import json
 
 import numpy as np
 import pytest
 
-from qdist import (DEFAULT_TOL, InputError, cli, distance, epsilon_best,
-                   epsilon_lower_svd, lie_closure, lie_dimension)
+from qdist import (DEFAULT_TOL, InputError, ToleranceConfig, cli, commutant,
+                   distance, epsilon_best, epsilon_lower_svd, lie_closure)
 from qdist.cli import analyze_system, main
 from qdist.commutant import (COMMUTANT_DIM_GUARD, SECTOR_MIN_DIM,
                              build_stacked_adjoint, commutant_dimension,
                              sector_blocks, swap_sector_bases)
-from qdist.distance import certificate_to_json
+from qdist.distance import Invariants, certificate_to_json
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain)
 from qdist.speed_limit import t_star_lower
@@ -155,15 +158,38 @@ def test_controls_alone_are_closed_once(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("d", [4, 7])
-def test_estimate_returns_the_spectrum_its_lower_bound_read(d):
+def test_estimate_reads_the_spectrum_of_its_invariants(d):
     system = build_hopping_chain(d)
-    estimate = epsilon_best(system)
+    invariants = Invariants(system)
+    estimate = epsilon_best(system, invariants=invariants)
     if d < COMMUTANT_DIM_GUARD:
-        assert len(estimate.commutant.singular_values) == d ** 4
+        assert len(invariants.spectrum.singular_values) == d ** 4
         assert estimate.lower == epsilon_lower_svd(
-            system, [0], commutant=estimate.commutant) > 0
+            system, [0], invariants=invariants) > 0
     else:
-        assert estimate.commutant is None and estimate.lower == 0.0
+        assert invariants.spectrum is None and estimate.lower == 0.0
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["distance"],
+                                  ["distance", "--perturb", "all"], ["qsl"]],
+                         ids=["analyze", "distance", "distance_all", "qsl"])
+def test_the_guard_is_asked_once_per_command(tmp_path, capsys, monkeypatch,
+                                             argv):
+    # at d >= COMMUTANT_DIM_GUARD the answer "no spectrum" is kept like a
+    # spectrum: asking again would raise the guard again
+    system = build_hopping_chain(COMMUTANT_DIM_GUARD)
+    path = write_system(tmp_path, system)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return commutant_dimension(*args, **kwargs)
+
+    for module in (commutant, distance, cli):
+        monkeypatch.setattr(module, "commutant_dimension", counted)
+    assert main(argv + ["--system", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 CONTROLLABLE_GRID = {
@@ -186,20 +212,19 @@ def test_analyze_reports_one_lower_bound(name):
     assert lower == report["distance"]["lower"]
 
 
-def test_wrong_dimension_invariants_are_input_errors():
-    small = build_hopping_chain(3).algebra_generators()
-    com = commutant_dimension(small, want_symmetries=False)
-    lie = lie_dimension(small)
+def test_invariants_of_another_system_are_input_errors():
     system = build_hopping_chain(4)
     cert = epsilon_best(system).upper
-    with pytest.raises(InputError, match="spectrum"):
-        epsilon_lower_svd(system, [0], commutant=com)
-    with pytest.raises(InputError, match="spectrum"):
-        epsilon_best(system, commutant=com)
-    with pytest.raises(InputError, match="spectrum"):
-        t_star_lower(system, cert, commutant=com)
-    with pytest.raises(InputError, match="basis"):
-        epsilon_best(system, lie=lie)
+    # same dimension and tolerance: only the system object tells them apart
+    other = Invariants(random_pair_system(4, 7), DEFAULT_TOL)
+    loose = Invariants(system, ToleranceConfig(rank_rel_tol=1e-8))
+    for invariants in (other, loose):
+        with pytest.raises(InputError, match="another system or tolerance"):
+            epsilon_best(system, invariants=invariants)
+        with pytest.raises(InputError, match="another system or tolerance"):
+            epsilon_lower_svd(system, [0], invariants=invariants)
+        with pytest.raises(InputError, match="another system or tolerance"):
+            t_star_lower(system, cert, invariants=invariants)
 
 
 @hypothesis.settings(max_examples=12, deadline=None, database=None)
@@ -207,11 +232,12 @@ def test_wrong_dimension_invariants_are_input_errors():
                   indices=st.sampled_from([[0], [1], [0, 1]]))
 def test_passed_spectrum_gives_bit_identical_bounds(d, seed, indices):
     system = random_pair_system(d, seed)
-    com = commutant_dimension(system.algebra_generators(),
-                              want_symmetries=False)
-    hypothesis.assume(com.controllable)
-    assert (epsilon_lower_svd(system, indices, commutant=com)
+    invariants = Invariants(system)
+    hypothesis.assume(invariants.spectrum.controllable)
+    assert (epsilon_lower_svd(system, indices, invariants=invariants)
             == epsilon_lower_svd(system, indices))
-    cert = epsilon_best(system).upper
-    assert (t_star_lower(system, cert, commutant=com).epsilon_lower
-            == t_star_lower(system, cert).epsilon_lower)
+    estimate = epsilon_best(system, invariants=invariants)
+    assert estimate.lower == epsilon_best(system).lower
+    assert (t_star_lower(system, estimate.upper,
+                         invariants=invariants).epsilon_lower
+            == t_star_lower(system, estimate.upper).epsilon_lower)

@@ -7,6 +7,7 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    haar_unitary, make_system, operator_norm, pulse_from_json,
                    pulse_to_json, reachable_distance_probe, t_star_lower,
                    trace_norm, verify_perturbation_inequality)
+from qdist.distance import Invariants
 from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising, cross_kerr_coupling,
                           fock_sector_basis, hopping_drift, site_projector)
@@ -86,9 +87,9 @@ class TestTStarLower:
         # same rank-1 projector witness in every case
         system = make_system(bounded=[(PAULI_X, 1.0), (PAULI_Y, 1.0)],
                              unbounded=unbounded)
-        estimate = epsilon_best(system)
-        report = t_star_lower(system, estimate.upper,
-                              commutant=estimate.commutant)
+        invariants = Invariants(system)
+        estimate = epsilon_best(system, invariants=invariants)
+        report = t_star_lower(system, estimate.upper, invariants=invariants)
         assert report.delta_lower == DELTA_SYMMETRY
         assert report.t_star_lower == pytest.approx(0.7071, abs=1e-4)
 
@@ -120,13 +121,15 @@ class TestTStarLower:
 
     def test_scaling(self):
         system = build_two_qubit_ising(1.0)
-        estimate = epsilon_best(system)
-        report = t_star_lower(system, estimate.upper,
-                              commutant=estimate.commutant)
+        invariants = Invariants(system)
+        estimate = epsilon_best(system, invariants=invariants)
+        report = t_star_lower(system, estimate.upper, invariants=invariants)
         scaled_system = build_two_qubit_ising(3.0)
-        scaled_estimate = epsilon_best(scaled_system)
+        scaled_invariants = Invariants(scaled_system)
+        scaled_estimate = epsilon_best(scaled_system,
+                                       invariants=scaled_invariants)
         scaled = t_star_lower(scaled_system, scaled_estimate.upper,
-                              commutant=scaled_estimate.commutant)
+                              invariants=scaled_invariants)
         assert scaled.epsilon_upper == pytest.approx(3 * report.epsilon_upper,
                                                      rel=1e-12)
         assert scaled.t_star_lower == pytest.approx(report.t_star_lower / 3,
