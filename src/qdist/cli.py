@@ -227,9 +227,9 @@ def cmd_commutant(args) -> int:
 def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
     n = len(system.generators())
     if spec == "drift":
-        if system.drift_index is None:
+        if system.drift is None:
             raise InputError("system has no drift to perturb")
-        return [system.drift_index]
+        return system.indices("drift")
     if spec == "all":
         return list(range(n))
     if spec.startswith("control:"):

@@ -5,9 +5,10 @@ uncontrollable before it may be used: merging the closest drift eigenvalue
 pair, disconnecting the drift across a graph min-cut in the control
 eigenbasis, an exhaustive block (projector) search that scores every
 bipartition in one stacked norm evaluation in the joint block basis and
-assembles and verifies only the winner, and removing the drift outright.
-The lower bound is rigorous: a Weyl singular-value argument on the stacked
-doubled-space adjoint matrix.
+assembles and verifies only the winner, and removing the drift (or a
+driftless system's bounded generators) outright. The lower bound is
+rigorous: a Weyl singular-value argument on the stacked doubled-space
+adjoint matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      operator_norm, traceless_part)
 from .system import ControlSystem
 
-BLOCK_SEARCH_DIM_GUARD = 12
+# entries of block search's (N, d, d) complex candidate batch: 4.7 MB
+BLOCK_SEARCH_MAX_ENTRIES = 2047 * 12 ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +78,6 @@ class DistanceEstimate:
     lower: float
 
 
-def _control_list(controls, drift: np.ndarray) -> list[np.ndarray]:
-    if isinstance(controls, (list, tuple)):
-        items = list(controls)
-    else:
-        items = [controls]
-    if not items:
-        raise InputError("need at least one control")
-    mats = [as_matrix(c) for c in items]
-    if any(m.shape != drift.shape for m in mats):
-        raise InputError("drift/control dimension mismatch")
-    return mats
-
-
 def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff M is not a multiple of the identity and commutes with every
     generator within commute_tol (relative to ||M|| ||H_k||).
@@ -115,12 +104,21 @@ def agreed_verdict(verdicts: dict, d: int) -> bool:
     return next(iter(ran.values()))
 
 
+# role the estimators perturb -> (fixed generators, perturbed ones, removal detail)
+_PERTURBED_ROLES = {"drift": ("controls", "drift", ""),
+                    "bounded": ("unbounded controls", "bounded generators",
+                                "removed all bounded generators")}
+
+
 @dataclass(frozen=True, eq=False)
 class Invariants:
     """One command's unperturbed invariants, each computed on first read:
     lie and spectrum are lie_dimension and commutant_spectrum of
     system.algebra_generators() at tol (spectrum is None only where the
-    guard gives none), and controllable is agreed_verdict over both."""
+    guard gives none), and controllable is agreed_verdict over both.
+
+    The estimators perturb the generators `perturbed` names and keep fixed();
+    fixed_lie and fixed_blocks are their lie_dimension and joint_blocks."""
 
     system: ControlSystem
     tol: ToleranceConfig = DEFAULT_TOL
@@ -138,6 +136,28 @@ class Invariants:
         verdicts = {"lie": self.lie.controllable,
                     "commutant": getattr(self.spectrum, "controllable", None)}
         return agreed_verdict(verdicts, self.system.dim)
+
+    @cached_property
+    def perturbed(self) -> tuple[str, list[int]]:
+        """(role, flat indices): the drift, or else every bounded generator."""
+        for role in _PERTURBED_ROLES:
+            if indices := self.system.indices(role):
+                return role, indices
+        raise InputError("system has neither drift nor bounded generators to perturb")
+
+    def fixed(self) -> list[np.ndarray]:
+        """The other algebra generators; none is the zero algebra, one zero matrix."""
+        gens = self.system.algebra_generators()
+        return ([g for i, g in enumerate(gens) if i not in self.perturbed[1]]
+                or [np.zeros_like(gens[0])])
+
+    @cached_property
+    def fixed_lie(self) -> LieClosureResult:
+        return lie_dimension(self.fixed(), tol=self.tol)
+
+    @cached_property
+    def fixed_blocks(self) -> tuple | None:
+        return joint_blocks(self.fixed(), self.tol)
 
 
 def resolve_invariants(system: ControlSystem, tol: ToleranceConfig,
@@ -179,38 +199,50 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     return not agreed_verdict(verdicts, d), witness
 
 
-def _certificate(delta, method, tol, controls, drift, l11=None, witness=None,
+def _certificate(system, deltas, method, tol, l11=None, projector=None,
                  detail=""):
-    """Verify drift + delta against the controls from scratch (offering the
-    witness) and wrap delta as a certificate of generator 0. l11 defaults to
-    the sum of delta's entry moduli."""
-    perturbed = [traceless_part(drift + delta)] + [traceless_part(c) for c in controls]
-    verified, witness = verify_uncontrollable(perturbed, tol, witness)
-    if l11 is None:
-        l11 = np.sum(np.abs(delta))
+    """Add each (flat index, delta) to that algebra generator, verify the
+    result from scratch offering the projector, and wrap the deltas as a
+    certificate. l11 defaults to the sum of the deltas' entry moduli."""
+    added = dict(deltas)
+    perturbed = [traceless_part(g + added[i]) if i in added else traceless_part(g)
+                 for i, g in enumerate(system.algebra_generators())]
+    offered = None if projector is None else HermitianOperator(projector, tol=tol)
+    verified, witness = verify_uncontrollable(perturbed, tol, offered)
+    l11 = sum(np.sum(np.abs(d)) for _, d in deltas) if l11 is None else l11
     return DistanceCertificate(
-        perturbations=[(0, as_operator(delta, tol))],
-        op_norm=float(operator_norm(delta)), l11_norm=float(l11), method=method,
-        verified_uncontrollable=verified, symmetry_witness=witness, detail=detail)
+        perturbations=[(i, as_operator(d, tol)) for i, d in deltas],
+        op_norm=max(operator_norm(d) for _, d in deltas), l11_norm=float(l11),
+        method=method, verified_uncontrollable=verified,
+        symmetry_witness=witness, detail=detail)
 
 
-def epsilon_upper_gap_merge(drift, control, tol: ToleranceConfig = DEFAULT_TOL
+def _drift(system: ControlSystem, tol: ToleranceConfig,
+           invariants: Invariants | None, method: str) -> tuple:
+    """(invariants, flat index, algebra generator) of the drift; InputError
+    if there is none. Gap merge, min cut and block search perturb only it."""
+    invariants = resolve_invariants(system, tol, invariants)
+    role, indices = invariants.perturbed
+    if role != "drift":
+        raise InputError(f"{method} perturbs the drift, and the system has none")
+    return invariants, indices[0], system.algebra_generators()[indices[0]]
+
+
+def epsilon_upper_gap_merge(system: ControlSystem,
+                            tol: ToleranceConfig = DEFAULT_TOL, *,
+                            invariants: Invariants | None = None
                             ) -> DistanceCertificate:
     """Merge the closest adjacent drift eigenvalue pair into a degeneracy.
 
     The perturbation shifts the pair symmetrically onto their midpoint, so its
     norm is half the minimum gap (strictly below the one-sided gap bound).
-    Creates a symmetry whenever the control leaves a vector of the merged
+    Creates a symmetry whenever the controls leave a vector of the merged
     eigenspace invariant (always for a rank-1 control); verify_uncontrollable
-    on the perturbed system decides the verified flag either way. A drift
-    whose minimum gap is already below degeneracy_tol has nothing to merge:
-    InputError, before anything is verified.
+    on the perturbed system decides the verified flag either way. No drift,
+    or a minimum gap below degeneracy_tol: InputError, before verifying.
     """
-    hd = as_matrix(drift)
-    controls = _control_list(control, hd)
+    _, index, hd = _drift(system, tol, invariants, "gap merge")
     w, v = hermitian_eigensystem(hd, tol=tol)
-    if len(w) < 2:
-        raise InputError("gap merge needs dimension >= 2")
     gaps = np.diff(w)
     k = int(np.argmin(gaps))
     g = float(gaps[k])
@@ -222,7 +254,7 @@ def epsilon_upper_gap_merge(drift, control, tol: ToleranceConfig = DEFAULT_TOL
     # raise the lower eigenvalue and lower the upper one onto their midpoint
     delta = (g / 2) * (lo - hi)
     delta = (delta + delta.conj().T) / 2
-    return _certificate(delta, "gap_merge", tol, controls, hd,
+    return _certificate(system, [(index, delta)], "gap_merge", tol,
                         detail=f"merged eigenvalues {w[k]:.6g} and {w[k + 1]:.6g}")
 
 
@@ -322,71 +354,68 @@ def _block_cut_delta(hd: np.ndarray, basis: np.ndarray, blocks, side) -> tuple:
     return (delta + delta.conj().T) / 2, p
 
 
-def epsilon_upper_min_cut(drift, control, tol: ToleranceConfig = DEFAULT_TOL
+def epsilon_upper_min_cut(system: ControlSystem,
+                          tol: ToleranceConfig = DEFAULT_TOL, *,
+                          invariants: Invariants | None = None
                           ) -> DistanceCertificate:
     """Disconnect the drift across the minimum cut of the control-basis graph.
 
-    The vertices are the control's degenerate eigenspaces, the same blocks
-    of commutant.joint_blocks that the block search enumerates. The removed
+    The vertices are the control's degenerate eigenspaces, the
+    invariants.fixed_blocks that the block search enumerates. The removed
     entries make the perturbed drift block diagonal in an eigenbasis of the
     control, so the block projector is a symmetry of the perturbed pair.
     Minimal in the L_{1,1} norm over this family (l11_norm = 2 * cut weight,
     evaluated in the control eigenbasis); the operator norm of the assembled
-    perturbation is reported alongside. A control that is a multiple of the
-    identity has a single block and no cut: InputError.
+    perturbation is reported alongside. No drift, several controls, or a
+    control that is a multiple of the identity (no cut): InputError.
     """
-    hd = as_matrix(drift)
-    controls = _control_list(control, hd)
-    if len(controls) != 1:
+    invariants, index, hd = _drift(system, tol, invariants, "min cut")
+    if len(invariants.fixed()) != 1:
         raise InputError("min cut is defined for a single control; "
                          "use the block search for control families")
-    joint = joint_blocks(controls, tol)
-    if joint is None:
+    if invariants.fixed_blocks is None:
         raise InputError("control has a single degenerate eigenspace; "
                          "no cut structure available")
-    basis, blocks = joint
+    basis, blocks = invariants.fixed_blocks
     cut = stoer_wagner_min_cut(_cut_weights(hd, basis, blocks))
     delta, projector = _block_cut_delta(hd, basis, blocks, cut.partition[0])
-    witness = HermitianOperator(projector, tol=tol)
     detail = f"cut weight {cut.cut_weight:.6g}, partition {cut.partition}"
-    return _certificate(delta, "min_cut", tol, controls, hd,
-                        l11=2 * cut.cut_weight, witness=witness, detail=detail)
+    return _certificate(system, [(index, delta)], "min_cut", tol,
+                        l11=2 * cut.cut_weight, projector=projector, detail=detail)
 
 
-def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_TOL
+def epsilon_upper_block_search(system: ControlSystem,
+                               tol: ToleranceConfig = DEFAULT_TOL, *,
+                               invariants: Invariants | None = None
                                ) -> DistanceCertificate:
     """Smallest operator-norm perturbation over the block-symmetry family.
 
     Enumerates bipartitions of the controls' joint invariant blocks
-    (degenerate eigenspaces are indivisible units) and keeps the one whose
-    off-block drift part is smallest in operator norm: the first in
-    enumeration order unless a later one is smaller by more than 1e-12 times
-    the largest candidate norm. Norms that tie in exact arithmetic differ
-    only by roundoff, far below that margin, so a tie always goes to the
-    earliest candidate whatever the order of floating-point operations (a
-    Haar-rotated basis, say). The pick's norm exceeds the smallest by at
-    most that margin.
-    All 2^(nb-1) - 1 candidates are scored in one stacked norm evaluation
-    in the joint block basis, where the norm of -(P H Q + Q H P) is that of
-    the drift masked to the entries crossing the cut; only the winner is
-    assembled and verified. Controls with no common block structure leave
-    only the drift removal, which is epsilon_upper_drift_removal's:
-    InputError, before anything is verified.
-    Above BLOCK_SEARCH_DIM_GUARD the search is a DimensionGuardError.
+    (invariants.fixed_blocks) and keeps the one whose off-block drift part
+    is smallest in operator norm: the first in enumeration order unless a
+    later one is smaller by more than 1e-12 times the largest candidate
+    norm. Norms that tie in exact arithmetic differ only by roundoff, far
+    below that margin, so a tie always goes to the earliest candidate
+    whatever the order of floating-point operations (a Haar-rotated basis,
+    say). The pick's norm exceeds the smallest by at most that margin.
+    All N = 2^(nb-1) - 1 candidates are scored in one stacked norm
+    evaluation in the joint block basis, where the norm of -(P H Q + Q H P)
+    is that of the drift masked to the entries crossing the cut; only the
+    winner is assembled and verified. No drift, or controls with no common
+    block structure: InputError, before anything is verified. N d^2 above
+    BLOCK_SEARCH_MAX_ENTRIES: DimensionGuardError.
     """
-    hd = as_matrix(drift)
-    ctrls = _control_list(controls, hd)
-    d = hd.shape[0]
-    if d > BLOCK_SEARCH_DIM_GUARD:
-        raise DimensionGuardError(
-            f"block search enumerates subsets exhaustively; d={d} exceeds "
-            f"{BLOCK_SEARCH_DIM_GUARD}. Use the min-cut estimator instead")
-    joint = joint_blocks(ctrls, tol)
-    if joint is None:
+    invariants, index, hd = _drift(system, tol, invariants, "block search")
+    if invariants.fixed_blocks is None:
         raise InputError("the controls share no invariant block structure: "
                          "no block symmetry to search")
-    basis, blocks = joint
-    nb = len(blocks)
+    basis, blocks = invariants.fixed_blocks
+    d, nb = system.dim, len(blocks)
+    n_candidates = 2 ** (nb - 1) - 1
+    if n_candidates * d * d > BLOCK_SEARCH_MAX_ENTRIES:
+        raise DimensionGuardError(
+            f"block search scores {n_candidates} bipartitions of {nb} blocks at "
+            f"d={d}: {n_candidates * d * d} entries, above {BLOCK_SEARCH_MAX_ENTRIES}")
     label = np.empty(d, dtype=np.int64)
     for b, cols in enumerate(blocks):
         label[cols] = b
@@ -405,32 +434,38 @@ def epsilon_upper_block_search(drift, controls, tol: ToleranceConfig = DEFAULT_T
             best = n
     side = tuple(i for i in range(nb - 1) if subsets[best] >> i & 1)
     delta, projector = _block_cut_delta(hd, basis, blocks, side)
-    witness = HermitianOperator(projector, tol=tol)
-    return _certificate(delta, "block_search", tol, ctrls, hd, witness=witness,
+    return _certificate(system, [(index, delta)], "block_search", tol,
+                        projector=projector,
                         detail=f"best block subset {side} of {nb} blocks")
 
 
-def epsilon_upper_drift_removal(drift, controls,
-                                tol: ToleranceConfig = DEFAULT_TOL
+def epsilon_upper_drift_removal(system: ControlSystem,
+                                tol: ToleranceConfig = DEFAULT_TOL, *,
+                                invariants: Invariants | None = None
                                 ) -> DistanceCertificate:
-    """Remove the drift entirely: for a single control this always verifies,
-    since a lone control generates a one-dimensional algebra.
-
-    The verifier is offered the projector onto the controls' first joint
-    block (extract_original_space_symmetry of the controls), which commutes
-    with every control and with the removed drift, as min cut and block
-    search offer theirs. Controls with a single joint block offer none.
+    """Remove the drift, or a driftless system's bounded generators (e.g. a
+    cross-Kerr coupling): verified when the fixed generators are not
+    controllable alone, always for a lone control. The verifier is offered
+    the projector onto the first of invariants.fixed_blocks; with one block,
+    none, unless the fixed generators are all zero within degeneracy_tol
+    (or absent): every projector commutes with zero, so the projector onto
+    the first basis vector is offered.
     """
-    hd = as_matrix(drift)
-    ctrls = _control_list(controls, hd)
-    delta = -traceless_part(hd)
-    witness = extract_original_space_symmetry(ctrls, tol=tol)
-    return _certificate(delta, "drift_removal", tol, ctrls, hd,
-                        witness=witness)
+    invariants = resolve_invariants(system, tol, invariants)
+    role, indices = invariants.perturbed
+    joint = invariants.fixed_blocks
+    if joint is None and all(operator_norm(m) <= tol.degeneracy_tol
+                             for m in invariants.fixed()):
+        joint = np.eye(system.dim), [[0]]  # every projector commutes with zero
+    projector = None if joint is None else block_projector(joint[0], joint[1][0])
+    gens = system.algebra_generators()
+    return _certificate(system, [(i, -traceless_part(gens[i])) for i in indices],
+                        "drift_removal", tol, projector=projector,
+                        detail=_PERTURBED_ROLES[role][2])
 
 
 def _estimators() -> dict:
-    """Method name -> f(drift, controls, tol=tol). Read from the module on each
+    """Method name -> f(system, tol, invariants=). Read from the module on each
     call, so a rebound estimator (as perfbench's tracer wraps them) runs."""
     return {"gap_merge": epsilon_upper_gap_merge,
             "min_cut": epsilon_upper_min_cut,
@@ -487,61 +522,26 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
     return verified
 
 
-def _remove_bounded_certificate(system: ControlSystem, tol: ToleranceConfig
-                                ) -> DistanceCertificate:
-    """Driftless analogue of drift removal: cancel every bounded generator.
-
-    This is how amplitude-capped couplings (e.g. a cross-Kerr term) are
-    priced: if the unbounded controls alone are not universal, removing the
-    bounded set is a verified uncontrollable perturbation with
-    max_j ||delta_j|| = the largest bounded generator norm. The check of the
-    unbounded controls is the driftless "controls alone" gate; the witness
-    it finds becomes the certificate's. Every projector commutes with zero,
-    so where no unbounded control is left but zeros (after the trace shift),
-    the check is offered block_projector(eye, [0]).
-    """
-    if not system.bounded:
-        raise InputError("system has neither drift nor bounded generators "
-                         "to perturb")
-    eye = np.eye(system.dim)
-    remaining = [traceless_part(op.matrix) for op in system.unbounded] or [0 * eye]
-    zero = all(operator_norm(m) <= tol.degeneracy_tol for m in remaining)
-    offered = HermitianOperator(block_projector(eye, [0]), tol=tol) if zero else None
-    uncontrollable, witness = verify_uncontrollable(remaining, tol, offered)
-    if not uncontrollable:
-        raise InputError("the unbounded controls alone are controllable: "
-                         "no perturbation of the bounded generators can "
-                         "render the system uncontrollable")
-    deltas = [-traceless_part(b.operator.matrix) for b in system.bounded]
-    return DistanceCertificate(
-        perturbations=[(j, as_operator(d, tol)) for j, d in enumerate(deltas)],
-        op_norm=max(operator_norm(d) for d in deltas),
-        l11_norm=float(sum(np.sum(np.abs(d)) for d in deltas)),
-        method="drift_removal", verified_uncontrollable=True,
-        symmetry_witness=witness,
-        detail="removed all bounded generators")
-
-
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
                  methods=ESTIMATORS, *, invariants: Invariants | None = None
                  ) -> DistanceEstimate:
     """Best verified upper-bound certificate plus the SVD lower bound.
 
-    The estimators perturb the drift; for a driftless system the bounded
-    generators are removed instead. Requires a controllable system whose
-    controls are not already controllable on their own (otherwise the
-    distance is infinite). The checks run first, so the commutant spectrum
-    is paid for only by a system that passes them: controllability from
-    invariants.lie (UncontrollableSystemError), then the controls-alone
-    gate (InputError): the Lie closure of the controls with a drift, the
-    bounded-removal check of the unbounded controls without one; then
+    The estimators perturb the drift, or a driftless system's bounded
+    generators, and keep the rest fixed (Invariants.perturbed). Requires a
+    controllable system whose fixed generators are not controllable on
+    their own (otherwise the distance is infinite). The checks run first,
+    so the commutant spectrum is paid for only by a system that passes
+    them: controllability from invariants.lie (UncontrollableSystemError),
+    then the controls-alone gate invariants.fixed_lie (InputError), then
     invariants.controllable (agreed_verdict), the spectrum's first read.
 
-    Each method in `methods` builds and verifies its certificate once; one
-    that does not apply (InputError) or is guarded off at this size
-    (DimensionGuardError) contributes nothing. The smallest op_norm among
-    the verified certificates wins, the earlier method on a tie. InputError
-    when no selected method applies; NumericalError when none verified.
+    Each method in `methods` builds and verifies its certificate once, with
+    the same invariants; one that does not apply (InputError) or is guarded
+    off at this size (DimensionGuardError) contributes nothing. The
+    smallest op_norm among the verified certificates wins, the earlier
+    method on a tie. InputError when no selected method applies;
+    NumericalError when none verified.
 
     The lower bound is epsilon_lower_svd, with the same invariants
     (resolve_invariants), over the generators upper perturbs.
@@ -550,30 +550,28 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     if unknown:
         raise InputError(f"unknown distance methods: {sorted(unknown)}")
     invariants = resolve_invariants(system, tol, invariants)
-    gens = system.algebra_generators()
     if not invariants.lie.controllable:
         raise UncontrollableSystemError("system is already uncontrollable")
-    if system.drift is None:
-        upper = _remove_bounded_certificate(system, tol)
-    elif lie_dimension(gens[1:], tol=tol).controllable:
-        raise InputError("the controls alone are controllable: no drift "
-                         "perturbation can render the system uncontrollable")
+    if invariants.fixed_lie.controllable:
+        fixed, perturbed, _ = _PERTURBED_ROLES[invariants.perturbed[0]]
+        raise InputError(f"the {fixed} alone are controllable: no perturbation of "
+                         f"the {perturbed} can render the system uncontrollable")
     invariants.controllable  # NumericalError if the spectrum's verdict disagrees
-    if system.drift is not None:
-        estimators = _estimators()
-        certificates: list[DistanceCertificate] = []
-        for method in methods:
-            try:
-                certificates.append(estimators[method](gens[0], gens[1:], tol=tol))
-            except (InputError, DimensionGuardError):
-                pass  # the construction does not apply to this system
-        if not certificates:
-            raise InputError("none of the selected distance methods applies "
-                             f"to this system: {', '.join(methods)}")
-        verified = [c for c in certificates if c.verified_uncontrollable]
-        if not verified:
-            raise NumericalError("no estimator produced a verified certificate")
-        upper = min(verified, key=lambda c: c.op_norm)
+    estimators = _estimators()
+    certificates: list[DistanceCertificate] = []
+    for method in methods:
+        try:
+            certificates.append(estimators[method](system, tol,
+                                                   invariants=invariants))
+        except (InputError, DimensionGuardError):
+            pass  # the construction does not apply to this system
+    if not certificates:
+        raise InputError("none of the selected distance methods applies "
+                         f"to this system: {', '.join(methods)}")
+    verified = [c for c in certificates if c.verified_uncontrollable]
+    if not verified:
+        raise NumericalError("no estimator produced a verified certificate")
+    upper = min(verified, key=lambda c: c.op_norm)
     lower = epsilon_lower_svd(system, [i for i, _ in upper.perturbations],
                               tol=tol, invariants=invariants)
     return DistanceEstimate(upper=upper, lower=lower)

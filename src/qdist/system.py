@@ -72,9 +72,10 @@ class ControlSystem:
         """Flat generator list: drift (if present), bounded, then unbounded."""
         return [op for _, op, _ in self._layout()]
 
-    @property
-    def drift_index(self) -> int | None:
-        return 0 if self.drift is not None else None
+    def indices(self, role: str) -> list[int]:
+        """Flat indices of the generators whose role is "drift", "bounded"
+        or "unbounded"."""
+        return [i for i, (r, _, _) in enumerate(self._layout()) if r == role]
 
     def amplitude_cap(self, index: int) -> float | None:
         """Cap of flat generator `index`, from its role: 1.0 for the drift (its

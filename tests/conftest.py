@@ -75,6 +75,12 @@ def sector_widths(d):
     return s * s, a * a, s * a
 
 
+def drift_system(drift, *controls):
+    """A system of this drift and unbounded controls, matrices as given:
+    the input the distance estimators take."""
+    return make_system(drift=drift, unbounded=controls)
+
+
 def random_pair_system(d, seed):
     """Random traceless (drift, control) pair; almost surely controllable."""
     drift = random_hermitian(d, seed, traceless=True)

@@ -158,15 +158,11 @@ def test_criterion_6_distance_consistency():
             system = random_pair_system(d, 9000 + seed)
             if not lie_dimension(system.algebra_generators()).controllable:
                 continue
-            drift = system.drift.matrix
-            control = system.unbounded[0].matrix
             lower = epsilon_lower_svd(system, [0])
-            certificates = [
-                epsilon_upper_gap_merge(drift, control),
-                epsilon_upper_min_cut(drift, control),
-                epsilon_upper_block_search(drift, control),
-                epsilon_upper_drift_removal(drift, control),
-            ]
+            certificates = [epsilon_upper_gap_merge(system),
+                            epsilon_upper_min_cut(system),
+                            epsilon_upper_block_search(system),
+                            epsilon_upper_drift_removal(system)]
             for cert in certificates:
                 if cert.verified_uncontrollable:
                     assert lower <= cert.op_norm + 1e-12
@@ -202,8 +198,7 @@ def test_criterion_8_perturbation_inequality():
         for seed in range(100):
             d = 2 + seed % 3
             system = random_pair_system(d, 7000 + seed)
-            cert = epsilon_upper_drift_removal(system.drift.matrix,
-                                               system.unbounded[0].matrix)
+            cert = epsilon_upper_drift_removal(system)
             pulse = PiecewisePulse(
                 durations=rng.uniform(0.02, 0.6, 20),
                 amplitudes=rng.normal(0.0, 1.2, (20, 1)))

@@ -14,7 +14,7 @@ from qdist.linalg import matrix_to_json
 from qdist.models import pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
 
-from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
+from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
                       random_pair_system)
 
 
@@ -91,7 +91,8 @@ def test_distance_and_qsl_roundtrip(tmp_path, capsys):
 
 def test_qsl_cert_with_wrong_dimension_witness_exit_1(tmp_path, capsys):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
-    doc = certificate_to_json(epsilon_upper_drift_removal(PAULI_Z, PAULI_X))
+    doc = certificate_to_json(
+        epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X)))
     doc["symmetry_witness"] = {"rows": 3, "cols": 3,
                                "re": [1.0, 0, 0, 0, 0, 0, 0, 0, 0],
                                "im": [0.0] * 9}
@@ -107,11 +108,11 @@ def test_qsl_cert_with_wrong_dimension_witness_exit_1(tmp_path, capsys):
 
 def test_qsl_cert_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     # a witness-free d=4 certificate, so the commutant cross-check runs
-    drift, control = random_pair_system(4, 0).algebra_generators()
-    path = write_pair_system(tmp_path / "pair.json", drift, control)
+    system = random_pair_system(4, 0)
+    path = write_pair_system(tmp_path / "pair.json", *system.algebra_generators())
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(certificate_to_json(
-        epsilon_upper_gap_merge(drift, control))))
+        epsilon_upper_gap_merge(system))))
     flip_commutant_verdicts(monkeypatch)
     code, stdout, stderr = run(capsys, "qsl", "--system", path,
                                "--cert", str(cert_file))
@@ -142,7 +143,7 @@ def test_distance_reports_zero_lower_bound_above_the_guard(tmp_path, capsys,
 
 def test_verify_ineq(tmp_path, capsys):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
-    cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+    cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(certificate_to_json(cert)))
     pulse_file = tmp_path / "pulse.json"
@@ -231,7 +232,8 @@ def test_malformed_input_exit_1_without_traceback(tmp_path, capsys, argv,
     docs = {
         "system": {"format": 1, "drift": matrix_to_json(PAULI_Z),
                    "bounded": [], "unbounded": [matrix_to_json(PAULI_X)]},
-        "cert": certificate_to_json(epsilon_upper_drift_removal(PAULI_Z, PAULI_X)),
+        "cert": certificate_to_json(
+            epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))),
         "pulse": {"durations": [0.5, 0.25], "amplitudes": [[1.0], [-1.0]]},
     }
     if broken is not None:

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from qdist import distance
-from qdist import (DistanceCertificate, HermitianOperator, InputError,
-                   NumericalError, UncontrollableSystemError,
+from qdist import commutant, distance
+from qdist import (DimensionGuardError, DistanceCertificate, HermitianOperator,
+                   InputError, NumericalError, UncontrollableSystemError,
                    commutator, cut_weight_of,
                    epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    epsilon_upper_drift_removal, epsilon_upper_gap_merge,
@@ -15,15 +15,16 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    stoer_wagner_min_cut, verify_certificate)
 from qdist.commutant import (block_projector, commutant_dimension,
                              extract_original_space_symmetry, joint_blocks)
-from qdist.distance import (certificate_from_json, certificate_to_json,
-                            is_symmetry_witness, verify_uncontrollable)
+from qdist.distance import (Invariants, certificate_from_json,
+                            certificate_to_json, is_symmetry_witness,
+                            verify_uncontrollable)
 from qdist.lie_closure import lie_dimension
 from qdist.linalg import DEFAULT_TOL, traceless_part
 from qdist.models import (build_global_control_chain, build_hopping_chain,
                           build_two_qubit_ising, hopping_drift,
                           hopping_spectrum, pauli_on, site_projector)
 
-from conftest import (PAULI_X, PAULI_Z, flip_commutant_verdicts,
+from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
                       random_pair_system, sector_widths)
 
 
@@ -107,24 +108,27 @@ def spectrum_shapes(svd_log, d):
 
 class TestGapMerge:
     def test_hopping_three_sites(self):
-        cert = epsilon_upper_gap_merge(hopping_drift(3), site_projector(3, 0))
+        cert = epsilon_upper_gap_merge(
+            drift_system(hopping_drift(3), site_projector(3, 0)))
         assert cert.op_norm == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
         assert cert.verified_uncontrollable
         assert cert.method == "gap_merge"
 
     def test_hopping_d10_norm_and_gap_bound(self):
         d = 10
-        cert = epsilon_upper_gap_merge(hopping_drift(d), site_projector(d, 0))
+        cert = epsilon_upper_gap_merge(
+            drift_system(hopping_drift(d), site_projector(d, 0)))
         gap = 2 * (np.cos(np.pi / 11) - np.cos(2 * np.pi / 11))
         assert cert.op_norm == pytest.approx(gap / 2, abs=1e-12)
         assert gap <= 3 * np.pi ** 2 / d ** 2
         assert cert.verified_uncontrollable
 
     def test_diagonal_drift_merges_closest_pair(self):
-        cert = epsilon_upper_gap_merge(np.diag([0.0, 1.0, 3.0]).astype(complex),
-                                       site_projector(3, 0))
+        cert = epsilon_upper_gap_merge(drift_system(
+            np.diag([0.0, 1.0, 3.0]).astype(complex), site_projector(3, 0)))
         assert cert.op_norm == pytest.approx(0.5, abs=1e-12)
-        assert "0" in cert.detail and "1" in cert.detail
+        # 0 and 1, shifted by the trace: the estimators read the traceless drift
+        assert cert.detail == "merged eigenvalues -1.33333 and -0.333333"
 
     def test_degenerate_spectrum_zero_certificate(self):
         # nothing to merge: the zero shift would prove nothing, so the
@@ -133,13 +137,13 @@ class TestGapMerge:
         controls = [pauli_on(2, 0, "X"), pauli_on(2, 0, "Y"),
                     pauli_on(2, 1, "X"), pauli_on(2, 1, "Y")]
         with pytest.raises(InputError, match="degenerate"):
-            epsilon_upper_gap_merge(drift, controls)
+            epsilon_upper_gap_merge(drift_system(drift, *controls))
 
     def test_norm_is_exactly_half_min_gap(self, rng):
         for seed in range(5):
             drift = random_hermitian(4, seed, traceless=True).matrix
             w, _ = hermitian_eigensystem(drift)
-            cert = epsilon_upper_gap_merge(drift, site_projector(4, 0))
+            cert = epsilon_upper_gap_merge(drift_system(drift, site_projector(4, 0)))
             assert cert.op_norm == pytest.approx(np.min(np.diff(w)) / 2, rel=1e-10)
 
 
@@ -217,7 +221,8 @@ class TestStoerWagner:
 
 class TestMinCut:
     def test_hopping_chain_removes_one_edge(self):
-        cert = epsilon_upper_min_cut(hopping_drift(4), site_projector(4, 0))
+        cert = epsilon_upper_min_cut(
+            drift_system(hopping_drift(4), site_projector(4, 0)))
         assert cert.op_norm == pytest.approx(1.0, abs=1e-10)
         assert cert.l11_norm == pytest.approx(2.0, abs=1e-10)
         assert cert.verified_uncontrollable
@@ -232,7 +237,7 @@ class TestMinCut:
     def test_removed_entries_exactly_zero_in_control_basis(self):
         drift = random_hermitian(4, 31, traceless=True).matrix
         control = random_hermitian(4, 32, traceless=True).matrix
-        cert = epsilon_upper_min_cut(drift, control)
+        cert = epsilon_upper_min_cut(drift_system(drift, control))
         p = cert.symmetry_witness.matrix
         q = np.eye(4) - p
         perturbed = drift + cert.perturbations[0][1].matrix
@@ -243,15 +248,16 @@ class TestMinCut:
         drift[0, 1] = drift[1, 0] = 0.3
         drift[2, 3] = drift[3, 2] = 0.2
         control = np.diag([5.0, 4.0, 1.0, 0.0]).astype(complex)
-        cert = epsilon_upper_min_cut(drift - np.trace(drift) / 4 * np.eye(4),
-                                     control - np.trace(control) / 4 * np.eye(4))
+        cert = epsilon_upper_min_cut(drift_system(
+            drift - np.trace(drift) / 4 * np.eye(4),
+            control - np.trace(control) / 4 * np.eye(4)))
         assert cert.op_norm == pytest.approx(0.0, abs=1e-12)
         assert cert.verified_uncontrollable
 
     def test_l11_is_twice_brute_force_cut(self, rng):
         drift = random_hermitian(4, 41, traceless=True).matrix
         control = random_hermitian(4, 42, traceless=True).matrix
-        cert = epsilon_upper_min_cut(drift, control)
+        cert = epsilon_upper_min_cut(drift_system(drift, control))
         _, _, weights = control_basis_graph(drift, control)
         best, _ = brute_force_min_cut(weights)
         assert cert.l11_norm == pytest.approx(2 * best, rel=1e-12)
@@ -259,7 +265,8 @@ class TestMinCut:
 
 class TestBlockSearch:
     def test_hopping_chain(self):
-        cert = epsilon_upper_block_search(hopping_drift(4), site_projector(4, 0))
+        cert = epsilon_upper_block_search(
+            drift_system(hopping_drift(4), site_projector(4, 0)))
         assert cert.op_norm == pytest.approx(1.0, abs=1e-10)
         assert cert.verified_uncontrollable
 
@@ -271,7 +278,7 @@ class TestBlockSearch:
         # no shared block structure: the drift removal is left to its own
         # estimator, which epsilon_best runs once
         with pytest.raises(InputError, match="block structure"):
-            epsilon_upper_block_search(drift, controls)
+            epsilon_upper_block_search(drift_system(drift, *controls))
         cert = epsilon_best(build_two_qubit_ising(delta)).upper
         assert cert.method == "drift_removal"
         assert cert.op_norm == pytest.approx(delta, abs=1e-12)
@@ -281,11 +288,14 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("drift, controls", block_search_systems())
     def test_matches_the_per_subset_enumeration(self, drift, controls):
-        cert = epsilon_upper_block_search(drift, controls)
+        invariants = Invariants(drift_system(drift, *controls))
+        cert = epsilon_upper_block_search(invariants.system,
+                                          invariants=invariants)
         best, _ = brute_force_block_search(drift, controls)
         assert cert.op_norm == pytest.approx(best, rel=1e-12)
-        # the subset named in detail reaches the minimum
-        basis, blocks = joint_blocks(controls, DEFAULT_TOL)
+        # the subset named in detail, of the blocks the search read, reaches
+        # the minimum
+        basis, blocks = invariants.fixed_blocks
         match = re.fullmatch(r"best block subset \(([\d, ]*)\) of (\d+) blocks",
                              cert.detail)
         assert int(match.group(2)) == len(blocks)
@@ -303,10 +313,21 @@ class TestBlockSearch:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(distance, name, counted)
-        cert = epsilon_upper_block_search(system.drift.matrix,
-                                          system.unbounded[0].matrix)
+        cert = epsilon_upper_block_search(system)
         assert cert.detail.endswith("of 12 blocks")  # 2047 candidates
         assert calls == {"_block_cut_delta": 1, "verify_uncontrollable": 1}
+
+    def test_guard_bounds_the_candidate_batch_not_d(self):
+        # hopping d=16: the site control has two blocks, one candidate
+        system = build_hopping_chain(16)
+        invariants = Invariants(system)
+        block = epsilon_upper_block_search(system, invariants=invariants)
+        min_cut = epsilon_upper_min_cut(system, invariants=invariants)
+        assert block.verified_uncontrollable
+        assert block.op_norm == min_cut.op_norm == pytest.approx(1.0, abs=1e-12)
+        # a random d=14 control has 14 blocks: 8191 candidates of 14 x 14
+        with pytest.raises(DimensionGuardError, match="8191 bipartitions"):
+            epsilon_upper_block_search(random_pair_system(14, 1))
 
     @pytest.mark.parametrize("d", range(6, 11))
     def test_tied_pick_does_not_depend_on_the_basis(self, d):
@@ -314,12 +335,12 @@ class TestBlockSearch:
         # arithmetic; in a Haar-rotated basis their norms differ by roundoff
         drift = hopping_drift(d)
         control = np.diag(np.arange(d) - (d - 1) / 2)
-        plain = epsilon_upper_block_search(drift, control).detail
+        plain = epsilon_upper_block_search(drift_system(drift, control)).detail
         picks = {}
         for seed in range(10):
             u = haar_unitary(d, seed)
-            rotated = epsilon_upper_block_search(u @ drift @ u.conj().T,
-                                                 u @ control @ u.conj().T)
+            rotated = epsilon_upper_block_search(drift_system(
+                u @ drift @ u.conj().T, u @ control @ u.conj().T))
             picks[seed] = rotated.detail
         assert picks == {seed: plain for seed in range(10)}
 
@@ -328,8 +349,8 @@ class TestBlockSearch:
         drift[2, 2] = 1.0
         drift[0, 0] = -1.0
         control = np.diag([3.0, 2.0, -5.0]).astype(complex)
-        cert = epsilon_upper_block_search(drift, control - np.trace(control) / 3
-                                          * np.eye(3))
+        cert = epsilon_upper_block_search(drift_system(
+            drift, control - np.trace(control) / 3 * np.eye(3)))
         assert cert.op_norm == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("rotated", [False, True])
@@ -348,25 +369,28 @@ class TestBlockSearch:
             if rotated:
                 u = haar_unitary(d, 700 + seed)
                 drift, control = u @ drift @ u.conj().T, u @ control @ u.conj().T
-            block = epsilon_upper_block_search(drift, control)
-            min_cut = epsilon_upper_min_cut(drift, control)
+            system = drift_system(drift, control)
+            invariants = Invariants(system)
+            block = epsilon_upper_block_search(system, invariants=invariants)
+            min_cut = epsilon_upper_min_cut(system, invariants=invariants)
             assert block.op_norm <= min_cut.op_norm * (1 + 1e-12) + 1e-15, seed
 
 
 class TestDriftRemoval:
     def test_ising_norm_delta(self):
         drift = np.kron(PAULI_Z, PAULI_Z)
-        cert = epsilon_upper_drift_removal(drift, pauli_on(2, 0, "X"))
+        cert = epsilon_upper_drift_removal(drift_system(drift, pauli_on(2, 0, "X")))
         assert cert.op_norm == pytest.approx(1.0, abs=1e-12)
         assert cert.verified_uncontrollable  # a lone control never suffices
 
     def test_zero_drift(self):
-        cert = epsilon_upper_drift_removal(np.zeros((2, 2)), PAULI_X)
+        cert = epsilon_upper_drift_removal(drift_system(np.zeros((2, 2)), PAULI_X))
         assert cert.op_norm == 0.0
         assert cert.verified_uncontrollable
 
     def test_hopping_d5_norm(self):
-        cert = epsilon_upper_drift_removal(hopping_drift(5), site_projector(5, 0))
+        cert = epsilon_upper_drift_removal(
+            drift_system(hopping_drift(5), site_projector(5, 0)))
         assert cert.op_norm == pytest.approx(np.sqrt(3), abs=1e-12)
         assert cert.op_norm == pytest.approx(np.max(np.abs(hopping_spectrum(5))),
                                              abs=1e-12)
@@ -379,8 +403,8 @@ class TestDriftRemoval:
     ], ids=["hopping_5", "ising", "chain_equal", "chain_distinct",
             "random_4", "random_6"])
     def test_carries_the_controls_first_block_projector(self, system):
-        drift, *controls = system.algebra_generators()
-        cert = epsilon_upper_drift_removal(drift, controls)
+        cert = epsilon_upper_drift_removal(system)
+        controls = system.algebra_generators()[1:]
         assert cert.verified_uncontrollable
         joint = joint_blocks(controls, DEFAULT_TOL)
         if joint is None:
@@ -422,7 +446,7 @@ class TestLowerBound:
 class TestVerifyCertificate:
     def test_drift_removal_always_true_for_pair(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
-        cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+        cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
         assert verify_certificate(system, cert)
 
     def test_zero_perturbation_on_controllable_system(self):
@@ -435,7 +459,8 @@ class TestVerifyCertificate:
 
     def test_gap_merge_on_hopping_chain(self):
         system = build_hopping_chain(4)
-        cert = epsilon_upper_gap_merge(hopping_drift(4), site_projector(4, 0))
+        cert = epsilon_upper_gap_merge(
+            drift_system(hopping_drift(4), site_projector(4, 0)))
         assert verify_certificate(system, cert)
 
     def test_index_out_of_range(self):
@@ -462,7 +487,7 @@ class TestVerifyCertificate:
 
     def test_wrong_dimension_witness_is_input_error(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
-        cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+        cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
         bad = DistanceCertificate(
             perturbations=cert.perturbations, op_norm=cert.op_norm,
             l11_norm=cert.l11_norm, method=cert.method,
@@ -499,13 +524,10 @@ class TestVerifyUncontrollable:
                                               for k in range(3)]
         checked = 0
         for system in systems:
-            drift, control = system.algebra_generators()
-            certificates = [
-                epsilon_upper_gap_merge(drift, control),
-                epsilon_upper_min_cut(drift, control),
-                epsilon_upper_block_search(drift, control),
-                epsilon_upper_drift_removal(drift, control),
-            ]
+            certificates = [epsilon_upper_gap_merge(system),
+                            epsilon_upper_min_cut(system),
+                            epsilon_upper_block_search(system),
+                            epsilon_upper_drift_removal(system)]
             for cert in certificates:
                 gens = system.with_perturbations(
                     [(i, d.matrix) for i, d in cert.perturbations]
@@ -528,13 +550,10 @@ class TestVerifyUncontrollable:
         # d = 6 is the largest dimension where both oracles run; check the
         # unperturbed generators and every certificate the estimators produce
         system = build()
-        drift, control = system.algebra_generators()
-        certificates = [
-            epsilon_upper_gap_merge(drift, control),
-            epsilon_upper_min_cut(drift, control),
-            epsilon_upper_block_search(drift, control),
-            epsilon_upper_drift_removal(drift, control),
-        ]
+        certificates = [epsilon_upper_gap_merge(system),
+                        epsilon_upper_min_cut(system),
+                        epsilon_upper_block_search(system),
+                        epsilon_upper_drift_removal(system)]
         generator_sets = [system.algebra_generators()] + [
             system.with_perturbations(
                 [(i, d.matrix) for i, d in cert.perturbations]
@@ -547,8 +566,7 @@ class TestVerifyUncontrollable:
         # the gap merge of this pair leaves it controllable and has no
         # witness, so only a no-witness oracle can reject it
         system = random_pair_system(6, 2600)
-        drift, control = system.algebra_generators()
-        cert = epsilon_upper_gap_merge(drift, control)
+        cert = epsilon_upper_gap_merge(system)
         svd_log.clear()
         assert verify_certificate(system, cert) is False
         assert cert.verified_uncontrollable is False
@@ -557,10 +575,9 @@ class TestVerifyUncontrollable:
         # at d <= 4 the commutant still cross-checks the Lie closure: exactly
         # one spectrum; a witness is cross-checked by the Lie closure alone
         system = build_hopping_chain(4)
-        drift, control = system.algebra_generators()
-        cert = epsilon_upper_drift_removal(drift, control)
+        cert = epsilon_upper_drift_removal(system)
         svd_log.clear()
-        assert verify_uncontrollable([drift, control]) == (False, None)
+        assert verify_uncontrollable(system.algebra_generators()) == (False, None)
         assert len(spectrum_shapes(svd_log, 4)) == 1
         assert verify_certificate(system, cert) is True
         assert len(spectrum_shapes(svd_log, 4)) == 1
@@ -570,8 +587,7 @@ class TestVerifyUncontrollable:
         # a gap merge that leaves this pair controllable: no witness, so
         # the commutant spectrum cross-checks the Lie closure's verdict
         system = random_pair_system(4, 0)
-        drift, control = system.algebra_generators()
-        cert = epsilon_upper_gap_merge(drift, control)
+        cert = epsilon_upper_gap_merge(system)
         assert cert.symmetry_witness is None
         assert verify_certificate(system, cert) is False
         flip_commutant_verdicts(monkeypatch)
@@ -634,8 +650,29 @@ class TestEpsilonBest:
         sym2 = sector_widths(system.dim)[0]
         inputs = [c.matrix for c in svd_log if c.shape[-1] == sym2]
         assert len(inputs) == 2  # the drift removal's cross-check, the spectrum
-        for a, b in itertools.combinations(inputs, 2):
+        # no matrix at all is decomposed twice: the controls' joint blocks
+        # are found once, for block search and drift removal both
+        for a, b in itertools.combinations([c.matrix for c in svd_log], 2):
             assert a.shape != b.shape or not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("system", [
+        build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2]),
+        build_hopping_chain(4)], ids=["ising", "chain", "hopping_d4"])
+    def test_fixed_blocks_are_found_once(self, monkeypatch, system):
+        controls = system.algebra_generators()[1:]
+        calls = []
+
+        def counted(generators, tol):
+            mats = list(generators)
+            if len(mats) == len(controls) and all(
+                    np.array_equal(a, b) for a, b in zip(mats, controls)):
+                calls.append(len(mats))
+            return joint_blocks(mats, tol)
+
+        monkeypatch.setattr(commutant, "joint_blocks", counted)
+        monkeypatch.setattr(distance, "joint_blocks", counted)
+        epsilon_best(system)
+        assert len(calls) == 1
 
     def test_no_applicable_method_is_input_error(self):
         methods = ("gap_merge", "min_cut", "block_search")
@@ -662,6 +699,14 @@ class TestEpsilonBest:
         estimate = epsilon_best(system)
         assert estimate.upper.method == "drift_removal"
         assert estimate.upper.verified_uncontrollable
+        # numbered by the system's flat layout, as every certificate is
+        assert ([i for i, _ in estimate.upper.perturbations]
+                == system.indices("bounded"))
+        # the other estimators perturb a drift, and this system has none
+        for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
+                          epsilon_upper_block_search):
+            with pytest.raises(InputError, match="has none"):
+                estimator(system)
         # traceless-shifted coupling: half the spread of {a(N-a)} = N^2/8
         assert estimate.upper.op_norm == pytest.approx(2.0, abs=1e-12)
         assert 0 < estimate.lower <= estimate.upper.op_norm
@@ -681,17 +726,19 @@ class TestEpsilonBest:
         drift = random_hermitian(4, 61, traceless=True).matrix
         control = random_hermitian(4, 62, traceless=True).matrix
         u = haar_unitary(4, 63)
-        rotated = (u @ drift @ u.conj().T, u @ control @ u.conj().T)
+        plain_system = drift_system(drift, control)
+        rotated = drift_system(u @ drift @ u.conj().T, u @ control @ u.conj().T)
         for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
                           epsilon_upper_block_search, epsilon_upper_drift_removal):
-            plain = estimator(drift, control)
-            conj = estimator(*rotated)
+            plain = estimator(plain_system)
+            conj = estimator(rotated)
             assert plain.op_norm == pytest.approx(conj.op_norm, abs=1e-9)
 
 
 class TestCertificateSerialization:
     def test_round_trip(self):
-        cert = epsilon_upper_min_cut(hopping_drift(4), site_projector(4, 0))
+        cert = epsilon_upper_min_cut(
+            drift_system(hopping_drift(4), site_projector(4, 0)))
         doc = certificate_to_json(cert)
         back = certificate_from_json(doc)
         assert back.method == cert.method
@@ -704,7 +751,7 @@ class TestCertificateSerialization:
                                       cert.symmetry_witness.matrix)
 
     def test_unknown_keys_rejected(self):
-        cert = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+        cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
         doc = certificate_to_json(cert)
         doc["surprise"] = 1
         with pytest.raises(InputError):

@@ -15,7 +15,10 @@ from qdist.cli import analyze_system, main
 from qdist.commutant import (COMMUTANT_DIM_GUARD, SECTOR_MIN_DIM,
                              build_stacked_adjoint, commutant_dimension,
                              sector_blocks, swap_sector_bases)
-from qdist.distance import Invariants, certificate_to_json
+from qdist.distance import (Invariants, certificate_to_json,
+                            epsilon_upper_block_search,
+                            epsilon_upper_drift_removal, epsilon_upper_gap_merge,
+                            epsilon_upper_min_cut)
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain)
 from qdist.speed_limit import t_star_lower
@@ -225,6 +228,10 @@ def test_invariants_of_another_system_are_input_errors():
             epsilon_lower_svd(system, [0], invariants=invariants)
         with pytest.raises(InputError, match="another system or tolerance"):
             t_star_lower(system, cert, invariants=invariants)
+        for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
+                          epsilon_upper_block_search, epsilon_upper_drift_removal):
+            with pytest.raises(InputError, match="another system or tolerance"):
+                estimator(system, invariants=invariants)
 
 
 @hypothesis.settings(max_examples=12, deadline=None, database=None)

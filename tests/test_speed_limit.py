@@ -10,7 +10,7 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
 from qdist.distance import Invariants
 from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising, cross_kerr_coupling,
-                          fock_sector_basis, hopping_drift, site_projector)
+                          fock_sector_basis)
 from qdist.speed_limit import DELTA_SYMMETRY, DELTA_UNIVERSAL
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_density,
@@ -20,8 +20,7 @@ from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_density,
 class TestDeltaSelection:
     def test_min_cut_certificate_gets_sqrt2(self):
         system = build_hopping_chain(4)
-        cert = epsilon_upper_min_cut(hopping_drift(4),
-                                     system.unbounded[0].matrix)
+        cert = epsilon_upper_min_cut(system)
         delta, provenance = delta_lower_bound(system, cert)
         assert delta == pytest.approx(np.sqrt(2))
         assert provenance == "symmetry_sqrt2"
@@ -35,7 +34,7 @@ class TestDeltaSelection:
 
     def test_failing_witness_falls_back_to_quarter(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
-        base = epsilon_upper_drift_removal(PAULI_Z, PAULI_X)
+        base = epsilon_upper_drift_removal(system)
         # attach a witness that does not commute with the controls
         bad = DistanceCertificate(
             perturbations=base.perturbations, op_norm=base.op_norm,
@@ -228,8 +227,7 @@ class TestPerturbationInequality:
         for seed in range(100):
             d = 2 + seed % 3
             system = random_pair_system(d, 400 + seed)
-            cert = epsilon_upper_drift_removal(system.drift.matrix,
-                                               system.unbounded[0].matrix)
+            cert = epsilon_upper_drift_removal(system)
             pulse = PiecewisePulse(
                 durations=rng.uniform(0.02, 0.5, 20),
                 amplitudes=rng.normal(0, 1.0, (20, 1)))
@@ -242,7 +240,7 @@ class TestPerturbationInequality:
 class TestReachableDistanceProbe:
     def test_blocked_chain_symmetry_floor(self):
         system = build_hopping_chain(4)
-        cert = epsilon_upper_min_cut(hopping_drift(4), system.unbounded[0].matrix)
+        cert = epsilon_upper_min_cut(system)
         blocked = system.with_perturbations(
             [(i, d.matrix) for i, d in cert.perturbations])
         # permutation moving every site across the cut
