@@ -23,8 +23,10 @@ tested against.
 The same construction on the original space (X -> i[H_k, X]) gives the
 generators' joint commutant. joint_blocks reads their finest joint
 invariant blocks from it, the one place they are found: min cut, block
-search, the drift-removal witness, symmetry extraction and the
-reachable-distance probe all take theirs from there. That is the
+search, the drift-removal witness, the gap-merge witness (through
+extract_original_space_symmetry) and the reachable-distance probe all take
+theirs from there. Each construction offers its witness to
+distance.verify_uncontrollable, which only checks it. That is the
 commutant criterion of Zimboras et al., PRA 92, 042309 (2015).
 """
 
@@ -314,8 +316,10 @@ def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_T
     or None when they have a single block.
 
     It commutes with every generator and is not a multiple of the identity,
-    so it is a symmetry witness; distance.verify_uncontrollable still
-    accepts it only through is_symmetry_witness.
+    so it is a symmetry witness. distance.epsilon_upper_gap_merge offers it
+    as its certificate's witness, and distance.verify_uncontrollable
+    accepts it only through is_symmetry_witness; the verifier never
+    extracts one itself.
     """
     joint = joint_blocks(generators, tol)
     if joint is None:

@@ -6,7 +6,10 @@ pair, disconnecting the drift across a graph min-cut in the control
 eigenbasis, an exhaustive block (projector) search that scores every
 bipartition in one stacked norm evaluation in the joint block basis and
 assembles and verifies only the winner, and removing the drift (or a
-driftless system's bounded generators) outright. The lower bound is
+driftless system's bounded generators) outright. Each construction offers
+its certificate's symmetry witness, or declines where it has none (drift
+removal alone may offer none; the Lie closure then decides), and
+verify_uncontrollable only checks what it is offered. The lower bound is
 rigorous: a Weyl singular-value argument on the stacked doubled-space
 adjoint matrix.
 """
@@ -174,22 +177,19 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
                           ) -> tuple[bool, HermitianOperator | None]:
     """Decide from scratch whether the generators are uncontrollable.
 
-    The same order runs at every dimension. A symmetry witness is tried
-    first: the given one, then the projector onto the generators' first
-    joint block that extract_original_space_symmetry finds, each accepted
-    only through is_symmetry_witness. Checking one costs O(K d^3) and,
-    unlike a deep Lie closure, does not amplify noise.
-    Without a witness the Lie closure decides, at every dimension. For
-    d <= 4 agreed_verdict cross-checks every verdict: the Lie closure a
-    witness, the commutant spectrum the Lie closure. Returns the verdict
-    and the accepted witness (None when none was accepted). The
-    generators are checked by linalg.checked_generators first.
+    A checker only: it looks for no witness of its own. The offered
+    witness decides if is_symmetry_witness accepts it; checking one costs
+    O(K d^3) and, unlike a deep Lie closure, does not amplify noise.
+    Otherwise (none offered, or the offered one rejected) the Lie closure
+    decides, at every dimension. For d <= 4 agreed_verdict cross-checks
+    every verdict: the Lie closure an accepted witness, the commutant
+    spectrum the Lie closure. Returns the verdict and the accepted witness
+    (None when none was accepted). The generators are checked by
+    linalg.checked_generators first.
     """
     mats, d = checked_generators(gens, tol)
-    if witness is None or not is_symmetry_witness(witness, mats, tol):
-        witness = extract_original_space_symmetry(mats, tol=tol)
-        if witness is not None and not is_symmetry_witness(witness, mats, tol):
-            witness = None
+    if witness is not None and not is_symmetry_witness(witness, mats, tol):
+        witness = None
     verdicts = {} if witness is None else {"witness": False}
     if witness is None or d <= 4:
         verdicts["lie"] = lie_dimension(mats, tol=tol).controllable
@@ -199,16 +199,17 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     return not agreed_verdict(verdicts, d), witness
 
 
-def _certificate(system, deltas, method, tol, l11=None, projector=None,
+def _certificate(system, deltas, method, tol, l11=None, witness=None,
                  detail=""):
-    """Add each (flat index, delta) to that algebra generator, verify the
-    result from scratch offering the projector, and wrap the deltas as a
+    """Apply the (flat index, delta) pairs with system.with_perturbations,
+    the one path every check of a certificate takes, verify the perturbed
+    system from scratch offering the construction's witness (a projector
+    matrix or HermitianOperator, or None), and wrap the deltas as a
     certificate. l11 defaults to the sum of the deltas' entry moduli."""
-    added = dict(deltas)
-    perturbed = [traceless_part(g + added[i]) if i in added else traceless_part(g)
-                 for i, g in enumerate(system.algebra_generators())]
-    offered = None if projector is None else HermitianOperator(projector, tol=tol)
-    verified, witness = verify_uncontrollable(perturbed, tol, offered)
+    perturbed = system.with_perturbations(deltas, tol=tol)
+    offered = None if witness is None else as_operator(witness, tol)
+    verified, witness = verify_uncontrollable(perturbed.algebra_generators(),
+                                              tol, offered)
     l11 = sum(np.sum(np.abs(d)) for _, d in deltas) if l11 is None else l11
     return DistanceCertificate(
         perturbations=[(i, as_operator(d, tol)) for i, d in deltas],
@@ -236,10 +237,12 @@ def epsilon_upper_gap_merge(system: ControlSystem,
 
     The perturbation shifts the pair symmetrically onto their midpoint, so its
     norm is half the minimum gap (strictly below the one-sided gap bound).
-    Creates a symmetry whenever the controls leave a vector of the merged
-    eigenspace invariant (always for a rank-1 control); verify_uncontrollable
-    on the perturbed system decides the verified flag either way. No drift,
-    or a minimum gap below degeneracy_tol: InputError, before verifying.
+    That creates a symmetry whenever the controls leave a vector of the
+    merged eigenspace invariant (always for a rank-1 control). The witness
+    is the projector onto the merged system's first joint block
+    (extract_original_space_symmetry), offered to the verifier. No drift, a
+    minimum gap below degeneracy_tol, or a merged system with a single
+    joint block (no witness): InputError, before verifying.
     """
     _, index, hd = _drift(system, tol, invariants, "gap merge")
     w, v = hermitian_eigensystem(hd, tol=tol)
@@ -254,7 +257,13 @@ def epsilon_upper_gap_merge(system: ControlSystem,
     # raise the lower eigenvalue and lower the upper one onto their midpoint
     delta = (g / 2) * (lo - hi)
     delta = (delta + delta.conj().T) / 2
+    merged = system.with_perturbations([(index, delta)], tol=tol)
+    witness = extract_original_space_symmetry(merged.algebra_generators(), tol)
+    if witness is None:
+        raise InputError("merging the closest drift eigenvalue pair leaves the "
+                         "system a single joint block: no symmetry witness")
     return _certificate(system, [(index, delta)], "gap_merge", tol,
+                        witness=witness,
                         detail=f"merged eigenvalues {w[k]:.6g} and {w[k + 1]:.6g}")
 
 
@@ -381,7 +390,7 @@ def epsilon_upper_min_cut(system: ControlSystem,
     delta, projector = _block_cut_delta(hd, basis, blocks, cut.partition[0])
     detail = f"cut weight {cut.cut_weight:.6g}, partition {cut.partition}"
     return _certificate(system, [(index, delta)], "min_cut", tol,
-                        l11=2 * cut.cut_weight, projector=projector, detail=detail)
+                        l11=2 * cut.cut_weight, witness=projector, detail=detail)
 
 
 def epsilon_upper_block_search(system: ControlSystem,
@@ -435,7 +444,7 @@ def epsilon_upper_block_search(system: ControlSystem,
     side = tuple(i for i in range(nb - 1) if subsets[best] >> i & 1)
     delta, projector = _block_cut_delta(hd, basis, blocks, side)
     return _certificate(system, [(index, delta)], "block_search", tol,
-                        projector=projector,
+                        witness=projector,
                         detail=f"best block subset {side} of {nb} blocks")
 
 
@@ -460,7 +469,7 @@ def epsilon_upper_drift_removal(system: ControlSystem,
     projector = None if joint is None else block_projector(joint[0], joint[1][0])
     gens = system.algebra_generators()
     return _certificate(system, [(i, -traceless_part(gens[i])) for i in indices],
-                        "drift_removal", tol, projector=projector,
+                        "drift_removal", tol, witness=projector,
                         detail=_PERTURBED_ROLES[role][2])
 
 

@@ -89,9 +89,18 @@ class ControlSystem:
     def generator_amplitudes(self, amplitudes) -> np.ndarray:
         """(segments x generators) amplitudes in flat order from a pulse's
         rows (one column per control, bounded first): a column of ones for
-        the drift, then the pulse's columns. InputError on a wrong column
-        count or a bounded amplitude above its cap (1e-12 relative slack)."""
-        amplitudes = np.asarray(amplitudes, dtype=float)
+        the drift, then the pulse's columns. InputError unless the rows form
+        a 2-D array of finite numbers, on a wrong column count, and on a
+        bounded amplitude above its cap (1e-12 relative slack)."""
+        try:
+            amplitudes = np.asarray(amplitudes, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"pulse amplitudes are not numbers: {exc}") from exc
+        if amplitudes.ndim != 2:
+            raise InputError("pulse amplitudes must be a 2-D array, one row per "
+                             f"segment, got ndim={amplitudes.ndim}")
+        if not np.all(np.isfinite(amplitudes)):
+            raise InputError("pulse amplitudes must be finite")
         n_controls = len(self.bounded) + len(self.unbounded)
         if amplitudes.shape[1] != n_controls:
             raise InputError(f"pulse has {amplitudes.shape[1]} amplitude columns, "

@@ -4,8 +4,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from qdist import (InputError, commutant, distance, haar_unitary,
-                   make_system, random_hermitian)
+from qdist import (DistanceCertificate, HermitianOperator, InputError,
+                   commutant, distance, haar_unitary, hermitian_eigensystem,
+                   make_system, operator_norm, random_hermitian)
 from qdist.commutant import commutant_dimension, commutant_spectrum
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,6 +87,27 @@ def random_pair_system(d, seed):
     drift = random_hermitian(d, seed, traceless=True)
     control = random_hermitian(d, seed + 10_000, traceless=True)
     return make_system(drift=drift.matrix, unbounded=[control.matrix])
+
+
+def manual_gap_merge(system):
+    """The gap-merge perturbation of the drift (the closest eigenvalue pair
+    of its traceless part shifted onto their midpoint) as a witness-free
+    "manual" certificate. Its verified flag is verify_certificate's, so the
+    Lie closure decides it, cross-checked by the commutant spectrum at
+    d <= 4. It exists whether or not the merged system has a joint block
+    for epsilon_upper_gap_merge to offer as its witness."""
+    index = system.indices("drift")[0]
+    w, v = hermitian_eigensystem(system.algebra_generators()[index])
+    k = int(np.argmin(np.diff(w)))
+    delta = (w[k + 1] - w[k]) / 2 * (np.outer(v[:, k], v[:, k].conj())
+                                     - np.outer(v[:, k + 1], v[:, k + 1].conj()))
+    delta = (delta + delta.conj().T) / 2
+    cert = DistanceCertificate(perturbations=[(index, HermitianOperator(delta))],
+                               op_norm=operator_norm(delta),
+                               l11_norm=float(np.sum(np.abs(delta))),
+                               method="manual", verified_uncontrollable=False)
+    return dataclasses.replace(
+        cert, verified_uncontrollable=distance.verify_certificate(system, cert))
 
 
 def random_density(d, seed):

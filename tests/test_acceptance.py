@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from qdist import (epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
-                   epsilon_upper_drift_removal, epsilon_upper_gap_merge,
-                   epsilon_upper_min_cut, evolve, haar_unitary, lie_dimension,
-                   make_system, operator_norm, random_hermitian,
-                   stoer_wagner_min_cut, t_star_lower, trace_norm,
+                   epsilon_upper_drift_removal, epsilon_upper_min_cut, evolve,
+                   haar_unitary, lie_dimension, make_system, operator_norm,
+                   random_hermitian, stoer_wagner_min_cut, t_star_lower, trace_norm,
                    verify_perturbation_inequality)
 from qdist.commutant import (commutant_dimension,
                              extract_original_space_symmetry)
@@ -24,7 +23,8 @@ from qdist.models import (ModelSpec, build_global_control_chain,
                           hopping_spectrum, reference_bounds)
 from qdist.speed_limit import PiecewisePulse
 
-from conftest import SWAP_4, random_density, random_pair_system, sector_widths
+from conftest import (SWAP_4, manual_gap_merge, random_density,
+                      random_pair_system, sector_widths)
 
 
 class Stopwatch:
@@ -159,7 +159,7 @@ def test_criterion_6_distance_consistency():
             if not lie_dimension(system.algebra_generators()).controllable:
                 continue
             lower = epsilon_lower_svd(system, [0])
-            certificates = [epsilon_upper_gap_merge(system),
+            certificates = [manual_gap_merge(system),
                             epsilon_upper_min_cut(system),
                             epsilon_upper_block_search(system),
                             epsilon_upper_drift_removal(system)]

@@ -8,14 +8,13 @@ import pytest
 
 from qdist import cli, distance
 from qdist.cli import build_parser, main
-from qdist.distance import (certificate_to_json, epsilon_upper_drift_removal,
-                            epsilon_upper_gap_merge)
+from qdist.distance import certificate_to_json, epsilon_upper_drift_removal
 from qdist.linalg import matrix_to_json
 from qdist.models import pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
 
 from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
-                      random_pair_system)
+                      manual_gap_merge, random_pair_system)
 
 
 def run(capsys, *argv):
@@ -112,7 +111,7 @@ def test_qsl_cert_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     path = write_pair_system(tmp_path / "pair.json", *system.algebra_generators())
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(certificate_to_json(
-        epsilon_upper_gap_merge(system))))
+        manual_gap_merge(system))))
     flip_commutant_verdicts(monkeypatch)
     code, stdout, stderr = run(capsys, "qsl", "--system", path,
                                "--cert", str(cert_file))

@@ -25,7 +25,7 @@ from qdist.models import (build_global_control_chain, build_hopping_chain,
                           hopping_spectrum, pauli_on, site_projector)
 
 from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
-                      random_pair_system, sector_widths)
+                      manual_gap_merge, random_pair_system, sector_widths)
 
 
 def brute_force_min_cut(weights):
@@ -145,6 +145,33 @@ class TestGapMerge:
             w, _ = hermitian_eigensystem(drift)
             cert = epsilon_upper_gap_merge(drift_system(drift, site_projector(4, 0)))
             assert cert.op_norm == pytest.approx(np.min(np.diff(w)) / 2, rel=1e-10)
+
+    @pytest.mark.parametrize("d, seed", [(4, 0), (6, 2600)])
+    def test_declines_without_a_witness(self, d, seed, svd_log, monkeypatch):
+        # the merged pair keeps a single joint block: no witness to offer,
+        # so the estimator declines before any Lie closure or spectrum runs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lie_dimension(*args, **kwargs)
+
+        monkeypatch.setattr(distance, "lie_dimension", counted)
+        with pytest.raises(InputError, match="no symmetry witness"):
+            epsilon_upper_gap_merge(random_pair_system(d, seed))
+        assert calls == []
+        assert spectrum_shapes(svd_log, d) == []
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_manual_gap_merge_is_the_estimators_perturbation(self, d):
+        system = build_hopping_chain(d)
+        cert, manual = epsilon_upper_gap_merge(system), manual_gap_merge(system)
+        assert [i for i, _ in manual.perturbations] == [0]
+        np.testing.assert_allclose(manual.perturbations[0][1].matrix,
+                                   cert.perturbations[0][1].matrix, atol=1e-12)
+        assert manual.op_norm == pytest.approx(cert.op_norm, abs=1e-12)
+        assert manual.symmetry_witness is None
+        assert manual.verified_uncontrollable == cert.verified_uncontrollable
 
 
 class TestControlBasisGraph:
@@ -499,9 +526,50 @@ class TestVerifyCertificate:
 
 class TestVerifyUncontrollable:
     def test_returns_an_accepted_witness(self):
-        uncontrollable, witness = verify_uncontrollable([PAULI_Z, 2 * PAULI_Z])
+        offered = HermitianOperator(PAULI_Z)
+        uncontrollable, witness = verify_uncontrollable([PAULI_Z, 2 * PAULI_Z],
+                                                        witness=offered)
         assert uncontrollable
+        assert witness is offered
         assert is_symmetry_witness(witness, [PAULI_Z])
+        # a rejected witness is not returned; the Lie closure decides
+        assert verify_uncontrollable([PAULI_Z, 2 * PAULI_Z],
+                                     witness=PAULI_X) == (True, None)
+
+    def test_searches_for_no_witness_of_its_own(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return joint_blocks(*args, **kwargs)
+
+        for module in (commutant, distance):
+            monkeypatch.setattr(module, "joint_blocks", counted)
+        # Z is a symmetry of the pair, but only an offered witness counts
+        assert verify_uncontrollable([PAULI_Z, 2 * PAULI_Z]) == (True, None)
+        assert calls == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_hopping_chain(5), lambda: random_pair_system(5, 2500),
+        lambda: random_pair_system(5, 2501), lambda: random_pair_system(5, 2502),
+        lambda: build_hopping_chain(6), lambda: random_pair_system(6, 2600)],
+        ids=["hopping_d5", "random_d5_0", "random_d5_1", "random_d5_2",
+             "hopping_d6", "random_d6"])
+    def test_estimator_certificates_carry_their_witness(self, build):
+        # only drift removal without a fixed joint block is left to the Lie
+        # closure; every other construction offers a witness or declines
+        system = build()
+        no_blocks = Invariants(system).fixed_blocks is None
+        for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
+                          epsilon_upper_block_search, epsilon_upper_drift_removal):
+            try:
+                cert = estimator(system)
+            except InputError:
+                continue
+            if cert.method == "drift_removal" and no_blocks:
+                continue
+            assert cert.symmetry_witness is not None, cert.method
+            assert cert.verified_uncontrollable, cert.method
 
     def test_controllable_pair_has_no_witness(self):
         assert verify_uncontrollable([PAULI_Z, PAULI_X]) == (False, None)
@@ -524,7 +592,7 @@ class TestVerifyUncontrollable:
                                               for k in range(3)]
         checked = 0
         for system in systems:
-            certificates = [epsilon_upper_gap_merge(system),
+            certificates = [manual_gap_merge(system),
                             epsilon_upper_min_cut(system),
                             epsilon_upper_block_search(system),
                             epsilon_upper_drift_removal(system)]
@@ -550,7 +618,7 @@ class TestVerifyUncontrollable:
         # d = 6 is the largest dimension where both oracles run; check the
         # unperturbed generators and every certificate the estimators produce
         system = build()
-        certificates = [epsilon_upper_gap_merge(system),
+        certificates = [manual_gap_merge(system),
                         epsilon_upper_min_cut(system),
                         epsilon_upper_block_search(system),
                         epsilon_upper_drift_removal(system)]
@@ -566,7 +634,7 @@ class TestVerifyUncontrollable:
         # the gap merge of this pair leaves it controllable and has no
         # witness, so only a no-witness oracle can reject it
         system = random_pair_system(6, 2600)
-        cert = epsilon_upper_gap_merge(system)
+        cert = manual_gap_merge(system)
         svd_log.clear()
         assert verify_certificate(system, cert) is False
         assert cert.verified_uncontrollable is False
@@ -587,7 +655,7 @@ class TestVerifyUncontrollable:
         # a gap merge that leaves this pair controllable: no witness, so
         # the commutant spectrum cross-checks the Lie closure's verdict
         system = random_pair_system(4, 0)
-        cert = epsilon_upper_gap_merge(system)
+        cert = manual_gap_merge(system)
         assert cert.symmetry_witness is None
         assert verify_certificate(system, cert) is False
         flip_commutant_verdicts(monkeypatch)
@@ -728,7 +796,7 @@ class TestEpsilonBest:
         u = haar_unitary(4, 63)
         plain_system = drift_system(drift, control)
         rotated = drift_system(u @ drift @ u.conj().T, u @ control @ u.conj().T)
-        for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
+        for estimator in (manual_gap_merge, epsilon_upper_min_cut,
                           epsilon_upper_block_search, epsilon_upper_drift_removal):
             plain = estimator(plain_system)
             conj = estimator(rotated)

@@ -92,6 +92,16 @@ class TestFlatOrder:
             _perturb_indices(system, "control:-1")
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([0.5, 0.5], "2-D"), (0.5, "2-D"), ([["x", 0.5]], "not numbers"),
+    ([[np.nan, 0.5]], "finite"), ([[0.5, np.inf]], "finite")])
+def test_malformed_amplitudes_are_input_errors(rows, match):
+    # one bounded (cap 0.5) and one unbounded control; NaN is never above a cap
+    system = mixed_system(True, 1, 1)
+    with pytest.raises(InputError, match=match):
+        system.generator_amplitudes(rows)
+
+
 def reference_propagator(system, pulse):
     """prod_s exp(+i H_s dt_s), H_s assembled here from the system's fields."""
     d = system.dim
