@@ -20,6 +20,15 @@ singular values of the dense matrix. Below it the dense matrix of
 build_stacked_adjoint is decomposed; it stays the oracle the sectors are
 tested against.
 
+Complex conjugation is a second exact symmetry when every generator is
+real or imaginary up to the identity (conjugation_parity), as in every
+model of qdist.models. A real generator maps real symmetric X to
+imaginary antisymmetric i[H, X] and back, an imaginary one keeps each
+kind, so the Sym^2 and Lambda^2 sectors each split into two real blocks
+of about half the width, and the off-diagonal sector becomes one real
+matrix of the same width: five float64 SVDs in place of two real and one
+complex. Generators without a parity take the three sectors unchanged.
+
 The same construction on the original space (X -> i[H_k, X]) gives the
 generators' joint commutant. joint_blocks reads their finest joint
 invariant blocks from it, the one place they are found: min cut, block
@@ -33,6 +42,8 @@ commutant criterion of Zimboras et al., PRA 92, 042309 (2015).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +55,12 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
 # no commutant spectrum at or above this d, and no override. The three swap
 # sectors hold K (s^4 + a^4) float64 and K s^2 a^2 complex128 entries,
 # s = d(d+1)/2 and a = d(d-1)/2: 24 MB for K = 2 generators at d = 7 and
-# 1.7 GB at d = 12. The guard stays where the dense d^4-column matrix
+# 1.7 GB at d = 12 (the conjugation split holds the off sector in float64
+# and copies half of the other two). The guard stays where the dense d^4-column matrix
 # (K d^8 entries, 6.9 GB at d = 12) put it, since moving it changes what
 # analyze and the lower bound report at d >= 7.
 COMMUTANT_DIM_GUARD = 7
-# from this d the spectrum comes from the three swap sectors; below it the
+# from this d the spectrum comes from the swap sectors; below it the
 # dense matrix has at most 81 columns and the split saves nothing
 SECTOR_MIN_DIM = 4
 
@@ -164,36 +176,118 @@ def swap_sector_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     return vs, va
 
 
-def sector_blocks(mats, vs: np.ndarray, va: np.ndarray):
-    """The stacked doubled-space adjoint map split by swap symmetry.
+class SectorBlock(NamedTuple):
+    """One SVD input of the commutant spectrum: the stacked adjoint map of a
+    swap sector ("sym", "anti" or "off", see sector_blocks) restricted to
+    the sector coordinates listed in columns, its rows that can be nonzero
+    there. Its null vectors, placed at those coordinates, are the sector's
+    null vectors."""
+
+    matrix: np.ndarray
+    sector: str
+    columns: np.ndarray
+
+
+def conjugation_parity(m: np.ndarray) -> int:
+    """+1 when the traceless part of m is real (conj(H) = H up to the
+    identity), -1 when it is imaginary (conj(H) = -H up to the identity),
+    0 otherwise. Read exactly, without a tolerance: the imaginary or the
+    real part must be a multiple of the identity, which commutes with
+    everything and so drops out of every adjoint map. A zero traceless part
+    counts as real."""
+    for parity, part in ((1, m.imag), (-1, m.real)):
+        if np.array_equal(part, part[0, 0] * np.eye(len(part))):
+            return parity
+    return 0
+
+
+def _parity_split(stacked: np.ndarray, parities) -> list:
+    """Split the stacked real blocks of X -> i[H_k, X], n^2 columns in the
+    Hermitian basis of linalg.vec_herm, by the kind of X: the columns of the
+    diagonal and upper positions (real symmetric X) and those of the lower
+    positions (imaginary antisymmetric X), each with the rows it reaches.
+
+    A real generator maps real symmetric X to imaginary antisymmetric
+    i[H, X] and back; an imaginary one keeps each kind. So in every block
+    the two column groups reach disjoint rows, and the singular values of
+    the stacked matrix are those of the two groups together. Returns
+    [(matrix, columns)] for the two groups."""
+    n2 = stacked.shape[1]
+    upper = np.triu(np.ones((isqrt(n2),) * 2, dtype=bool)).ravel()
+    groups = np.flatnonzero(upper), np.flatnonzero(~upper)
+    out = []
+    for cols, other in (groups, groups[::-1]):
+        # block k holds rows k n^2 to (k + 1) n^2
+        rows = np.concatenate([k * n2 + (cols if p < 0 else other)
+                               for k, p in enumerate(parities)])
+        out.append((stacked[np.ix_(rows, cols)], cols))
+    return out
+
+
+def sector_blocks(mats, vs: np.ndarray, va: np.ndarray) -> list:
+    """The stacked doubled-space adjoint map split by swap symmetry and,
+    when every generator has a conjugation parity, by complex conjugation.
 
     Every doubled generator H^(2) = H (x) 1 + 1 (x) H commutes with the
     swap, so in the basis [V_s V_a] it is diag(H_s, H_a) with
     H_s = V_s^T H^(2) V_s and H_a = V_a^T H^(2) V_a, and X -> i[H^(2), X]
     maps each of three parts of a Hermitian X to itself: the Hermitian
-    s x s block, the Hermitian a x a block and the complex s x a block Z.
-    Returns (sym, anti, off): the stacked real blocks of X -> i[H_s, X]
-    (K s^2 x s^2) and X -> i[H_a, X] (K a^2 x a^2), as
-    build_stacked_adjoint(doubled=False) would give them, and the stacked
-    complex row-vectorized map Z -> i(H_s Z - Z H_a) (K s a x s a), whose
-    singular values are those of the real map on Z, each counted twice.
-    The generators must already be checked. H_s and H_a are symmetrized,
-    not checked again: a generator accepted within hermiticity_tol can
-    give sectors up to twice as far from Hermitian.
+    s x s block ("sym"), the Hermitian a x a block ("anti") and the complex
+    s x a block Z ("off"). The sym and anti blocks are the stacked real
+    blocks of X -> i[H_s, X] (K s^2 x s^2) and X -> i[H_a, X] (K a^2 x a^2),
+    as build_stacked_adjoint(doubled=False) would give them. The off block
+    is the stacked row-vectorized map Z -> i(H_s Z - Z H_a) (K s a x s a),
+    whose singular values are those of the real map on Z, each counted
+    twice: complex128 in general.
+
+    V_s and V_a are real, so a generator whose traceless part is real or
+    imaginary (conjugation_parity) keeps that parity in H_s and H_a. When
+    every generator has one, each sym and anti block splits into its real
+    symmetric and its imaginary antisymmetric columns (_parity_split), and
+    the off block of generator k is i R_k (real H) or -R_k (imaginary H)
+    with R_k = P (x) 1 - 1 (x) Q^T real, (P, Q) the real or imaginary parts
+    of (H_s, H_a): the stack of the R_k has the same singular values and
+    the same null vectors, and is built in float64. That gives five real
+    blocks instead of two real and one complex; the identity part of a
+    generator is left out of the blocks it would only add roundoff to.
+
+    Returns the list of SectorBlock. The generators must already be
+    checked. H_s and H_a are symmetrized, not checked again: a generator
+    accepted within hermiticity_tol can give sectors up to twice as far
+    from Hermitian.
     """
     doubled = [tensor_double(m) for m in mats]
     hs = [_hermitian_part(vs.T @ h @ vs) for h in doubled]
     ha = [_hermitian_part(va.T @ h @ va) for h in doubled]
     s, a = vs.shape[1], va.shape[1]
-    # entry ((x, y), (c, e)) of block k is i(H_s[x, c] d[y, e] - d[x, c] H_a[e, y]);
+    parities = [conjugation_parity(m) for m in mats]
+    split = all(parities)
+    blocks = []
+    for name, sector in (("sym", hs), ("anti", ha)):
+        stacked = _stacked_adjoint(sector)
+        if split:
+            blocks += [SectorBlock(matrix, name, cols)
+                       for matrix, cols in _parity_split(stacked, parities)]
+        else:
+            blocks.append(SectorBlock(stacked, name,
+                                      np.arange(stacked.shape[1])))
+    if split:
+        # R_k from the real parts (i R_k) or the imaginary parts (-R_k)
+        pairs = [(p.real, q.real) if parity > 0 else (p.imag, q.imag)
+                 for p, q, parity in zip(hs, ha, parities)]
+    else:
+        pairs = [(1j * p, 1j * q) for p, q in zip(hs, ha)]  # the complex map
+    # entry ((x, y), (c, e)) of block k is P[x, c] d[y, e] - d[x, c] Q[e, y];
     # filled by index, since np.kron builds the same matrix 20 times slower
-    off = np.zeros((len(hs), s, a, s, a), dtype=np.complex128)
+    off = np.zeros((len(hs), s, a, s, a),
+                   dtype=np.float64 if split else np.complex128)
     rows, cols = np.arange(s), np.arange(a)
-    for block, p, q in zip(off, hs, ha):
-        block[:, cols, :, cols] = 1j * p
-        block[rows, :, rows, :] -= 1j * q.T
-    return (_stacked_adjoint(hs), _stacked_adjoint(ha),
-            off.reshape(len(hs) * s * a, s * a))
+    for block, (p, q) in zip(off, pairs):
+        block[:, cols, :, cols] = p
+        block[rows, :, rows, :] -= q.T
+    blocks.append(SectorBlock(off.reshape(len(hs) * s * a, s * a), "off",
+                              np.arange(s * a)))
+    return blocks
 
 
 def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
@@ -203,11 +297,13 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     Controllable iff the nullity is exactly 2 (rank d^4 - 2): the identity
     and the swap always commute with every doubled generator. Below
     SECTOR_MIN_DIM the dense build_stacked_adjoint matrix is decomposed;
-    from there the three swap sectors of sector_blocks are, and their
-    merged values are the same d^4 singular values. Either way rank counts
-    values above rank_rel_tol times the largest one. At
-    d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
-    generators below 2 x 2 are an InputError.
+    from there the blocks of sector_blocks are, three swap sectors or, for
+    generators that are each real or imaginary, five real blocks split
+    further by complex conjugation. Either way their merged values are the
+    same d^4 singular values, and rank counts values above rank_rel_tol
+    times the largest one. At d >= COMMUTANT_DIM_GUARD it raises
+    DimensionGuardError (no override); generators below 2 x 2 are an
+    InputError.
     """
     mats, d = checked_generators(generators, tol)
     if d >= COMMUTANT_DIM_GUARD:
@@ -227,31 +323,47 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                                controllable=(r.nullity == 2),
                                singular_values=r.singular_values)
     vs, va = swap_sector_bases(d)
-    sym, anti, off = (singular_decomposition(b, want_symmetries)
-                      for b in sector_blocks(mats, vs, va))
-    values = np.sort(np.concatenate([sym[0], anti[0], np.repeat(off[0], 2)]))[::-1]
-    # one cutoff for all three sectors: relative to the largest value overall
+    blocks = sector_blocks(mats, vs, va)
+    decompositions = [singular_decomposition(b.matrix, want_symmetries)
+                      for b in blocks]
+    # an off-diagonal value is one of the real map on Z, counted twice
+    values = np.sort(np.concatenate([
+        np.repeat(sv, 2 if b.sector == "off" else 1)
+        for b, (sv, _) in zip(blocks, decompositions)]))[::-1]
+    # one cutoff for all blocks: relative to the largest value overall
     cutoff = tol.rank_rel_tol * values[0]
     rank = int(np.count_nonzero(values > cutoff))
     symmetries = []
     if want_symmetries:
-        # orthonormal null vectors of each sector are orthonormal
-        # coordinates of operators in that sector; mapped back they stay
-        # orthonormal in Hilbert-Schmidt, and are symmetrized to be exactly
-        # Hermitian. A complex null vector Z of the off-diagonal sector
-        # gives two operators, from Z and iZ.
-        for v, decomposition in ((vs, sym), (va, anti)):
-            symmetries += [_hermitian_part(v @ devec_herm(y, v.shape[1]) @ v.T)
-                           for y in _null_vectors(decomposition, cutoff)]
-        for z in _null_vectors(off, cutoff):
-            z = z.reshape(vs.shape[1], va.shape[1])
-            symmetries += [np.sqrt(2) * _hermitian_part(vs @ w @ va.T)
-                           for w in (z, 1j * z)]
+        # orthonormal null vectors of each block, placed at its columns,
+        # are orthonormal coordinates of operators in its sector; mapped
+        # back they stay orthonormal in Hilbert-Schmidt, and are
+        # symmetrized to be exactly Hermitian. A null vector Z of the
+        # off-diagonal sector gives two operators, from Z and iZ.
+        s, a = vs.shape[1], va.shape[1]
+        width = {"sym": s * s, "anti": a * a, "off": s * a}
+        for block, decomposition in zip(blocks, decompositions):
+            for y in _null_vectors(decomposition, cutoff):
+                coords = np.zeros(width[block.sector], dtype=y.dtype)
+                coords[block.columns] = y
+                symmetries += _sector_operators(block.sector, coords, vs, va)
     nullity = d ** 4 - rank
     return CommutantResult(nullity=nullity, rank=rank,
                            symmetry_basis=symmetries,
                            controllable=(nullity == 2),
                            singular_values=values)
+
+
+def _sector_operators(sector: str, coords: np.ndarray, vs: np.ndarray,
+                      va: np.ndarray) -> list:
+    """The doubled-space Hermitian operators of one null vector of a sector,
+    given by its coordinates in that sector."""
+    if sector == "off":
+        z = coords.reshape(vs.shape[1], va.shape[1])
+        return [np.sqrt(2) * _hermitian_part(vs @ w @ va.T)
+                for w in (z, 1j * z)]
+    v = vs if sector == "sym" else va
+    return [_hermitian_part(v @ devec_herm(coords, v.shape[1]) @ v.T)]
 
 
 def _null_vectors(decomposition, cutoff: float) -> np.ndarray:

@@ -407,12 +407,12 @@ def epsilon_upper_block_search(system: ControlSystem,
     below that margin, so a tie always goes to the earliest candidate
     whatever the order of floating-point operations (a Haar-rotated basis,
     say). The pick's norm exceeds the smallest by at most that margin.
-    All N = 2^(nb-1) - 1 candidates are scored in one stacked norm
-    evaluation in the joint block basis, where the norm of -(P H Q + Q H P)
-    is that of the drift masked to the entries crossing the cut; only the
-    winner is assembled and verified. No drift, or controls with no common
-    block structure: InputError, before anything is verified. N d^2 above
-    BLOCK_SEARCH_MAX_ENTRIES: DimensionGuardError.
+    All N = 2^(nb-1) - 1 candidates are scored in one stacked Hermitian
+    eigenvalue evaluation in the joint block basis, where the norm of
+    -(P H Q + Q H P) is that of the drift masked to the entries crossing the
+    cut; only the winner is assembled and verified. No drift, or controls
+    with no common block structure: InputError, before anything is
+    verified. N d^2 above BLOCK_SEARCH_MAX_ENTRIES: DimensionGuardError.
     """
     invariants, index, hd = _drift(system, tol, invariants, "block search")
     if invariants.fixed_blocks is None:
@@ -433,9 +433,10 @@ def epsilon_upper_block_search(system: ControlSystem,
     subsets = np.arange(1, 2 ** (nb - 1))
     inside = (subsets[:, None] >> label) & 1 == 1
     cross = inside[:, :, None] != inside[:, None, :]
-    # ||P H Q + Q H P|| is the norm of h masked to the entries crossing the cut
+    # ||P H Q + Q H P|| is the norm of h masked to the entries crossing the
+    # cut; each masked matrix is Hermitian, so its largest |eigenvalue|
     h = basis.conj().T @ hd @ basis
-    norms = np.linalg.norm(h * cross, 2, axis=(1, 2)).tolist()
+    norms = np.abs(np.linalg.eigvalsh(h * cross)).max(axis=1).tolist()
     margin = 1e-12 * max(norms)
     best = 0
     for n, norm in enumerate(norms):

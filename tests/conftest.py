@@ -68,12 +68,21 @@ def svd_log(monkeypatch):
     return log
 
 
-def sector_widths(d):
-    """Columns (s^2, a^2, s a) of the Sym^2, Lambda^2 and off-diagonal swap
-    sectors, s = d(d+1)/2 and a = d(d-1)/2, that the commutant spectrum
-    decomposes at d >= 4: one SVD of width s^2 is one spectrum."""
-    s, a = d * (d + 1) // 2, d * (d - 1) // 2
-    return s * s, a * a, s * a
+@pytest.fixture
+def spectrum_log(monkeypatch):
+    """Record the generators of every commutant spectrum taken from the swap
+    sectors (d >= SECTOR_MIN_DIM), one entry per call of
+    commutant.sector_blocks, in call order: a marker that does not depend
+    on how the sectors are split into SVD inputs."""
+    log = []
+    blocks = commutant.sector_blocks
+
+    def logging_blocks(mats, *args, **kwargs):
+        log.append([np.array(m) for m in mats])
+        return blocks(mats, *args, **kwargs)
+
+    monkeypatch.setattr(commutant, "sector_blocks", logging_blocks)
+    return log
 
 
 def drift_system(drift, *controls):

@@ -24,7 +24,7 @@ from qdist.models import (ModelSpec, build_global_control_chain,
 from qdist.speed_limit import PiecewisePulse
 
 from conftest import (SWAP_4, manual_gap_merge, random_density,
-                      random_pair_system, sector_widths)
+                      random_pair_system)
 
 
 class Stopwatch:
@@ -60,18 +60,17 @@ def _criterion_1_pass():
         assert abs(exact / report.t_star_lower - 2 * np.pi) <= 1e-12
 
 
-def test_criterion_1_two_qubit_bound(svd_log):
+def test_criterion_1_two_qubit_bound(spectrum_log):
     # the first multi-threaded BLAS work of a fresh process can run many
     # times slower than later work, so the budget times a second pass
     _criterion_1_pass()
-    svd_log.clear()
+    spectrum_log.clear()
     with Stopwatch(1.0) as watch:
         _criterion_1_pass()
     # per delta: the unperturbed spectrum and the witness-free d <= 4
-    # commutant cross-check of the drift removal, each one 500 x 100 SVD of
-    # the Sym^2 sector of the five generators
-    sym2 = sector_widths(4)[0]
-    assert [c.shape for c in svd_log if c.shape[-1] == sym2] == [(500, 100)] * 6
+    # commutant cross-check of the drift removal, each a spectrum of the
+    # five 4 x 4 generators
+    assert [(len(g), g[0].shape) for g in spectrum_log] == [(5, (4, 4))] * 6
     _report(1, "two-qubit bound 1/(4 delta), exact pi/(2 delta)", watch)
 
 

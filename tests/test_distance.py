@@ -25,7 +25,7 @@ from qdist.models import (build_global_control_chain, build_hopping_chain,
                           hopping_spectrum, pauli_on, site_projector)
 
 from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
-                      manual_gap_merge, random_pair_system, sector_widths)
+                      manual_gap_merge, random_pair_system)
 
 
 def brute_force_min_cut(weights):
@@ -100,12 +100,6 @@ def block_search_systems():
     return cases
 
 
-def spectrum_shapes(svd_log, d):
-    """Shapes of the logged SVD inputs as wide as the Sym^2 swap sector, one
-    per commutant spectrum at d >= 4."""
-    return [c.shape for c in svd_log if c.shape[-1] == sector_widths(d)[0]]
-
-
 class TestGapMerge:
     def test_hopping_three_sites(self):
         cert = epsilon_upper_gap_merge(
@@ -147,7 +141,8 @@ class TestGapMerge:
             assert cert.op_norm == pytest.approx(np.min(np.diff(w)) / 2, rel=1e-10)
 
     @pytest.mark.parametrize("d, seed", [(4, 0), (6, 2600)])
-    def test_declines_without_a_witness(self, d, seed, svd_log, monkeypatch):
+    def test_declines_without_a_witness(self, d, seed, spectrum_log,
+                                        monkeypatch):
         # the merged pair keeps a single joint block: no witness to offer,
         # so the estimator declines before any Lie closure or spectrum runs
         calls = []
@@ -160,7 +155,7 @@ class TestGapMerge:
         with pytest.raises(InputError, match="no symmetry witness"):
             epsilon_upper_gap_merge(random_pair_system(d, seed))
         assert calls == []
-        assert spectrum_shapes(svd_log, d) == []
+        assert spectrum_log == []
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_manual_gap_merge_is_the_estimators_perturbation(self, d):
@@ -630,25 +625,25 @@ class TestVerifyUncontrollable:
             assert lie_dimension(gens).controllable \
                 == commutant_dimension(gens, want_symmetries=False).controllable
 
-    def test_lie_closure_decides_without_a_d4_svd_above_d4(self, svd_log):
+    def test_lie_closure_decides_without_a_d4_svd_above_d4(self, spectrum_log):
         # the gap merge of this pair leaves it controllable and has no
         # witness, so only a no-witness oracle can reject it
         system = random_pair_system(6, 2600)
         cert = manual_gap_merge(system)
-        svd_log.clear()
+        spectrum_log.clear()
         assert verify_certificate(system, cert) is False
         assert cert.verified_uncontrollable is False
         assert cert.symmetry_witness is None
-        assert spectrum_shapes(svd_log, 6) == []
+        assert spectrum_log == []
         # at d <= 4 the commutant still cross-checks the Lie closure: exactly
         # one spectrum; a witness is cross-checked by the Lie closure alone
         system = build_hopping_chain(4)
         cert = epsilon_upper_drift_removal(system)
-        svd_log.clear()
+        spectrum_log.clear()
         assert verify_uncontrollable(system.algebra_generators()) == (False, None)
-        assert len(spectrum_shapes(svd_log, 4)) == 1
+        assert len(spectrum_log) == 1
         assert verify_certificate(system, cert) is True
-        assert len(spectrum_shapes(svd_log, 4)) == 1
+        assert len(spectrum_log) == 1
 
     def test_commutant_disagreement_at_d4_is_numerical_error(self,
                                                              monkeypatch):
@@ -713,11 +708,10 @@ class TestEpsilonBest:
 
     @pytest.mark.parametrize("system", [
         build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2])])
-    def test_each_d4_input_is_decomposed_once(self, svd_log, system):
+    def test_each_d4_input_is_decomposed_once(self, svd_log, spectrum_log,
+                                              system):
         epsilon_best(system)
-        sym2 = sector_widths(system.dim)[0]
-        inputs = [c.matrix for c in svd_log if c.shape[-1] == sym2]
-        assert len(inputs) == 2  # the drift removal's cross-check, the spectrum
+        assert len(spectrum_log) == 2  # the drift removal's cross-check, the spectrum
         # no matrix at all is decomposed twice: the controls' joint blocks
         # are found once, for block search and drift removal both
         for a, b in itertools.combinations([c.matrix for c in svd_log], 2):

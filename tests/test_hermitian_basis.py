@@ -17,7 +17,7 @@ from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising)
 from qdist.system import system_to_json
 
-from conftest import adjoint_action_matrix, random_pair_system, sector_widths
+from conftest import adjoint_action_matrix, random_pair_system
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -93,39 +93,52 @@ def test_non_hermitian_generator_is_an_input_error():
         commutant_dimension([np.diag([1.0, -1.0]), raising])
 
 
-def assert_sector_inputs(svd_log, d, spectra):
-    """Each of the spectra decomposes its two Hermitian swap sectors in
-    float64 and the off-diagonal one in complex128: 4 n^3 flops at width
-    n = s a, against 8 n^3 for its real form at width 2 n. Every other SVD
-    input is real, and none has d^4 columns."""
-    sym2, anti2, off = sector_widths(d)
-    dtypes = {sym2: np.float64, anti2: np.float64, off: np.complex128}
-    for width, dtype in dtypes.items():
-        assert [c.dtype for c in svd_log if c.shape[-1] == width] \
-            == [np.dtype(dtype)] * spectra
-    assert {c.dtype for c in svd_log if c.shape[-1] not in dtypes} \
-        <= {np.dtype(np.float64)}
+def assert_sector_inputs(svd_log, spectrum_log, d, spectra, off_dtype):
+    """spectra commutant spectra were taken from the swap sectors, and every
+    SVD input is float64 except the off-diagonal sector of each spectrum,
+    s a columns wide, which is off_dtype: complex128 for generic complex
+    generators (4 n^3 flops at width n = s a, against 8 n^3 for its real
+    form at width 2 n), float64 when every generator's traceless part is
+    real or imaginary. None has d^4 columns."""
+    s, a = d * (d + 1) // 2, d * (d - 1) // 2
+    assert len(spectrum_log) == spectra
+    off = [] if off_dtype == np.float64 else [(np.dtype(off_dtype), s * a)] * spectra
+    assert [(c.dtype, c.shape[-1]) for c in svd_log
+            if c.dtype != np.float64] == off
     assert not any(c.shape[-1] == d ** 4 for c in svd_log)
 
 
-def test_analyze_hands_only_real_inputs_to_the_svd(svd_log):
-    # hopping d=4: one spectrum, the unperturbed one; only its off-diagonal
-    # swap sector is complex
+def test_analyze_hands_only_real_inputs_to_the_svd(svd_log, spectrum_log):
+    # hopping d=4: one spectrum, the unperturbed one; both generators are
+    # real, so the off-diagonal swap sector is decomposed in float64 too
     analyze_system(build_hopping_chain(4), DEFAULT_TOL)
-    assert_sector_inputs(svd_log, 4, spectra=1)
+    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=1,
+                         off_dtype=np.float64)
 
 
 def test_qsl_cert_hands_only_real_inputs_to_the_svd(tmp_path, capsys,
-                                                    svd_log):
+                                                    svd_log, spectrum_log):
     # Ising delta=1: the d <= 4 cross-check of the certificate and the
-    # lower bound each take one spectrum
+    # lower bound each take one spectrum; its generators are each real or
+    # imaginary
     system = build_two_qubit_ising(1.0)
     cert = epsilon_best(system).upper
     system_path, cert_path = tmp_path / "ising.json", tmp_path / "cert.json"
     system_path.write_text(json.dumps(system_to_json(system)))
     cert_path.write_text(json.dumps(certificate_to_json(cert)))
     svd_log.clear()
+    spectrum_log.clear()
     assert main(["qsl", "--system", str(system_path),
                  "--cert", str(cert_path)]) == 0
     capsys.readouterr()
-    assert_sector_inputs(svd_log, 4, spectra=2)
+    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=2,
+                         off_dtype=np.float64)
+
+
+def test_complex_pair_hands_its_off_sector_over_as_complex(svd_log,
+                                                          spectrum_log):
+    # a random pair has no conjugation parity: its off-diagonal sector is
+    # one complex128 SVD input, everything else float64
+    analyze_system(random_pair_system(4, 0), DEFAULT_TOL)
+    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=1,
+                         off_dtype=np.complex128)

@@ -1,6 +1,7 @@
-"""The commutant spectrum from the three swap sectors equals the spectrum of
-the dense stacked doubled-space adjoint matrix, which stays the oracle:
-build_stacked_adjoint(doubled=True) decomposed by rank_and_nullity."""
+"""The commutant spectrum from the swap sectors (three, or five real blocks
+for the models, whose generators are each real or imaginary) equals the
+spectrum of the dense stacked doubled-space adjoint matrix, which stays the
+oracle: build_stacked_adjoint(doubled=True) decomposed by rank_and_nullity."""
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_sector_blocks_cover_the_doubled_space():
     v = np.hstack([vs, va])
     np.testing.assert_allclose(v.T @ v, np.eye(d * d), atol=1e-15)
     gens = random_pair_system(d, 3).algebra_generators()
-    sym, anti, off = sector_blocks(gens, vs, va)
+    sym, anti, off = (b.matrix for b in sector_blocks(gens, vs, va))
     assert sym.shape[1] + anti.shape[1] + 2 * off.shape[1] == d ** 4
     h_s = vs.T @ tensor_double(gens[0]) @ vs
     np.testing.assert_allclose(

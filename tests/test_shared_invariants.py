@@ -13,8 +13,7 @@ from qdist import (DEFAULT_TOL, InputError, ToleranceConfig, cli, commutant,
                    distance, epsilon_best, epsilon_lower_svd, lie_closure)
 from qdist.cli import analyze_system, main
 from qdist.commutant import (COMMUTANT_DIM_GUARD, SECTOR_MIN_DIM,
-                             build_stacked_adjoint, commutant_dimension,
-                             sector_blocks, swap_sector_bases)
+                             build_stacked_adjoint, commutant_dimension)
 from qdist.distance import (Invariants, certificate_to_json,
                             epsilon_upper_block_search,
                             epsilon_upper_drift_removal, epsilon_upper_gap_merge,
@@ -35,6 +34,11 @@ SYSTEMS = {
 }
 
 
+def same_generators(mats, gens) -> bool:
+    return len(mats) == len(gens) and all(
+        np.array_equal(a, b) for a, b in zip(mats, gens))
+
+
 def count_closures(monkeypatch, gens, counts, key):
     """Count in counts[key] the Lie closures of exactly these generators."""
     counts[key] = 0
@@ -42,8 +46,7 @@ def count_closures(monkeypatch, gens, counts, key):
 
     def counting_closure(generators, *args, **kwargs):
         mats = list(generators)
-        if len(mats) == len(gens) and all(
-                np.array_equal(a, b) for a, b in zip(mats, gens)):
+        if same_generators(mats, gens):
             counts[key] += 1
         return closure(mats, *args, **kwargs)
 
@@ -51,24 +54,25 @@ def count_closures(monkeypatch, gens, counts, key):
         monkeypatch.setattr(module, "lie_dimension", counting_closure)
 
 
-def count_unperturbed_work(monkeypatch, svd_log, system):
+def count_unperturbed_work(monkeypatch, svd_log, spectrum_log, system):
     """Count the unperturbed commutant spectra and the Lie closures of the
     unperturbed generators; other inputs are not counted. A spectrum is
     counted as one SVD of the stacked adjoint matrix below SECTOR_MIN_DIM,
-    and of its Sym^2 swap sector from there. Returns a function that gives
-    the counts so far."""
+    and as one call of commutant.sector_blocks from there, however the
+    sectors are split into SVD inputs. Returns a function that gives the
+    counts so far."""
     gens = system.algebra_generators()
-    if system.dim < SECTOR_MIN_DIM:
-        stacked = build_stacked_adjoint(gens)
-    else:
-        stacked = sector_blocks(gens, *swap_sector_bases(system.dim))[0]
+    stacked = build_stacked_adjoint(gens) if system.dim < SECTOR_MIN_DIM else None
     closures = {}
     count_closures(monkeypatch, gens, closures, "lie")
 
     def counts():
-        svds = sum(1 for c in svd_log if c.shape == stacked.shape
-                   and np.array_equal(c.matrix, stacked))
-        return {"svd": svds, **closures}
+        if stacked is None:
+            spectra = sum(same_generators(g, gens) for g in spectrum_log)
+        else:
+            spectra = sum(1 for c in svd_log if c.shape == stacked.shape
+                          and np.array_equal(c.matrix, stacked))
+        return {"spectrum": spectra, **closures}
 
     return counts
 
@@ -84,12 +88,14 @@ def dumps(obj):
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_analyze_computes_each_invariant_once(monkeypatch, svd_log, name):
+def test_analyze_computes_each_invariant_once(monkeypatch, svd_log,
+                                              spectrum_log, name):
     system = SYSTEMS[name]()
-    counts = count_unperturbed_work(monkeypatch, svd_log, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, spectrum_log,
+                                    system)
     report, code = analyze_system(system, DEFAULT_TOL)
     assert code == 0 and report["qsl"] is not None
-    assert counts() == {"svd": 1, "lie": 1}
+    assert counts() == {"spectrum": 1, "lie": 1}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -106,14 +112,15 @@ def test_analyze_report_matches_unshared_calls(name):
 @pytest.mark.parametrize("argv", [["distance"], ["distance", "--perturb", "all"],
                                   ["qsl"]])
 def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
-                                              svd_log, argv):
+                                              svd_log, spectrum_log, argv):
     system = build_hopping_chain(4)
     path = tmp_path / "hop4.json"
     path.write_text(json.dumps(system_to_json(system)))
-    counts = count_unperturbed_work(monkeypatch, svd_log, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, spectrum_log,
+                                    system)
     assert main(argv + ["--system", str(path)]) == 0
     capsys.readouterr()
-    assert counts() == {"svd": 1, "lie": 1}
+    assert counts() == {"spectrum": 1, "lie": 1}
 
 
 @pytest.mark.parametrize("argv, code", [(["distance"], 1), (["qsl"], 1)],
@@ -135,16 +142,17 @@ def test_controllable_controls_are_rejected_before_any_svd(
     (["distance", "--perturb", "all"], 1), (["qsl"], 1)],
     ids=["distance_all", "qsl"])
 def test_controllable_unbounded_controls_are_rejected_before_the_svd(
-        tmp_path, capsys, monkeypatch, svd_log, argv, code):
+        tmp_path, capsys, monkeypatch, svd_log, spectrum_log, argv, code):
     # driftless: X, Y alone generate su(2), so removing the bounded Z cannot
     # break controllability and the 48 x 16 spectrum would go unused
     system = make_system(bounded=[(PAULI_Z, 1.0)], unbounded=[PAULI_X, PAULI_Y])
     path = write_system(tmp_path, system)
-    counts = count_unperturbed_work(monkeypatch, svd_log, system)
+    counts = count_unperturbed_work(monkeypatch, svd_log, spectrum_log,
+                                    system)
     assert main(argv + ["--system", path]) == code
     out, err = capsys.readouterr()
     assert "the unbounded controls alone are controllable" in out + err
-    assert counts() == {"svd": 0, "lie": 1}
+    assert counts() == {"spectrum": 0, "lie": 1}
 
 
 @pytest.mark.parametrize("argv", [["distance"], ["qsl"], ["analyze"]],
