@@ -42,6 +42,7 @@ commutant criterion of Zimboras et al., PRA 92, 042309 (2015).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -85,6 +86,7 @@ class CommutantResult:
         return n - 2
 
 
+@lru_cache(maxsize=8)
 def _hermitian_adjoint_entries(n: int):
     """Where the nonzero entries of X -> i[H, X] sit in the Hermitian basis.
 
@@ -96,6 +98,10 @@ def _hermitian_adjoint_entries(n: int):
     entries instead of n^4. Returns, per candidate, its flat index in the
     n^2 x n^2 block, the index of the Z entry in concat(R.ravel(),
     S.ravel()), and its real weight. Repeated flat indices add up.
+
+    The pattern depends on n alone, so it is built once per n (the last 8
+    sizes are kept) and returned read-only: its 3 x 4 n^3 entries are a
+    fraction of the K n^4 matrix that each caller builds from it.
     """
     i, j, k = (a.ravel() for a in np.indices((n, n, n)))
     # (row x, row y, column c, column e), (Z row, Z column), source term, sign
@@ -118,7 +124,10 @@ def _hermitian_adjoint_entries(n: int):
         flat.append((x * n + y) * n * n + c * n + e)
         z_index.append(np.where(row_real == col_real, n * n, 0) + zr * n + zc)
         weight.append(sign * row_w * col_w * source_w * map_w)
-    return np.concatenate(flat), np.concatenate(z_index), np.concatenate(weight)
+    entries = tuple(np.concatenate(part) for part in (flat, z_index, weight))
+    for part in entries:
+        part.setflags(write=False)
+    return entries
 
 
 def build_stacked_adjoint(generators, doubled: bool = True,

@@ -104,25 +104,49 @@ class ProbeResult:
     method: str
 
 
-def _segment_unitary(h: np.ndarray, dt: float) -> np.ndarray:
-    # eigendecomposition keeps the result unitary at machine precision
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.exp(1j * w * dt)) @ v.conj().T
+# most complex entries in one chunk's (S, d, d) stack of segment
+# Hamiltonians: what bounds evolve's working memory beyond the pulse
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _ordered_product(unitaries: np.ndarray) -> np.ndarray:
+    """unitaries[-1] @ ... @ unitaries[0] of an (S, d, d) stack, by pairwise
+    products: each round multiplies neighbours (later one on the left) in
+    one batched matmul, and an odd last entry waits for the next round."""
+    while len(unitaries) > 1:
+        even = len(unitaries) // 2 * 2
+        paired = unitaries[1:even:2] @ unitaries[0:even:2]
+        unitaries = (np.concatenate([paired, unitaries[even:]])
+                     if even < len(unitaries) else paired)
+    return unitaries[0]
 
 
 def evolve(system: ControlSystem, pulse: PiecewisePulse) -> np.ndarray:
     """Propagator of the piecewise-constant pulse, later segments leftmost.
 
-    Segment s evolves under sum_j A[s, j] H_j, with A the pulse's amplitudes
-    in flat generator order (system.generator_amplitudes), one segment at a
-    time: beyond A, the pulse's size, memory is O(K d^2) for K generators."""
+    Segment s evolves under H_s = sum_j A[s, j] H_j, with A the pulse's
+    amplitudes in flat generator order (system.generator_amplitudes), as
+    exp(+i H_s dt_s) from the eigendecomposition of the symmetrized H_s,
+    which keeps it unitary at machine precision. The segments are taken a
+    chunk at a time: one eigh over the chunk's (S, d, d) stack of
+    Hamiltonians, one batched product for its unitaries, which are then
+    multiplied pairwise, in order, and applied left of the running
+    propagator. A chunk holds at most _CHUNK_ENTRIES complex entries (one
+    segment when d^2 is larger), so beyond A, the pulse's size, memory is
+    O(K d^2 + _CHUNK_ENTRIES) for K generators, whatever the number of
+    segments."""
     amps = system.generator_amplitudes(pulse.amplitudes)
     d = system.dim
     stack = np.array([op.matrix for op in system.generators()],
                      dtype=complex).reshape(-1, d * d)
+    step = max(1, _CHUNK_ENTRIES // (d * d))
     u = np.eye(d, dtype=complex)
-    for row, dt in zip(amps, pulse.durations):
-        u = _segment_unitary((row @ stack).reshape(d, d), float(dt)) @ u
+    for start in range(0, len(amps), step):
+        h = (amps[start:start + step] @ stack).reshape(-1, d, d)
+        w, v = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+        phases = np.exp(1j * w * pulse.durations[start:start + step, None])
+        segments = (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
+        u = _ordered_product(segments) @ u
     return u
 
 

@@ -119,6 +119,23 @@ def manual_gap_merge(system):
         cert, verified_uncontrollable=distance.verify_certificate(system, cert))
 
 
+def reference_propagator(system, pulse):
+    """prod_s exp(+i H_s dt_s), H_s assembled here from the system's fields,
+    one segment at a time: the oracle that evolve is tested against."""
+    d = system.dim
+    u = np.eye(d, dtype=complex)
+    controls = [b.operator for b in system.bounded] + list(system.unbounded)
+    for row, dt in zip(pulse.amplitudes, pulse.durations):
+        h = np.zeros((d, d), dtype=complex)
+        if system.drift is not None:
+            h += system.drift.matrix
+        for g, op in zip(row, controls):
+            h += g * op.matrix
+        w, v = np.linalg.eigh(h)
+        u = v @ np.diag(np.exp(1j * w * dt)) @ v.conj().T @ u
+    return u
+
+
 def random_density(d, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -135,7 +135,7 @@ def test_distance_reports_zero_lower_bound_above_the_guard(tmp_path, capsys,
                                "--perturb", perturb)
     assert code == 0, stderr
     doc = json.loads(stdout)
-    assert '"lower": 0.0' in stdout
+    assert doc["lower"] == 0.0
     assert doc["upper"] == plain["upper"]
     assert doc["perturbed_indices"] != plain["perturbed_indices"]
 
@@ -154,6 +154,37 @@ def test_verify_ineq(tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["holds"] is True
     assert doc["lhs"] <= doc["rhs"] + 1e-9
+
+
+@pytest.mark.parametrize("amplitudes, expected, message", [
+    pytest.param([[0.5, -1.0], [1.0, 0.25]], 0, None, id="within_the_caps"),
+    pytest.param([[0.5, -1.0], [2.0, 0.25]], 1,
+                 "violates cap on bounded control 0", id="above_a_cap"),
+    pytest.param([[0.5, -1.0, 0.0], [1.0, 0.25, 0.0]], 1,
+                 "3 amplitude columns", id="extra_column"),
+])
+def test_verify_ineq_exit_codes_on_the_distance_certificate(
+        tmp_path, capsys, amplitudes, expected, message):
+    # global chain (1, 1.2): two bounded controls of cap 1, the certificate
+    # as `distance` prints it
+    system = str(tmp_path / "chain.json")
+    run(capsys, "model", "--name", "global_control_chain", "--param",
+        "n_qubits=2", "--param", "gammas=1,1.2", "--out", system)
+    code, stdout, _ = run(capsys, "distance", "--system", system)
+    assert code == 0
+    cert = tmp_path / "upper.json"
+    cert.write_text(json.dumps(json.loads(stdout)["upper"]))
+    pulse = tmp_path / "pulse.json"
+    pulse.write_text(json.dumps({"durations": [0.5, 0.25],
+                                 "amplitudes": amplitudes}))
+    code, stdout, err = run(capsys, "verify-ineq", "--system", system,
+                            "--cert", str(cert), "--pulse", str(pulse))
+    assert code == expected
+    if message:
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+    else:
+        assert json.loads(stdout)["holds"] is True
 
 
 def test_analyze_report_structure_and_determinism(tmp_path, capsys):

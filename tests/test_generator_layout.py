@@ -12,6 +12,8 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    random_hermitian, verify_perturbation_inequality)
 from qdist.cli import _perturb_indices
 
+from conftest import reference_propagator
+
 LAYOUTS = [(drift, nb, nu)
            for drift, nb, nu in itertools.product((False, True), range(3), range(3))
            if drift or nb or nu]
@@ -100,22 +102,6 @@ def test_malformed_amplitudes_are_input_errors(rows, match):
     system = mixed_system(True, 1, 1)
     with pytest.raises(InputError, match=match):
         system.generator_amplitudes(rows)
-
-
-def reference_propagator(system, pulse):
-    """prod_s exp(+i H_s dt_s), H_s assembled here from the system's fields."""
-    d = system.dim
-    u = np.eye(d, dtype=complex)
-    controls = [b.operator for b in system.bounded] + list(system.unbounded)
-    for row, dt in zip(pulse.amplitudes, pulse.durations):
-        h = np.zeros((d, d), dtype=complex)
-        if system.drift is not None:
-            h += system.drift.matrix
-        for g, op in zip(row, controls):
-            h += g * op.matrix
-        w, v = np.linalg.eigh(h)
-        u = v @ np.diag(np.exp(1j * w * dt)) @ v.conj().T @ u
-    return u
 
 
 def capped_pulse(system, rng, segments):

@@ -8,9 +8,9 @@ import pytest
 
 from qdist import (DEFAULT_TOL, NumericalError, ToleranceConfig, haar_unitary,
                    random_hermitian, tensor_double)
-from qdist.commutant import (SECTOR_MIN_DIM, build_stacked_adjoint,
-                             commutant_dimension, sector_blocks,
-                             swap_sector_bases)
+from qdist.commutant import (SECTOR_MIN_DIM, _hermitian_adjoint_entries,
+                             build_stacked_adjoint, commutant_dimension,
+                             sector_blocks, swap_sector_bases)
 from qdist.linalg import hermiticity_defect, rank_and_nullity
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising,
@@ -151,3 +151,21 @@ def test_sector_blocks_cover_the_doubled_space():
         sym[:sym.shape[1]],
         build_stacked_adjoint([(h_s + h_s.conj().T) / 2], doubled=False),
         atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cached_index_pattern_is_the_built_one_and_read_only(n):
+    cached = _hermitian_adjoint_entries(n)
+    assert cached is _hermitian_adjoint_entries(n)
+    for part, built in zip(cached, _hermitian_adjoint_entries.__wrapped__(n)):
+        np.testing.assert_array_equal(part, built)
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0
+
+
+def test_spectrum_after_another_size_was_cached():
+    # d = 4 reads the patterns of n = 10 and 6 (sectors) and 16 (the dense
+    # oracle); an n = 9 pattern (the dense matrix at d = 3) is cached first
+    build_stacked_adjoint(random_pair_system(3, 1).algebra_generators())
+    assert_matches_dense(random_pair_system(4, 11).algebra_generators())

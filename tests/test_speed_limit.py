@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from qdist.distance import Invariants
 from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising, cross_kerr_coupling,
                           fock_sector_basis)
-from qdist.speed_limit import DELTA_SYMMETRY, DELTA_UNIVERSAL
+from qdist.speed_limit import _CHUNK_ENTRIES, DELTA_SYMMETRY, DELTA_UNIVERSAL
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_density,
-                      random_pair_system)
+                      random_pair_system, reference_propagator)
 
 
 class TestDeltaSelection:
@@ -199,6 +201,53 @@ class TestEvolve:
     def test_nonpositive_duration(self):
         with pytest.raises(InputError):
             PiecewisePulse(durations=[0.0], amplitudes=[[1.0]])
+
+
+def random_pulse(rng, segments):
+    """A pulse for a system with one unbounded control."""
+    return PiecewisePulse(durations=rng.uniform(0.01, 0.5, segments),
+                          amplitudes=rng.normal(0, 1, (segments, 1)))
+
+
+class TestChunkedEvolve:
+    """evolve diagonalizes a chunk of segments at once and multiplies them
+    pairwise; the product must be the segment-by-segment one."""
+
+    @pytest.mark.parametrize("d, segments", [(2, 1), (3, 1), (3, 7), (4, 13),
+                                             (2, 16), (4, 64)])
+    def test_matches_the_sequential_product(self, d, segments):
+        system = random_pair_system(d, 500 + d)
+        pulse = random_pulse(np.random.default_rng([d, segments]), segments)
+        np.testing.assert_allclose(evolve(system, pulse),
+                                   reference_propagator(system, pulse),
+                                   atol=1e-12)
+
+    def test_pulse_across_chunks(self):
+        d = 8
+        per_chunk = _CHUNK_ENTRIES // d ** 2
+        # two full chunks and an odd remainder
+        segments = 2 * per_chunk + 37
+        system = random_pair_system(d, 508)
+        pulse = random_pulse(np.random.default_rng(8), segments)
+        u = evolve(system, pulse)
+        np.testing.assert_allclose(u, reference_propagator(system, pulse),
+                                   atol=1e-12)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        # 100 000 segments at d = 2: the bound is 5.3 MB, while every
+        # segment at once holds several 6.4 MB stacks, 38 MB at the peak
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        pulse = random_pulse(np.random.default_rng(2), 100_000)
+        pulse_bytes = pulse.durations.nbytes + pulse.amplitudes.nbytes
+        chunk_bytes = _CHUNK_ENTRIES * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            evolve(system, pulse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * pulse_bytes + 8 * chunk_bytes
 
 
 class TestPerturbationInequality:
