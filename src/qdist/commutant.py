@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +50,8 @@ import numpy as np
 from .errors import DimensionGuardError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
                      checked_generators, devec_herm, hermitian_eigensystem,
-                     rank_and_nullity, singular_decomposition, tensor_double)
+                     rank_and_nullity, real_symmetric_positions,
+                     singular_decomposition, tensor_double)
 
 # no commutant spectrum at or above this d, and no override. The three swap
 # sectors hold K (s^4 + a^4) float64 and K s^2 a^2 complex128 entries,
@@ -205,31 +205,73 @@ def conjugation_parity(m: np.ndarray) -> int:
     everything and so drops out of every adjoint map. A zero traceless part
     counts as real."""
     for parity, part in ((1, m.imag), (-1, m.real)):
-        if np.array_equal(part, part[0, 0] * np.eye(len(part))):
+        diagonal = part.diagonal()
+        # no nonzero entry off the diagonal, and a constant diagonal
+        if np.count_nonzero(part) == np.count_nonzero(diagonal) and \
+                (diagonal == diagonal[0]).all():
             return parity
     return 0
 
 
-def _parity_split(stacked: np.ndarray, parities) -> list:
-    """Split the stacked real blocks of X -> i[H_k, X], n^2 columns in the
-    Hermitian basis of linalg.vec_herm, by the kind of X: the columns of the
-    diagonal and upper positions (real symmetric X) and those of the lower
-    positions (imaginary antisymmetric X), each with the rows it reaches.
+@lru_cache(maxsize=8)
+def _parity_entries(n: int):
+    """_hermitian_adjoint_entries(n) split by the kind of X and of i[H, X].
+
+    The vec_herm positions of a real symmetric X (the diagonal and upper
+    ones, linalg.real_symmetric_positions) and those of an imaginary
+    antisymmetric X (the lower ones) form two groups. Returns the groups
+    and, for column group c and row group r, the pattern's entries whose
+    column lies in c and whose row lies in r, in their original order,
+    with the flat index renumbered into the len(r) x len(c) block. Summed
+    in that order they give each block bit for bit as the full n^2 x n^2
+    matrix holds it. Read-only, built once per n (the last 8 sizes are
+    kept) from an uncached pattern, which the split replaces.
+    """
+    flat, z_index, weight = _hermitian_adjoint_entries.__wrapped__(n)
+    real = real_symmetric_positions(n)
+    groups = np.flatnonzero(real), np.flatnonzero(~real)
+    place = np.empty(n * n, dtype=np.intp)  # a position's index in its group
+    for group in groups:
+        place[group] = np.arange(len(group))
+    row, col = np.divmod(flat, n * n)
+    entries = {}
+    for c, cols in enumerate(groups):
+        for r in range(2):
+            keep = (real[col] == (c == 0)) & (real[row] == (r == 0))
+            entries[c, r] = (place[row[keep]] * len(cols) + place[col[keep]],
+                             z_index[keep], weight[keep])
+    for part in (*groups, *(a for e in entries.values() for a in e)):
+        part.setflags(write=False)
+    return groups, entries
+
+
+def _parity_blocks(mats, parities) -> list:
+    """The stacked real blocks of X -> i[H_k, X] (build_stacked_adjoint's,
+    n^2 columns in the Hermitian basis of linalg.vec_herm) split by the
+    kind of X: the columns of the real symmetric X and those of the
+    imaginary antisymmetric X, each with the rows it reaches.
 
     A real generator maps real symmetric X to imaginary antisymmetric
     i[H, X] and back; an imaginary one keeps each kind. So in every block
     the two column groups reach disjoint rows, and the singular values of
-    the stacked matrix are those of the two groups together. Returns
-    [(matrix, columns)] for the two groups."""
-    n2 = stacked.shape[1]
-    upper = np.triu(np.ones((isqrt(n2),) * 2, dtype=bool)).ravel()
-    groups = np.flatnonzero(upper), np.flatnonzero(~upper)
+    the stacked matrix are those of the two groups together. Each group's
+    matrix is filled from _parity_entries alone, without the full matrix.
+    Returns [(matrix, columns)] for the two groups."""
+    groups, entries = _parity_entries(mats[0].shape[0])
+    sources = [np.concatenate([h.real.ravel(), h.imag.ravel()]) for h in mats]
     out = []
-    for cols, other in (groups, groups[::-1]):
-        # block k holds rows k n^2 to (k + 1) n^2
-        rows = np.concatenate([k * n2 + (cols if p < 0 else other)
-                               for k, p in enumerate(parities)])
-        out.append((stacked[np.ix_(rows, cols)], cols))
+    for c, cols in enumerate(groups):
+        flats, values, rows = [], [], 0
+        for source, parity in zip(sources, parities):
+            reached = c if parity < 0 else 1 - c
+            flat, z_index, weight = entries[c, reached]
+            flats.append(rows * len(cols) + flat)
+            values.append(source[z_index] * weight)
+            rows += len(groups[reached])
+        matrix = np.bincount(np.concatenate(flats),
+                             weights=np.concatenate(values),
+                             minlength=rows * len(cols))
+        out.append((matrix.reshape(rows, len(cols)), cols))
     return out
 
 
@@ -252,7 +294,7 @@ def sector_blocks(mats, vs: np.ndarray, va: np.ndarray) -> list:
     V_s and V_a are real, so a generator whose traceless part is real or
     imaginary (conjugation_parity) keeps that parity in H_s and H_a. When
     every generator has one, each sym and anti block splits into its real
-    symmetric and its imaginary antisymmetric columns (_parity_split), and
+    symmetric and its imaginary antisymmetric columns (_parity_blocks), and
     the off block of generator k is i R_k (real H) or -R_k (imaginary H)
     with R_k = P (x) 1 - 1 (x) Q^T real, (P, Q) the real or imaginary parts
     of (H_s, H_a): the stack of the R_k has the same singular values and
@@ -273,11 +315,11 @@ def sector_blocks(mats, vs: np.ndarray, va: np.ndarray) -> list:
     split = all(parities)
     blocks = []
     for name, sector in (("sym", hs), ("anti", ha)):
-        stacked = _stacked_adjoint(sector)
         if split:
             blocks += [SectorBlock(matrix, name, cols)
-                       for matrix, cols in _parity_split(stacked, parities)]
+                       for matrix, cols in _parity_blocks(sector, parities)]
         else:
+            stacked = _stacked_adjoint(sector)
             blocks.append(SectorBlock(stacked, name,
                                       np.arange(stacked.shape[1])))
     if split:

@@ -1,11 +1,11 @@
 """Dense complex matrix substrate: norms, commutators, the doubled-space
-construction, real vectorization, rank/nullity.
+construction, real Hermitian coordinates, rank/nullity.
 
 Conventions fixed for the whole package:
 
-* matrices are flattened row-major (``real_vec``); the complex
-  row-vectorized map ``X -> [B, X]``, ``kron(B, 1) - kron(1, B.T)``, is
-  kept only in the tests, as the reference the real adjoint blocks of
+* matrices are flattened row-major; the complex row-vectorized map
+  ``X -> [B, X]``, ``kron(B, 1) - kron(1, B.T)``, is kept only in the
+  tests, as the reference the real adjoint blocks of
   ``commutant.build_stacked_adjoint`` are checked against;
 * Hermitian matrices also have real coordinates (``vec_herm``) in the
   orthonormal Hermitian basis laid on the row-major positions: E_jj at
@@ -19,6 +19,7 @@ Conventions fixed for the whole package:
 from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +73,7 @@ def as_matrix(m, keep_real: bool = False) -> np.ndarray:
         raise InputError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise InputError("empty matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError("matrix has non-finite entries")
     return a
 
@@ -84,10 +85,13 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _defect(a: np.ndarray) -> float:
+    return float(np.abs(a - a.conj().T).max())
+
+
 def hermiticity_defect(m) -> float:
     """Max-entry deviation from self-adjointness, ||M - M^dagger||_max."""
-    a = _as_square(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return _defect(_as_square(m))
 
 
 def traceless_part(m) -> np.ndarray:
@@ -115,7 +119,7 @@ class HermitianOperator:
             raise InputError(f"Hermitian operator must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InputError("Hermitian operator has non-finite entries")
-        defect = float(np.max(np.abs(a - a.conj().T)))
+        defect = _defect(a)
         if defect > tol.hermiticity_tol:
             raise InputError(
                 f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
@@ -153,7 +157,7 @@ def checked_generators(generators, tol: ToleranceConfig
     for k, m in enumerate(mats):
         if m.shape != (d, d):
             raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
-        defect = hermiticity_defect(m)
+        defect = _defect(m)
         if defect > tol.hermiticity_tol:
             raise InputError(
                 f"generator {k} is not Hermitian: max |M - M^dagger| = "
@@ -191,18 +195,6 @@ def tensor_double(a) -> np.ndarray:
     return np.kron(am, eye) + np.kron(eye, am)
 
 
-def real_vec(m: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts stacked into one real vector; Re tr(A^dagger B)
-    equals the real dot product of these vectors."""
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-
-def from_real_vec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of real_vec for a d x d matrix."""
-    n = d * d
-    return (v[:n] + 1j * v[n:]).reshape(d, d)
-
-
 def vec_herm(m) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the orthonormal Hermitian
     basis on the row-major positions: M_jj at (j, j), sqrt(2) Re M_jk at
@@ -214,6 +206,17 @@ def vec_herm(m) -> np.ndarray:
     c[upper] = np.sqrt(2) * a.real[upper]
     c.T[upper] = np.sqrt(2) * a.imag[upper]
     return c.ravel()
+
+
+@lru_cache(maxsize=16)
+def real_symmetric_positions(n: int) -> np.ndarray:
+    """Mask of the n^2 vec_herm positions that a real symmetric n x n
+    matrix can have nonzero: the diagonal and the upper triangle. An
+    imaginary antisymmetric matrix has its coordinates at the others, the
+    lower triangle. Read-only, cached per n."""
+    mask = np.triu(np.ones((n, n), dtype=bool)).ravel()
+    mask.setflags(write=False)
+    return mask
 
 
 def devec_herm(v, n: int) -> np.ndarray:

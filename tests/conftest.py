@@ -8,6 +8,10 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    commutant, distance, haar_unitary, hermitian_eigensystem,
                    make_system, operator_norm, random_hermitian)
 from qdist.commutant import commutant_dimension, commutant_spectrum
+from qdist.errors import DimensionGuardError
+from qdist.lie_closure import LIE_BUFFER_GUARD_BYTES, LieClosureResult
+from qdist.linalg import (DEFAULT_TOL, ToleranceConfig, checked_generators,
+                          traceless_part)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,6 +43,96 @@ def devec_row(v, rows: int, cols: int) -> np.ndarray:
     if a.size != rows * cols:
         raise InputError(f"cannot reshape length-{a.size} vector to {rows}x{cols}")
     return a.reshape(rows, cols).copy()
+
+
+def real_vec(m: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts stacked into one real vector; Re tr(A^dagger B)
+    equals the real dot product of these vectors."""
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def from_real_vec(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of real_vec for a d x d matrix."""
+    n = d * d
+    return (v[:n] + 1j * v[n:]).reshape(d, d)
+
+
+def reference_lie_closure(generators, tol: ToleranceConfig = DEFAULT_TOL
+                          ) -> LieClosureResult:
+    """The per-candidate Lie closure that lie_closure.lie_dimension is
+    tested against: breadth-first, each bracket of a new element with a
+    kept generator projected on its own, twice, out of a 2 d^2-wide real
+    basis (real_vec), and kept when its remainder exceeds rank_rel_tol
+    times its norm (never below the noise floor 0.1 rank_rel_tol, and
+    never a bracket of norm below max(rank_rel_tol, 1e-13)). depth is the
+    generation of the last element kept."""
+    mats, d = checked_generators(generators, tol)
+    mats = [traceless_part(m) for m in mats]
+
+    max_dim = d * d - 1
+    buffer_bytes = max_dim * 2 * d * d * 8
+    if buffer_bytes > LIE_BUFFER_GUARD_BYTES:
+        raise DimensionGuardError(
+            f"Lie closure at d={d} needs a {buffer_bytes / 2 ** 30:.2f} GiB basis "
+            f"buffer, above the {LIE_BUFFER_GUARD_BYTES / 2 ** 30:g} GiB guard")
+    # BLAS runs the projections below markedly slower on a buffer at
+    # malloc's 16-byte alignment than on a 64-byte-aligned one, so align it
+    # here instead of leaving the speed to where the allocator puts it
+    raw = np.empty(max_dim * 2 * d * d + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    basis_vecs = raw[start:start + max_dim * 2 * d * d].reshape(max_dim, 2 * d * d)
+    basis_mats: list[np.ndarray] = []
+    depths: list[int] = []
+
+    zero_floor = max(tol.rank_rel_tol, 1e-13)
+    noise_floor = 0.1 * tol.rank_rel_tol
+
+    def try_add(m: np.ndarray, depth: int, floor: float) -> bool:
+        v = real_vec(m)
+        norm0 = float(np.linalg.norm(v))
+        if norm0 <= floor:
+            return False
+        k = len(basis_mats)
+        for _ in range(2):  # second pass restores orthogonality at dim ~ d^2
+            if k:
+                v = v - basis_vecs[:k].T @ (basis_vecs[:k] @ v)
+        rem = float(np.linalg.norm(v))
+        if rem <= max(tol.rank_rel_tol * norm0, noise_floor):
+            return False
+        v /= rem
+        basis_vecs[k] = v
+        basis_mats.append(from_real_vec(v, d))
+        depths.append(depth)
+        return True
+
+    scales = [float(np.linalg.norm(m)) for m in mats]
+    scale_max = max(scales)
+    for m, scale in zip(mats, scales):
+        if scale <= tol.rank_rel_tol * scale_max:
+            continue
+        try_add(1j * m / scale, 0, floor=0.0)
+
+    kept_gens = range(len(basis_mats))
+    frontier = list(kept_gens)
+    while frontier and len(basis_mats) < max_dim:
+        new_frontier: list[int] = []
+        for fi in frontier:
+            a = basis_mats[fi]
+            for gj in kept_gens:
+                if gj == fi:
+                    continue
+                g = basis_mats[gj]
+                if try_add(a @ g - g @ a, depths[fi] + 1, floor=zero_floor):
+                    new_frontier.append(len(basis_mats) - 1)
+                    if len(basis_mats) >= max_dim:
+                        break
+            if len(basis_mats) >= max_dim:
+                break
+        frontier = new_frontier
+
+    return LieClosureResult(dimension=len(basis_mats), basis=list(basis_mats),
+                            depth=max(depths, default=0),
+                            controllable=len(basis_mats) == max_dim)
 
 
 @pytest.fixture

@@ -1,17 +1,22 @@
 """Generators that are each real or imaginary (up to the identity) split
 the commutant's swap sectors once more, by complex conjugation: five real
-SVD inputs instead of two real and one complex. Conjugating by a diagonal
-phase unitary keeps the spectrum and destroys that parity, so each such
-system is checked against its conjugated copy, which takes the general
-path, and against the general path on the same generators."""
+SVD inputs instead of two real and one complex. The same parity grades the
+Lie closure into real symmetric and imaginary antisymmetric elements.
+Conjugating by a diagonal phase unitary keeps the spectrum and the Lie
+algebra and destroys that parity, so each such system is checked against
+its conjugated copy, which takes the general path, and against the general
+path on the same generators."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from qdist import commutant, tensor_double
-from qdist.commutant import (SECTOR_MIN_DIM, build_stacked_adjoint,
-                             commutant_dimension, conjugation_parity,
-                             sector_blocks, swap_sector_bases)
+from qdist import commutant, lie_closure, lie_dimension, tensor_double
+from qdist.commutant import (SECTOR_MIN_DIM, _parity_blocks, _stacked_adjoint,
+                             build_stacked_adjoint, commutant_dimension,
+                             conjugation_parity, sector_blocks,
+                             swap_sector_bases)
 from qdist.linalg import rank_and_nullity
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising)
@@ -141,3 +146,82 @@ def test_random_parity_pairs_match_the_dense_spectrum(d, seed, parities):
     assert (split.rank, split.nullity) == (dense.rank, dense.nullity)
     np.testing.assert_allclose(split.singular_values, dense.singular_values,
                                rtol=0, atol=1e-12 * dense.singular_values[0])
+
+
+def fill_then_gather(mats, parities) -> list:
+    """The parity blocks as the full stacked matrix holds them: every
+    K n^4 entry filled, then each column group gathered with the rows it
+    reaches. The reference _parity_blocks is checked against bit for bit."""
+    stacked = _stacked_adjoint(mats)
+    n2 = stacked.shape[1]
+    upper = np.triu(np.ones((mats[0].shape[0],) * 2, dtype=bool)).ravel()
+    groups = np.flatnonzero(upper), np.flatnonzero(~upper)
+    out = []
+    for cols, other in (groups, groups[::-1]):
+        rows = np.concatenate([k * n2 + (cols if p < 0 else other)
+                               for k, p in enumerate(parities)])
+        out.append((stacked[np.ix_(rows, cols)], cols))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_parity_blocks_are_the_gathered_full_matrix(n):
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 3):
+        for parities in itertools.product((1, -1), repeat=k):
+            mats = []
+            for parity in parities:
+                g = rng.standard_normal((n, n))
+                mats.append((g + g.T).astype(complex) if parity > 0
+                            else 1j * (g - g.T) + 0.3 * np.eye(n))
+            for (matrix, cols), (gathered, expected) in zip(
+                    _parity_blocks(mats, parities),
+                    fill_then_gather(mats, parities)):
+                assert np.array_equal(cols, expected)
+                assert matrix.shape == gathered.shape
+                assert matrix.tobytes() == gathered.tobytes(), parities
+
+
+@pytest.fixture
+def closure_widths(monkeypatch):
+    """The coordinate width of every candidate batch the Lie closure
+    takes: d(d+1)/2 or d(d-1)/2 for a grade, d^2 for the one grade."""
+    widths = set()
+    extend = lie_closure._extend
+
+    def logging_extend(grade, candidates, *args):
+        widths.add(candidates.shape[1])
+        return extend(grade, candidates, *args)
+
+    monkeypatch.setattr(lie_closure, "_extend", logging_extend)
+    return widths
+
+
+GRADED_SYSTEMS = {**PARITY_MODELS, **{
+    f"hopping_d{d}": (lambda d=d: build_hopping_chain(d)) for d in range(7, 13)}}
+
+
+@pytest.mark.parametrize("name", GRADED_SYSTEMS)
+def test_graded_closure_matches_its_phase_conjugated_copy(name,
+                                                          closure_widths):
+    gens = GRADED_SYSTEMS[name]().algebra_generators()
+    d = gens[0].shape[0]
+    graded = lie_dimension(gens)
+    assert closure_widths == {d * (d + 1) // 2, d * (d - 1) // 2}
+    closure_widths.clear()
+    general = lie_dimension(phase_conjugated(gens))
+    assert closure_widths == {d * d}
+    assert (graded.dimension, graded.depth) == (general.dimension,
+                                                general.depth)
+
+
+def test_mixed_parity_input_takes_the_one_grade(closure_widths):
+    # one generator without a parity puts every element in one grade
+    real = build_hopping_chain(4).algebra_generators()[0]
+    imaginary = np.kron(PAULI_Y, PAULI_Z)
+    generic = random_pair_system(4, 0).algebra_generators()[0]
+    mixed = [real, imaginary, generic]
+    assert [conjugation_parity(h) for h in mixed] == [1, -1, 0]
+    result = lie_dimension(mixed)
+    assert closure_widths == {16}
+    assert result.controllable

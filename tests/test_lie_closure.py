@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from qdist import (InputError, commutant_dimension, haar_unitary, hs_inner,
-                   lie_closure, lie_dimension, random_hermitian)
+from qdist import (InputError, commutant_dimension, devec_herm,
+                   haar_unitary, hs_inner, lie_closure, lie_dimension,
+                   random_hermitian, vec_herm)
+from qdist.linalg import traceless_part
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising, pauli_on)
 
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_pair_system,
+                      real_vec, reference_lie_closure)
 
 
 def test_single_qubit_pair_closes_su2():
@@ -133,7 +136,7 @@ def test_dimension_table(build, expected):
     assert lie_dimension(gens).dimension == expected
 
 
-@pytest.mark.parametrize("d", range(3, 13))
+@pytest.mark.parametrize("d", range(3, 21))
 def test_hopping_depth_is_right_normed_bracket_depth(d):
     # the drift and the site control need brackets of 2d - 1 generators
     gens = build_hopping_chain(d).algebra_generators()
@@ -141,19 +144,93 @@ def test_hopping_depth_is_right_normed_bracket_depth(d):
 
 
 def test_closure_brackets_with_generators_only(monkeypatch):
-    # every candidate passes through real_vec once: K generators plus K
+    # every candidate passes through _extend once: K generators plus K
     # brackets per basis element, not one bracket per pair of elements
     calls = 0
-    real_vec = lie_closure.real_vec
+    extend = lie_closure._extend
 
-    def counting_real_vec(m):
+    def counting_extend(grade, candidates, *args):
         nonlocal calls
-        calls += 1
-        return real_vec(m)
+        calls += len(candidates)
+        return extend(grade, candidates, *args)
 
-    monkeypatch.setattr(lie_closure, "real_vec", counting_real_vec)
+    monkeypatch.setattr(lie_closure, "_extend", counting_extend)
     gens = build_hopping_chain(16).algebra_generators()
     result = lie_dimension(gens)
     k, dim = len(gens), result.dimension
     assert dim == 255
-    assert calls <= k * (dim + 1)
+    assert k < calls <= k * (dim + 1)
+
+
+def span_projector(basis) -> np.ndarray:
+    """Orthogonal projector onto the real span of orthonormal matrices."""
+    rows = np.array([real_vec(a) for a in basis])
+    return rows.T @ rows
+
+
+ORACLE_CASES = DIMENSION_TABLE + [
+    pytest.param(lambda d=d, seed=seed: random_pair_system(d, seed), None,
+                 id=f"random_d{d}_seed{seed}")
+    for d in range(2, 9) for seed in (0, 1)] + [
+    pytest.param(lambda: build_two_qubit_ising(0.5), None, id="ising_0.5"),
+    pytest.param(lambda: build_global_control_chain(2, [1.0, 1.2]), None,
+                 id="global_chain_n2"),
+    pytest.param(lambda: build_global_control_chain(3, [1.0, 1.0, 1.5]), None,
+                 id="global_chain_n3_two_equal"),
+]
+
+
+@pytest.mark.parametrize("build, expected", ORACLE_CASES)
+def test_matches_the_per_candidate_reference(build, expected):
+    gens = build().algebra_generators()
+    result, reference = lie_dimension(gens), reference_lie_closure(gens)
+    assert (result.dimension, result.depth, result.controllable) == (
+        reference.dimension, reference.depth, reference.controllable)
+    np.testing.assert_allclose(span_projector(result.basis),
+                               span_projector(reference.basis),
+                               rtol=0, atol=1e-9)
+
+
+def block_symmetric_pair(seed, eta):
+    """A (2 | 3) block-diagonal drift and control at d=5, in a Haar-random
+    basis, each broken by eta times a traceless random Hermitian."""
+    u = haar_unitary(5, 1000 + seed)
+    gens = []
+    for k in range(2):
+        m = np.zeros((5, 5), dtype=complex)
+        m[:2, :2] = random_hermitian(2, 10 * seed + 2 * k).matrix
+        m[2:, 2:] = random_hermitian(3, 10 * seed + 2 * k + 1).matrix
+        broken = m + eta * random_hermitian(5, 500 + 10 * seed + k,
+                                            traceless=True).matrix
+        gens.append(traceless_part(u @ broken @ u.conj().T))
+    return gens
+
+
+@pytest.mark.parametrize("eta", [1e-11, 1e-9, 1e-7])
+def test_near_symmetric_pairs_match_the_reference(eta):
+    # remainders near rank_rel_tol decide these closures; the verdict and
+    # the dimension do not depend on the order candidates are taken in
+    for seed in range(10):
+        gens = block_symmetric_pair(seed, eta)
+        result, reference = lie_dimension(gens), reference_lie_closure(gens)
+        assert (result.controllable, result.dimension) == (
+            reference.controllable, reference.dimension), seed
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_grade_coordinates_are_vec_herm(d):
+    # the closure reads and writes the coordinates of linalg.vec_herm
+    h = random_hermitian(d, d).matrix
+    coords = vec_herm(h)
+    for grade, positions in ((0, np.ones(d * d, dtype=bool)),
+                             (1, np.triu(np.ones((d, d), dtype=bool)).ravel()),
+                             (-1, ~np.triu(np.ones((d, d), dtype=bool)).ravel())):
+        part = lie_closure._Grade(d, grade)
+        # iH = P - P^dagger for P = iH / 2
+        read = part.coordinates((0.5j * h)[None])
+        np.testing.assert_allclose(read[0], coords[positions], atol=1e-15)
+        part.rows[0] = read[0]
+        out = np.zeros((1, d, d), dtype=complex)
+        part.write_elements(0, out)
+        kept = np.where(positions, coords, 0.0)
+        np.testing.assert_allclose(out[0], 1j * devec_herm(kept, d), atol=1e-15)
