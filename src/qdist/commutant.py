@@ -34,9 +34,17 @@ generators' joint commutant. joint_blocks reads their finest joint
 invariant blocks from it, the one place they are found: min cut, block
 search, the drift-removal witness, the gap-merge witness (through
 extract_original_space_symmetry) and the reachable-distance probe all take
-theirs from there. Each construction offers its witness to
-distance.verify_uncontrollable, which only checks it. That is the
-commutant criterion of Zimboras et al., PRA 92, 042309 (2015).
+theirs from there. For several generators it is not built on all d^2
+columns: the joint commutant lies in the commutant of one random element R
+of their span, which is block diagonal over R's eigenvalue clusters, so the
+map is stacked in R's eigenbasis on the sum m_c^2 Hermitian positions
+inside the clusters alone, d of them when R's spectrum is simple
+(_joint_commutant; the random-element idea of Murota, Kanno, Kojima &
+Kojima, JJIAM 27, 125 (2010)). The full d^2-column matrix,
+build_stacked_adjoint(doubled=False), is the oracle the tests hold it to.
+Each construction offers its witness to distance.verify_uncontrollable,
+which only checks it. That is the commutant criterion of Zimboras et al.,
+PRA 92, 042309 (2015).
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionGuardError
+from .errors import DimensionGuardError, NumericalError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
                      checked_generators, devec_herm, hermitian_eigensystem,
                      rank_and_nullity, real_symmetric_positions,
@@ -64,6 +72,13 @@ COMMUTANT_DIM_GUARD = 7
 # from this d the spectrum comes from the swap sectors; below it the
 # dense matrix has at most 81 columns and the split saves nothing
 SECTOR_MIN_DIM = 4
+# joint_blocks: eigenvalues of its random element R closer than this times
+# R's spread lambda_max - lambda_min share a cluster. Coarser clusters only
+# add columns, so the threshold errs that way.
+_CLUSTER_REL_GAP = 1e-6
+# joint_blocks draws R and the commutant element from this seed: fixed,
+# since its results must be reproducible
+_JOINT_SEED = 719
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,26 +156,50 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     complex row-vectorized blocks (i H_k^(2))^(ad). A generator that is not
     Hermitian within tol.hermiticity_tol is an InputError. With
     doubled=False the blocks are those of X -> i[H_k, X] on the original
-    space (n = d), whose nullspace joint_blocks reads. The doubled form is
-    the dense oracle the swap sectors of commutant_dimension are tested
-    against, and the kernel itself below SECTOR_MIN_DIM.
+    space (n = d), whose nullspace is the joint commutant: a test oracle
+    only, since joint_blocks builds just the columns it needs
+    (_joint_commutant). The doubled form is the dense oracle the swap
+    sectors of commutant_dimension are tested against, and the kernel
+    itself below SECTOR_MIN_DIM.
     """
     mats, _ = checked_generators(generators, tol)
     return _stacked_adjoint([tensor_double(m) if doubled else m for m in mats])
 
 
-def _stacked_adjoint(mats) -> np.ndarray:
+def _stacked_adjoint(mats, columns: np.ndarray | None = None) -> np.ndarray:
     """build_stacked_adjoint's blocks for generators that are already
-    Hermitian complex matrices."""
+    Hermitian complex matrices. With columns, a mask of the n^2 Hermitian
+    basis positions, only those columns (all n^2 rows each), filled from
+    the pattern's entries in them alone: bit for bit the columns of the
+    full matrix, without building it."""
     n = mats[0].shape[0]
     flat, z_index, weight = _hermitian_adjoint_entries(n)
+    width = n * n
+    if columns is not None:
+        width = int(np.count_nonzero(columns))
+        row, col, z_index, weight = _column_entries(
+            (flat, z_index, weight), columns)
+        flat = row * width + col
     values = np.stack([np.concatenate([h.real.ravel(), h.imag.ravel()])
                        for h in mats])[:, z_index] * weight
-    # one accumulation fills all K blocks: block k starts at k n^4
-    flat = (np.arange(len(mats))[:, None] * n ** 4 + flat).ravel()
+    # one accumulation fills all K blocks: block k starts at k n^2 width
+    size = n * n * width
+    flat = (np.arange(len(mats))[:, None] * size + flat).ravel()
     stacked = np.bincount(flat, weights=values.ravel(),
-                          minlength=len(mats) * n ** 4)
-    return stacked.reshape(len(mats) * n * n, n * n)
+                          minlength=len(mats) * size)
+    return stacked.reshape(len(mats) * n * n, width)
+
+
+def _column_entries(pattern, columns: np.ndarray):
+    """The entries (flat, z_index, weight) of an adjoint pattern over n^2
+    columns whose column lies in the mask columns, in their original order.
+    Returns (row, column, z_index, weight), the column renumbered to its
+    index among the kept ones."""
+    flat, z_index, weight = pattern
+    row, col = np.divmod(flat, columns.size)
+    keep = columns[col]
+    place = np.cumsum(columns) - 1  # a kept position's column index
+    return row[keep], place[col[keep]], z_index[keep], weight[keep]
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -227,18 +266,19 @@ def _parity_entries(n: int):
     matrix holds it. Read-only, built once per n (the last 8 sizes are
     kept) from an uncached pattern, which the split replaces.
     """
-    flat, z_index, weight = _hermitian_adjoint_entries.__wrapped__(n)
+    pattern = _hermitian_adjoint_entries.__wrapped__(n)
     real = real_symmetric_positions(n)
     groups = np.flatnonzero(real), np.flatnonzero(~real)
     place = np.empty(n * n, dtype=np.intp)  # a position's index in its group
     for group in groups:
         place[group] = np.arange(len(group))
-    row, col = np.divmod(flat, n * n)
     entries = {}
     for c, cols in enumerate(groups):
+        row, col, z_index, weight = _column_entries(
+            pattern, real if c == 0 else ~real)
         for r in range(2):
-            keep = (real[col] == (c == 0)) & (real[row] == (r == 0))
-            entries[c, r] = (place[row[keep]] * len(cols) + place[col[keep]],
+            keep = real[row] == (r == 0)
+            entries[c, r] = (place[row[keep]] * len(cols) + col[keep],
                              z_index[keep], weight[keep])
     for part in (*groups, *(a for e in entries.values() for a in e)):
         part.setflags(write=False)
@@ -435,28 +475,71 @@ def commutant_spectrum(generators, tol: ToleranceConfig
         return None
 
 
+def _joint_commutant(mats, tol: ToleranceConfig, rng
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The joint commutant of several Hermitian generators, found inside
+    the commutant of one random element of their span.
+
+    R = sum_k g_k H_k, g drawn from rng, is diagonalized once (R = V L V^+).
+    Every X that commutes with all H_k commutes with R, so in R's basis it
+    is block diagonal over R's eigenvalue clusters: eigenvalues that differ
+    by at most _CLUSTER_REL_GAP (lambda_max - lambda_min)(R) share one, a
+    scale that, like the commutant, ignores identity shifts. The stacked
+    blocks of X -> i[V^+ H_k V, X] are built only on the sum m_c^2
+    Hermitian basis positions inside the clusters (d of them when R's
+    spectrum is simple), not on all d^2, and their null vectors are the
+    commutant. Its rank cutoff is rank_rel_tol times max_k ||ad H_k||,
+    the largest spread lambda_max - lambda_min of a generator, which is
+    within sqrt(K) of the largest singular value of the full stacked
+    matrix. The restricted matrix's own largest value is no scale: when
+    every generator is diagonal in R's basis it holds only roundoff.
+
+    Returns V and, as rows, orthonormal vec_herm coordinates of the
+    commutant's Hermitian elements in R's basis (V X V^+ is the element).
+    A failed eigendecomposition or SVD is a NumericalError.
+    """
+    stack = np.stack(mats)
+    r = np.tensordot(rng.standard_normal(len(mats)), stack, 1)
+    lam, basis = hermitian_eigensystem(_hermitian_part(r), tol=tol)
+    # cluster labels: a new cluster at each gap above the threshold
+    split = np.diff(lam) > _CLUSTER_REL_GAP * np.ptp(lam)
+    labels = np.concatenate([[0], np.cumsum(split)])
+    columns = (labels[:, None] == labels).ravel()
+    rotated = [_hermitian_part(basis.conj().T @ m @ basis) for m in mats]
+    decomposition = singular_decomposition(_stacked_adjoint(rotated, columns))
+    try:
+        spread = np.ptp(np.linalg.eigvalsh(stack), axis=1).max()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigvalsh failed: {exc}") from exc
+    null = _null_vectors(decomposition, tol.rank_rel_tol * spread)
+    coords = np.zeros((len(null), columns.size))
+    coords[:, columns] = null
+    return basis, coords
+
+
 def joint_blocks(generators, tol: ToleranceConfig):
     """Finest invariant-subspace decomposition shared by all generators.
 
     For one generator these are its degenerate eigenspaces (eigenvalues
-    within degeneracy_tol). For several, a generic Hermitian element of the
-    joint commutant (the nullspace of the stacked original-space blocks of
-    X -> i[H_k, X]) is diagonalized; its spectral projectors commute with
-    every generator. Returns (basis, blocks), blocks listing the basis
-    columns of each, or None when there is a single block.
+    within degeneracy_tol). For several, a random real combination of the
+    Hermitian elements of their joint commutant (_joint_commutant, found in
+    the eigenbasis of a random element of their span) is diagonalized; its
+    spectral projectors commute with every generator. Both random draws
+    come from one fixed seed. Returns (basis, blocks), blocks listing the
+    basis columns of each, or None when there is a single block.
     """
     mats, d = checked_generators(generators, tol)
     if len(mats) == 1:
         w, v = hermitian_eigensystem(mats[0], tol=tol)
     else:
-        stacked = build_stacked_adjoint(mats, doubled=False, tol=tol)
-        r = rank_and_nullity(stacked, tol=tol)
-        if r.nullity <= 1:
+        rng = np.random.default_rng(_JOINT_SEED)
+        r_basis, null = _joint_commutant(mats, tol, rng)
+        if len(null) <= 1:
             return None
-        rng = np.random.default_rng(719)  # fixed: results must be reproducible
-        # null vectors are Hermitian coordinates: a real combination is Hermitian
-        m = devec_herm(r.null_basis @ rng.standard_normal(r.nullity), d)
-        w, v = np.linalg.eigh(m)
+        # a real combination of Hermitian coordinates is Hermitian
+        m = devec_herm(rng.standard_normal(len(null)) @ null, d)
+        w, u = hermitian_eigensystem(m, tol=tol)
+        v = r_basis @ u
     blocks = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] <= tol.degeneracy_tol:

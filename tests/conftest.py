@@ -1,3 +1,15 @@
+import os
+import sys
+
+# One BLAS thread, as perfbench runs: with two, OpenBLAS spins against any
+# other busy process on a two-core machine, and the suite ran up to four
+# times slower beside one. BLAS reads these when numpy loads, so they are
+# set here, before anything imports numpy; an explicit setting in the
+# environment wins. NUMPY_PRELOADED records whether the pin came too late.
+NUMPY_PRELOADED = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import dataclasses
 from typing import NamedTuple
 

@@ -266,3 +266,14 @@ def test_tolerance_config_validation():
         ToleranceConfig(rank_rel_tol=1.5)
     with pytest.raises(InputError):
         ToleranceConfig(commute_tol=-1e-9)
+
+
+def test_blas_threads_are_pinned_before_numpy_loads():
+    # conftest sets the thread counts before the first import of numpy;
+    # set after it, they would not reach BLAS
+    import os
+
+    import conftest
+    assert not conftest.NUMPY_PRELOADED
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ.get(var)
