@@ -206,12 +206,15 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+@lru_cache(maxsize=8)
 def swap_sector_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Real orthonormal bases of Sym^2 and Lambda^2 in C^d (x) C^d: the
     columns of V_s (d^2 x s, s = d(d+1)/2) are e_i (x) e_i and
     (e_i (x) e_j + e_j (x) e_i)/sqrt(2), one per pair i <= j, those of V_a
     (d^2 x a, a = d(d-1)/2) are (e_i (x) e_j - e_j (x) e_i)/sqrt(2), one
-    per pair i < j, the pairs in row-major order."""
+    per pair i < j, the pairs in row-major order. They depend on d alone,
+    so they are built once per d (the last 8 sizes are kept) and returned
+    read-only."""
     i, j = np.triu_indices(d)
     vs = np.zeros((d * d, len(i)))
     w = np.where(i == j, 1.0, 1 / np.sqrt(2))
@@ -221,6 +224,8 @@ def swap_sector_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     va = np.zeros((d * d, len(i)))
     va[i * d + j, np.arange(len(i))] = 1 / np.sqrt(2)
     va[j * d + i, np.arange(len(i))] = -1 / np.sqrt(2)
+    for basis in (vs, va):
+        basis.setflags(write=False)
     return vs, va
 
 

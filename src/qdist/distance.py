@@ -4,14 +4,15 @@ Upper bounds come from explicit perturbation constructions, each verified
 uncontrollable before it may be used: merging the closest drift eigenvalue
 pair, disconnecting the drift across a graph min-cut in the control
 eigenbasis, an exhaustive block (projector) search that scores every
-bipartition in one stacked norm evaluation in the joint block basis and
-assembles and verifies only the winner, and removing the drift (or a
-driftless system's bounded generators) outright. Each construction offers
-its certificate's symmetry witness, or declines where it has none (drift
-removal alone may offer none; the Lie closure then decides), and
-verify_uncontrollable only checks what it is offered. The lower bound is
-rigorous: a Weyl singular-value argument on the stacked doubled-space
-adjoint matrix.
+bipartition by the largest singular value of the drift's rectangle across
+the cut in the joint block basis (a small Gram matrix per candidate, one
+batched eigvalsh per inside size) and assembles and verifies only the
+winner, and removing the drift (or a driftless system's bounded
+generators) outright. Each construction offers its certificate's symmetry
+witness, or declines where it has none (drift removal alone may offer
+none; the Lie closure then decides), and verify_uncontrollable only checks
+what it is offered. The lower bound is rigorous: a Weyl singular-value
+argument on the stacked doubled-space adjoint matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      operator_norm, traceless_part)
 from .system import ControlSystem
 
-# entries of block search's (N, d, d) complex candidate batch: 4.7 MB
+# bound on N d^2 for block search's N bipartitions at dimension d: a random
+# d=12 pair's 2047 candidates are searched, a d=14 pair's 8191 are not
 BLOCK_SEARCH_MAX_ENTRIES = 2047 * 12 ** 2
 
 
@@ -83,18 +85,26 @@ class DistanceEstimate:
 
 def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff M is not a multiple of the identity and commutes with every
-    generator within commute_tol (relative to ||M|| ||H_k||).
+    generator within commute_tol (relative to ||M|| ||H_k||), plus a floor
+    of 1e-14 ||M|| max_k ||H_k|| for a generator that is zero up to the
+    roundoff of the others.
 
     Such an M proves uncontrollability, since su(d) has a trivial commutant.
     A witness whose dimension differs from the generators' is an InputError.
     """
     m = as_matrix(m)
-    scale = operator_norm(m)
-    for g in gens:
-        bound = tol.commute_tol * scale * operator_norm(g) + 1e-14
-        if operator_norm(commutator(m, g)) > bound:
-            return False
-    return operator_norm(traceless_part(m)) > 1e-8 * max(scale, 1.0)
+    gens = [as_matrix(g) for g in gens]
+    brackets = [commutator(m, g) for g in gens]
+    # every operator norm in one stacked call: M, its traceless part, the
+    # H_k, then the [M, H_k]
+    norms = np.linalg.norm(np.stack([m, traceless_part(m), *gens, *brackets]),
+                           2, axis=(1, 2))
+    scale, k = norms[0], len(gens)
+    gen_norms, bracket_norms = norms[2:2 + k], norms[2 + k:]
+    floor = 1e-14 * scale * gen_norms.max(initial=0.0)
+    if np.any(bracket_norms > tol.commute_tol * scale * gen_norms + floor):
+        return False
+    return bool(norms[1] > 1e-8 * max(scale, 1.0))
 
 
 def agreed_verdict(verdicts: dict, d: int) -> bool:
@@ -393,6 +403,52 @@ def epsilon_upper_min_cut(system: ControlSystem,
                         l11=2 * cut.cut_weight, witness=projector, detail=detail)
 
 
+def _bipartitions(blocks, d: int) -> np.ndarray:
+    """Block search's candidates in enumeration order, as an
+    (2^(nb-1) - 1) x d mask: row n - 1 is True at the basis vectors of the
+    blocks in subset n, which holds block i < nb - 1 iff bit i of n is set.
+    The last block is never inside, since n < 2^(nb - 1)."""
+    label = np.empty(d, dtype=np.int64)
+    for b, cols in enumerate(blocks):
+        label[cols] = b
+    subsets = np.arange(1, 2 ** (len(blocks) - 1))
+    return (subsets[:, None] >> label) & 1 == 1
+
+
+def _bipartition_norms(h: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Operator norms of the cut parts -(P h Q + Q h P) of a Hermitian h,
+    one per row of inside (candidates x basis vectors, True where the
+    vector lies in P's range).
+
+    In the basis of h that matrix is [[0, B], [B^dagger, 0]] with
+    B = h[in, out], the rectangle from the inside vectors to the outside
+    ones, so its norm is sigma_max(B): the square root of the top
+    eigenvalue of the Gram matrix of B on its shorter side, at most
+    d/2 square. Candidates are grouped by how many vectors lie inside:
+    one gather, one batched product and one eigvalsh per group.
+    """
+    d = inside.shape[1]
+    counts = inside.sum(axis=1)
+    norms = np.empty(len(inside))
+    # a range, not np.unique: its first call raised small_batch's peak RSS
+    # by about 1 MB
+    for m in range(1, d):
+        group = np.flatnonzero(counts == m)
+        if not len(group):
+            continue
+        rows = inside[group]
+        # the shorter side's vectors index the rectangle's rows
+        short, long = (rows, ~rows) if 2 * m <= d else (~rows, rows)
+        r = np.nonzero(short)[1].reshape(len(group), -1)
+        c = np.nonzero(long)[1].reshape(len(group), -1)
+        b = h[r[:, :, None], c[:, None, :]]
+        top = np.linalg.eigvalsh(b @ b.conj().transpose(0, 2, 1))[:, -1]
+        # a block-diagonal h gives an exactly zero rectangle, and its Gram
+        # matrix's top eigenvalue may come out as -0 or a roundoff below
+        norms[group] = np.sqrt(np.maximum(top, 0.0))
+    return norms
+
+
 def epsilon_upper_block_search(system: ControlSystem,
                                tol: ToleranceConfig = DEFAULT_TOL, *,
                                invariants: Invariants | None = None
@@ -407,12 +463,13 @@ def epsilon_upper_block_search(system: ControlSystem,
     below that margin, so a tie always goes to the earliest candidate
     whatever the order of floating-point operations (a Haar-rotated basis,
     say). The pick's norm exceeds the smallest by at most that margin.
-    All N = 2^(nb-1) - 1 candidates are scored in one stacked Hermitian
-    eigenvalue evaluation in the joint block basis, where the norm of
-    -(P H Q + Q H P) is that of the drift masked to the entries crossing the
-    cut; only the winner is assembled and verified. No drift, or controls
-    with no common block structure: InputError, before anything is
-    verified. N d^2 above BLOCK_SEARCH_MAX_ENTRIES: DimensionGuardError.
+    All N = 2^(nb-1) - 1 candidates are scored in the joint block basis,
+    where the norm of -(P H Q + Q H P) is the largest singular value of the
+    drift's rectangle from the inside basis vectors to the outside ones
+    (_bipartition_norms); only the winner is assembled and verified. No
+    drift, or controls with no common block structure: InputError, before
+    anything is verified. N d^2 above BLOCK_SEARCH_MAX_ENTRIES:
+    DimensionGuardError.
     """
     invariants, index, hd = _drift(system, tol, invariants, "block search")
     if invariants.fixed_blocks is None:
@@ -425,24 +482,14 @@ def epsilon_upper_block_search(system: ControlSystem,
         raise DimensionGuardError(
             f"block search scores {n_candidates} bipartitions of {nb} blocks at "
             f"d={d}: {n_candidates * d * d} entries, above {BLOCK_SEARCH_MAX_ENTRIES}")
-    label = np.empty(d, dtype=np.int64)
-    for b, cols in enumerate(blocks):
-        label[cols] = b
-    # subset mask n holds block i < nb - 1 iff bit i of n is set; the last
-    # block is never inside, since n < 2^(nb - 1)
-    subsets = np.arange(1, 2 ** (nb - 1))
-    inside = (subsets[:, None] >> label) & 1 == 1
-    cross = inside[:, :, None] != inside[:, None, :]
-    # ||P H Q + Q H P|| is the norm of h masked to the entries crossing the
-    # cut; each masked matrix is Hermitian, so its largest |eigenvalue|
     h = basis.conj().T @ hd @ basis
-    norms = np.abs(np.linalg.eigvalsh(h * cross)).max(axis=1).tolist()
+    norms = _bipartition_norms(h, _bipartitions(blocks, d)).tolist()
     margin = 1e-12 * max(norms)
     best = 0
     for n, norm in enumerate(norms):
         if norm < norms[best] - margin:
             best = n
-    side = tuple(i for i in range(nb - 1) if subsets[best] >> i & 1)
+    side = tuple(i for i in range(nb - 1) if (best + 1) >> i & 1)
     delta, projector = _block_cut_delta(hd, basis, blocks, side)
     return _certificate(system, [(index, delta)], "block_search", tol,
                         witness=projector,

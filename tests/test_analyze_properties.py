@@ -4,7 +4,7 @@ the commutant nullity stay equal under a Haar conjugation of every
 generator, a permutation of the generators within each role, an identity
 shift of each generator and a rescaling of all of them by c; upper.op_norm
 and lower stay equal too, times c under the rescaling, and T* divided by
-c. T* under rescaling has its own test, since one bundled model breaks it
+c. T* under rescaling has its own test over every system and scale
 (test_t_star_scales_by_one_over_c)."""
 
 from functools import lru_cache
@@ -117,12 +117,6 @@ T_STAR_SYSTEMS = {
     **{f"random_d{d}_{seed}": (lambda d=d, seed=seed: random_pair_system(d, seed))
        for d in range(2, 6) for seed in (11, 12)},
 }
-# The gap-merge witness of hopping d=2 is checked against the merged drift,
-# zero up to roundoff of size c * 1e-16, and is_symmetry_witness gives each
-# generator an absolute floor of 1e-14: from c ~ 100 the witness fails,
-# delta falls from sqrt(2) to 1/4 and T* with it. A defect of the witness
-# check, not of the scaling.
-KNOWN_BROKEN = {("hopping_d2", 1e3)}
 
 
 @lru_cache(maxsize=None)
@@ -130,12 +124,12 @@ def unscaled_t_star(name):
     return summary(T_STAR_SYSTEMS[name]())[1][2]
 
 
-@pytest.mark.parametrize("name, c", [
-    pytest.param(name, c, marks=pytest.mark.xfail(
-        strict=True, reason="delta of hopping d=2 falls to 1/4 at c >= 100"))
-    if (name, c) in KNOWN_BROKEN else (name, c)
-    for name in T_STAR_SYSTEMS for c in SCALES])
+@pytest.mark.parametrize("name, c", [(name, c) for name in T_STAR_SYSTEMS
+                                     for c in SCALES])
 def test_t_star_scales_by_one_over_c(name, c):
+    # the gap-merge witness of hopping d=2 is checked against the merged
+    # drift, zero up to roundoff of size c * 1e-16: is_symmetry_witness's
+    # floor scales with the generators, so delta stays sqrt(2) at c = 1e3
     scaled = rebuild(T_STAR_SYSTEMS[name](), lambda m: c * m)
     np.testing.assert_allclose(summary(scaled)[1][2], unscaled_t_star(name) / c,
                                rtol=1e-9, atol=0)

@@ -408,20 +408,29 @@ def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
     assert calls == []
 
 
-@pytest.mark.parametrize("methods, name", [("block", "block_search"),
-                                           ("gap", "gap_merge")])
-def test_distance_methods_that_do_not_apply_exit_1(tmp_path, capsys, methods,
-                                                   name):
-    # Ising: the ZZ drift is degenerate and the local controls share no blocks
-    out = tmp_path / "ising.json"
-    run(capsys, "model", "--name", "two_qubit_ising", "--param", "delta=1.0",
-        "--out", str(out))
+@pytest.mark.parametrize("system, methods, name", [
+    pytest.param("ising", "block", "block_search", id="block-block_search"),
+    pytest.param("ising", "gap", "gap_merge", id="gap-gap_merge"),
+    pytest.param("pair4", "gap", "gap_merge", id="pair4-gap-gap_merge")])
+def test_distance_methods_that_do_not_apply_exit_1(tmp_path, capsys, system,
+                                                   methods, name):
+    out = tmp_path / "system.json"
+    if system == "ising":
+        # the ZZ drift is degenerate and the local controls share no blocks
+        run(capsys, "model", "--name", "two_qubit_ising", "--param",
+            "delta=1.0", "--out", str(out))
+    else:
+        # gap merge offers a witness or declines: merging a random pair
+        # leaves one joint block, so the method applies nowhere
+        write_pair_system(out, *random_pair_system(4, 0).algebra_generators())
     code, stdout, err = run(capsys, "distance", "--system", str(out),
                             "--methods", methods)
     assert code == 1
     assert stdout == ""
     assert err.startswith("error:") and name in err
     assert "Traceback" not in err
+    # with every method, another certificate stands in
+    assert run(capsys, "analyze", "--system", str(out))[0] == 0
 
 
 TOL_CONFIG_FLAGS = SYSTEM_FLAGS + ["--tol-config", "{config}"]

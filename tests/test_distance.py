@@ -65,6 +65,14 @@ def brute_force_block_search(drift, controls):
     return best
 
 
+def masked_eigvalsh_norms(h, inside):
+    """The candidate norms by the formula _bipartition_norms replaced: h
+    masked to the entries crossing each cut is Hermitian, so its norm is
+    its largest |eigenvalue|, from one eigvalsh over the (N, d, d) stack."""
+    cross = inside[:, :, None] != inside[:, None, :]
+    return np.abs(np.linalg.eigvalsh(h * cross)).max(axis=1)
+
+
 def block_search_systems():
     """Twenty seeded (drift, controls) inputs for the block search."""
     cases = []
@@ -366,6 +374,41 @@ class TestBlockSearch:
             picks[seed] = rotated.detail
         assert picks == {seed: plain for seed in range(10)}
 
+    @pytest.mark.parametrize("kind", ["random", "site_projector", "three_level"])
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_scores_match_the_masked_eigenvalue_formula(self, d, kind):
+        # random: d single-vector blocks (at d = 12, the 2047 candidates of
+        # a random pair); site projector and three levels: degenerate blocks
+        system = random_pair_system(d, 4)
+        drift, control = system.algebra_generators()
+        if kind != "random":
+            u = haar_unitary(d, 900 + d)
+            control = u @ (site_projector(d, d // 2) if kind == "site_projector"
+                           else np.diag([float(j % 3) for j in range(d)])
+                           ) @ u.conj().T
+        basis, blocks = joint_blocks([control], DEFAULT_TOL)
+        assert len(blocks) == {"random": d, "site_projector": 2,
+                               "three_level": 3}[kind]
+        inside = distance._bipartitions(blocks, d)
+        assert inside.shape == (2 ** (len(blocks) - 1) - 1, d)
+        h = basis.conj().T @ drift @ basis
+        np.testing.assert_allclose(distance._bipartition_norms(h, inside),
+                                   masked_eigvalsh_norms(h, inside),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_block_diagonal_drift_scores_exactly_zero(self, d):
+        # blocks of sizes 1, 2, 3, ... in a random order of the basis: every
+        # rectangle of a drift that keeps them is zero
+        label = np.random.default_rng(d).permutation(
+            np.repeat(np.arange(d), np.arange(1, d + 1))[:d])
+        blocks = [list(np.flatnonzero(label == b)) for b in np.unique(label)]
+        h = random_hermitian(d, 800 + d).matrix * (label[:, None] == label)
+        inside = distance._bipartitions(blocks, d)
+        assert np.all(distance._bipartition_norms(h, inside) == 0.0)
+        np.testing.assert_allclose(masked_eigvalsh_norms(h, inside), 0.0,
+                                   atol=1e-14)
+
     def test_block_diagonal_drift_zero(self):
         drift = np.zeros((3, 3), dtype=complex)
         drift[2, 2] = 1.0
@@ -517,6 +560,16 @@ class TestVerifyCertificate:
             symmetry_witness=HermitianOperator(np.diag([1.0, 0.0, 0.0])))
         with pytest.raises(InputError):
             verify_certificate(system, bad)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
+def test_witness_floor_scales_with_the_generators(c):
+    # a generator that is zero up to the roundoff of the others (as a gap
+    # merge leaves on hopping d=2) does not reject the witness at any scale;
+    # one that breaks the symmetry far above roundoff does at every scale
+    witness = np.diag([1.0, 0.0])
+    assert is_symmetry_witness(witness, [c * PAULI_Z, c * 1e-16 * PAULI_X])
+    assert not is_symmetry_witness(witness, [c * PAULI_Z, c * 1e-6 * PAULI_X])
 
 
 class TestVerifyUncontrollable:

@@ -100,6 +100,13 @@ class TestTensorDouble:
         np.testing.assert_allclose(tensor_double(PAULI_Z),
                                    np.diag([2.0, 0.0, 0.0, -2.0]), atol=1e-14)
 
+    def test_is_the_kronecker_sum_bit_for_bit(self, rng):
+        for d in range(1, 7):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            eye = np.eye(d)
+            assert (tensor_double(a).tobytes()
+                    == (np.kron(a, eye) + np.kron(eye, a)).tobytes())
+
     def test_norm_bound(self, rng):
         for k in range(100):
             d = 2 + k % 3

@@ -164,6 +164,15 @@ def test_cached_index_pattern_is_the_built_one_and_read_only(n):
             part[0] = 0
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_cached_swap_sector_bases_are_the_built_ones_and_read_only(d):
+    cached = swap_sector_bases(d)
+    assert cached is swap_sector_bases(d)
+    for basis, built in zip(cached, swap_sector_bases.__wrapped__(d)):
+        np.testing.assert_array_equal(basis, built)
+        assert not basis.flags.writeable
+
+
 def test_spectrum_after_another_size_was_cached():
     # d = 4 reads the patterns of n = 10 and 6 (sectors) and 16 (the dense
     # oracle); an n = 9 pattern (the dense matrix at d = 3) is cached first
