@@ -17,8 +17,9 @@ the spectrum is decomposed sector by sector (sector_blocks): two real
 matrices with s^2 and a^2 columns and one complex matrix with s a
 columns, s = d(d+1)/2 and a = d(d-1)/2, whose merged values are the d^4
 singular values of the dense matrix. Below it the dense matrix of
-build_stacked_adjoint is decomposed; it stays the oracle the sectors are
-tested against.
+build_stacked_adjoint is the one block; it stays the oracle the sectors
+are tested against. Either way commutant_dimension merges the blocks'
+values under one cutoff and maps their null vectors back one way.
 
 Complex conjugation is a second exact symmetry when every generator is
 real or imaginary up to the identity (conjugation_parity), as in every
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import DimensionGuardError, NumericalError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
                      checked_generators, devec_herm, hermitian_eigensystem,
-                     rank_and_nullity, real_symmetric_positions,
+                     real_symmetric_positions,
                      singular_decomposition, tensor_double)
 
 # no commutant spectrum at or above this d, and no override. The three swap
@@ -84,8 +85,8 @@ _JOINT_SEED = 719
 @dataclass(frozen=True, eq=False)
 class CommutantResult:
     """Nullity/rank and the d^4 singular values (descending) of the stacked
-    doubled-space adjoint matrix, whether from the dense matrix or merged
-    from its swap sectors, plus the Hermitian symmetry operators whose
+    doubled-space adjoint matrix, merged from its blocks (the dense matrix
+    or its swap sectors), plus the Hermitian symmetry operators whose
     coordinates span its nullspace."""
 
     nullity: int
@@ -159,8 +160,8 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     space (n = d), whose nullspace is the joint commutant: a test oracle
     only, since joint_blocks builds just the columns it needs
     (_joint_commutant). The doubled form is the dense oracle the swap
-    sectors of commutant_dimension are tested against, and the kernel
-    itself below SECTOR_MIN_DIM.
+    sectors of commutant_dimension are tested against, and its one block
+    below SECTOR_MIN_DIM.
     """
     mats, _ = checked_generators(generators, tol)
     return _stacked_adjoint([tensor_double(m) if doubled else m for m in mats])
@@ -233,8 +234,9 @@ class SectorBlock(NamedTuple):
     """One SVD input of the commutant spectrum: the stacked adjoint map of a
     swap sector ("sym", "anti" or "off", see sector_blocks) restricted to
     the sector coordinates listed in columns, its rows that can be nonzero
-    there. Its null vectors, placed at those coordinates, are the sector's
-    null vectors."""
+    there, or below SECTOR_MIN_DIM the whole dense matrix ("dense", every
+    one of the d^4 coordinates). Its null vectors, placed at those
+    coordinates, are the sector's null vectors."""
 
     matrix: np.ndarray
     sector: str
@@ -391,15 +393,16 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     """Nullity of the stacked doubled-space adjoint matrix.
 
     Controllable iff the nullity is exactly 2 (rank d^4 - 2): the identity
-    and the swap always commute with every doubled generator. Below
-    SECTOR_MIN_DIM the dense build_stacked_adjoint matrix is decomposed;
-    from there the blocks of sector_blocks are, three swap sectors or, for
-    generators that are each real or imaginary, five real blocks split
-    further by complex conjugation. Either way their merged values are the
-    same d^4 singular values, and rank counts values above rank_rel_tol
-    times the largest one. At d >= COMMUTANT_DIM_GUARD it raises
-    DimensionGuardError (no override); generators below 2 x 2 are an
-    InputError.
+    and the swap always commute with every doubled generator. The matrix
+    is decomposed as SectorBlocks: below SECTOR_MIN_DIM one, the dense
+    build_stacked_adjoint matrix; from there those of sector_blocks, three
+    swap sectors or, for generators that are each real or imaginary, five
+    real blocks split further by complex conjugation. Their merged values
+    are the d^4 singular values, rank counts those above rank_rel_tol
+    times the largest one, and each block's null vectors under that one
+    cutoff give the symmetry operators (_sector_operators). At
+    d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
+    generators below 2 x 2 are an InputError.
     """
     mats, d = checked_generators(generators, tol)
     if d >= COMMUTANT_DIM_GUARD:
@@ -408,18 +411,10 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
             f"alone has {(d * (d + 1) // 2) ** 2} columns); use the "
             "Lie-closure test")
     if d < SECTOR_MIN_DIM:
-        stacked = build_stacked_adjoint(mats, doubled=True, tol=tol)
-        r = rank_and_nullity(stacked, tol=tol, want_null_basis=want_symmetries)
-        # the null vectors are orthonormal Hermitian-basis coordinates, so
-        # the operators are exactly Hermitian and orthonormal in
-        # Hilbert-Schmidt
-        return CommutantResult(nullity=r.nullity, rank=r.rank,
-                               symmetry_basis=[devec_herm(v, d * d)
-                                               for v in r.null_basis.T],
-                               controllable=(r.nullity == 2),
-                               singular_values=r.singular_values)
-    vs, va = swap_sector_bases(d)
-    blocks = sector_blocks(mats, vs, va)
+        blocks = [SectorBlock(build_stacked_adjoint(mats, tol=tol), "dense",
+                              np.arange(d ** 4))]
+    else:
+        blocks = sector_blocks(mats, *swap_sector_bases(d))
     decompositions = [singular_decomposition(b.matrix, want_symmetries)
                       for b in blocks]
     # an off-diagonal value is one of the real map on Z, counted twice
@@ -431,18 +426,9 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     rank = int(np.count_nonzero(values > cutoff))
     symmetries = []
     if want_symmetries:
-        # orthonormal null vectors of each block, placed at its columns,
-        # are orthonormal coordinates of operators in its sector; mapped
-        # back they stay orthonormal in Hilbert-Schmidt, and are
-        # symmetrized to be exactly Hermitian. A null vector Z of the
-        # off-diagonal sector gives two operators, from Z and iZ.
-        s, a = vs.shape[1], va.shape[1]
-        width = {"sym": s * s, "anti": a * a, "off": s * a}
         for block, decomposition in zip(blocks, decompositions):
             for y in _null_vectors(decomposition, cutoff):
-                coords = np.zeros(width[block.sector], dtype=y.dtype)
-                coords[block.columns] = y
-                symmetries += _sector_operators(block.sector, coords, vs, va)
+                symmetries += _sector_operators(block, y, d)
     nullity = d ** 4 - rank
     return CommutantResult(nullity=nullity, rank=rank,
                            symmetry_basis=symmetries,
@@ -450,15 +436,28 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                            singular_values=values)
 
 
-def _sector_operators(sector: str, coords: np.ndarray, vs: np.ndarray,
-                      va: np.ndarray) -> list:
-    """The doubled-space Hermitian operators of one null vector of a sector,
-    given by its coordinates in that sector."""
-    if sector == "off":
-        z = coords.reshape(vs.shape[1], va.shape[1])
+def _sector_operators(block: SectorBlock, y: np.ndarray, d: int) -> list:
+    """The doubled-space Hermitian operators of one null vector y of a
+    block, y given on the block's columns.
+
+    Orthonormal null vectors of a block, placed at its columns, are
+    orthonormal coordinates of operators in its sector; mapped back they
+    stay orthonormal in Hilbert-Schmidt, and are exactly Hermitian (a
+    dense vector through devec_herm, a sector's symmetrized). A null
+    vector Z of the off-diagonal sector gives two operators, from Z and
+    iZ."""
+    if block.sector == "dense":
+        return [devec_herm(y, d * d)]
+    vs, va = swap_sector_bases(d)
+    s, a = vs.shape[1], va.shape[1]
+    width = {"sym": s * s, "anti": a * a, "off": s * a}[block.sector]
+    coords = np.zeros(width, dtype=y.dtype)
+    coords[block.columns] = y
+    if block.sector == "off":
+        z = coords.reshape(s, a)
         return [np.sqrt(2) * _hermitian_part(vs @ w @ va.T)
                 for w in (z, 1j * z)]
-    v = vs if sector == "sym" else va
+    v = vs if block.sector == "sym" else va
     return [_hermitian_part(v @ devec_herm(coords, v.shape[1]) @ v.T)]
 
 

@@ -37,6 +37,9 @@ from .system import ControlSystem
 # bound on N d^2 for block search's N bipartitions at dimension d: a random
 # d=12 pair's 2047 candidates are searched, a d=14 pair's 8191 are not
 BLOCK_SEARCH_MAX_ENTRIES = 2047 * 12 ** 2
+# verify_uncontrollable cross-checks every verdict up to this d, where the
+# second oracle is cheap (at most a 256-column spectrum)
+_CROSS_CHECK_MAX_DIM = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,19 +194,20 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     witness decides if is_symmetry_witness accepts it; checking one costs
     O(K d^3) and, unlike a deep Lie closure, does not amplify noise.
     Otherwise (none offered, or the offered one rejected) the Lie closure
-    decides, at every dimension. For d <= 4 agreed_verdict cross-checks
-    every verdict: the Lie closure an accepted witness, the commutant
-    spectrum the Lie closure. Returns the verdict and the accepted witness
-    (None when none was accepted). The generators are checked by
-    linalg.checked_generators first.
+    decides, at every dimension. For d <= _CROSS_CHECK_MAX_DIM (4)
+    agreed_verdict cross-checks every verdict: the Lie closure an accepted
+    witness, the commutant spectrum the Lie closure. Returns the verdict
+    and the accepted witness (None when none was accepted). The
+    generators are checked by linalg.checked_generators first.
     """
     mats, d = checked_generators(gens, tol)
     if witness is not None and not is_symmetry_witness(witness, mats, tol):
         witness = None
     verdicts = {} if witness is None else {"witness": False}
-    if witness is None or d <= 4:
+    cross_check = d <= _CROSS_CHECK_MAX_DIM
+    if witness is None or cross_check:
         verdicts["lie"] = lie_dimension(mats, tol=tol).controllable
-    if witness is None and d <= 4:
+    if witness is None and cross_check:
         verdicts["commutant"] = commutant_dimension(
             mats, tol=tol, want_symmetries=False).controllable
     return not agreed_verdict(verdicts, d), witness

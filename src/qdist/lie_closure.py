@@ -38,23 +38,21 @@ from .errors import DimensionGuardError
 from .linalg import (DEFAULT_TOL, ToleranceConfig, checked_generators,
                      real_symmetric_positions)
 
-# the closure returns its basis as up to d^2 - 1 complex d x d matrices,
-# 16 d^4 bytes at full dimension, and holds each grade's coordinate rows,
-# up to 8 d^4 bytes, while it runs; above this size of the basis (d >= 91)
-# the allocation alone can exhaust memory
+# the closure holds each grade's coordinate rows, up to 8 d^4 bytes, plus
+# one generation's brackets as complex d x d matrices while it runs. It is
+# refused where d^2 - 1 such matrices (16 d^4 bytes) exceed this size
+# (d >= 91): there those buffers alone can exhaust memory
 LIE_BUFFER_GUARD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
 class LieClosureResult:
-    """Closure summary: dimension, an orthonormal basis (Hilbert-Schmidt inner
-    product) of skew-Hermitian traceless matrices, the right-normed bracket
-    depth (see lie_dimension), and the verdict: controllable iff the
-    dimension is d^2 - 1, i.e. the closure spans su(d). lie_dimension is the
-    one place that verdict is decided."""
+    """Closure summary: dimension, the right-normed bracket depth (see
+    lie_dimension), and the verdict: controllable iff the dimension is
+    d^2 - 1, i.e. the closure spans su(d). lie_dimension is the one place
+    that verdict is decided. The basis it builds stays inside it."""
 
     dimension: int
-    basis: list
     depth: int
     controllable: bool
 
@@ -191,19 +189,21 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
     arithmetic it does not depend on generator order or basis choice.
 
     Generators are traceless-shifted first: an identity shift changes no
-    commutator, so the closure counts dimensions inside su(d). A returned
-    basis larger than LIE_BUFFER_GUARD_BYTES raises DimensionGuardError.
-    Input that linalg.checked_generators rejects (no generators, unequal
-    shapes, below 2 x 2 where su(1) is trivial, not Hermitian) is an
-    InputError.
+    commutator, so the closure counts dimensions inside su(d). Where d^2 - 1
+    complex d x d matrices exceed LIE_BUFFER_GUARD_BYTES, room for each
+    grade's coordinate rows plus one generation's brackets, it raises
+    DimensionGuardError. Input that linalg.checked_generators rejects (no
+    generators, unequal shapes, below 2 x 2 where su(1) is trivial, not
+    Hermitian) is an InputError.
     """
     mats, d = checked_generators(generators, tol)
     max_dim = d * d - 1
-    basis_bytes = max_dim * d * d * 16
-    if basis_bytes > LIE_BUFFER_GUARD_BYTES:
+    buffer_bytes = max_dim * d * d * 16
+    if buffer_bytes > LIE_BUFFER_GUARD_BYTES:
         raise DimensionGuardError(
-            f"Lie closure at d={d} needs a {basis_bytes / 2 ** 30:.2f} GiB basis "
-            f"buffer, above the {LIE_BUFFER_GUARD_BYTES / 2 ** 30:g} GiB guard")
+            f"Lie closure at d={d} sizes its buffers at "
+            f"{buffer_bytes / 2 ** 30:.2f} GiB, above the "
+            f"{LIE_BUFFER_GUARD_BYTES / 2 ** 30:g} GiB guard")
     # one generator without a parity puts every element in one grade, 0
     parities = list(takewhile(bool, map(conjugation_parity, mats)))
     graded = len(parities) == len(mats)
@@ -220,22 +220,16 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
     # candidate's relative cutoff fall below 0.1 rank_rel_tol.
     zero_floor = max(tol.rank_rel_tol, 1e-13)
 
-    # the elements in the order kept, in runs: (grade, first row, count)
-    # for the new elements of one grade in one generation
-    runs: list[tuple[int, int, int]] = []
     size = 0
 
     def add(g: int, candidates: np.ndarray, floor: float) -> list:
         """Extend grade g by its candidates: the run of its new elements,
-        or [] when there are none."""
+        (grade, first row, count), or [] when there are none."""
         nonlocal size
         first = grades[g].size
         added = _extend(grades[g], candidates, floor, tol)
-        if not added:
-            return []
         size += added
-        runs.append((g, first, added))
-        return runs[-1:]
+        return [(g, first, added)] if added else []
 
     def matrices(run: tuple) -> tuple:
         """A run's grade and its elements as skew-Hermitian matrices."""
@@ -291,13 +285,5 @@ def lie_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL
         if new_runs:
             depth = generation
         frontier = [matrices(run) for run in new_runs] if size < max_dim else []
-
-    # one array for the whole basis, allocated once its size is known and
-    # written run by run, which keeps the temporaries small
-    basis = np.zeros((size, d, d), dtype=np.complex128)
-    offset = 0
-    for g, first, count in runs:
-        grades[g].write_elements(first, basis[offset:offset + count])
-        offset += count
-    return LieClosureResult(dimension=size, basis=list(basis), depth=depth,
+    return LieClosureResult(dimension=size, depth=depth,
                             controllable=size == max_dim)

@@ -142,7 +142,7 @@ def reference_lie_closure(generators, tol: ToleranceConfig = DEFAULT_TOL
                 break
         frontier = new_frontier
 
-    return LieClosureResult(dimension=len(basis_mats), basis=list(basis_mats),
+    return LieClosureResult(dimension=len(basis_mats),
                             depth=max(depths, default=0),
                             controllable=len(basis_mats) == max_dim)
 
@@ -209,8 +209,9 @@ def manual_gap_merge(system):
     of its traceless part shifted onto their midpoint) as a witness-free
     "manual" certificate. Its verified flag is verify_certificate's, so the
     Lie closure decides it, cross-checked by the commutant spectrum at
-    d <= 4. It exists whether or not the merged system has a joint block
-    for epsilon_upper_gap_merge to offer as its witness."""
+    d <= distance._CROSS_CHECK_MAX_DIM. It exists whether or not the
+    merged system has a joint block for epsilon_upper_gap_merge to offer
+    as its witness."""
     index = system.indices("drift")[0]
     w, v = hermitian_eigensystem(system.algebra_generators()[index])
     k = int(np.argmin(np.diff(w)))

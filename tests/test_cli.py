@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def model_file(tmp_path, capsys, name, *params):
+    """Write a bundled model with `qdist model --out`; returns its path."""
+    out = tmp_path / f"{name}.json"
+    argv = ["model", "--name", name, "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    assert run(capsys, *argv)[0] == 0
+    return str(out)
 
 
 def write_pair_system(path, drift, control):
@@ -61,14 +74,27 @@ def test_commutant_uncontrollable_exit_code(tmp_path, capsys):
     assert doc["nullity"] > 2
 
 
-def test_emit_symmetries(tmp_path, capsys):
-    path = write_pair_system(tmp_path / "zz.json", PAULI_Z, PAULI_Z)
+@pytest.mark.parametrize("model, params, expected", [
+    pytest.param(None, [], 2, id="zz_pair"),
+    # d = 4: the swap sectors' operators, the split ones for cross-Kerr
+    pytest.param("global_control_chain", ["n_qubits=2", "gammas=1,1"], 2,
+                 id="chain_1_1"),
+    pytest.param("cross_kerr", ["n_modes=2", "n_photons=3"], 0,
+                 id="cross_kerr_2_3")])
+def test_emit_symmetries(tmp_path, capsys, model, params, expected):
+    # one operator per unit of nullity, more than the two universal ones
+    # exactly when the verdict is uncontrollable
+    if model is None:
+        path = write_pair_system(tmp_path / "zz.json", PAULI_Z, PAULI_Z)
+    else:
+        path = model_file(tmp_path, capsys, model, *params)
     out = tmp_path / "syms.json"
-    code, _, _ = run(capsys, "commutant", "--system", path,
-                     "--emit-symmetries", str(out))
-    assert code == 2
-    doc = json.loads(out.read_text())
-    assert len(doc["symmetries"]) > 2
+    code, stdout, _ = run(capsys, "commutant", "--system", path,
+                          "--emit-symmetries", str(out))
+    assert code == expected
+    nullity = json.loads(stdout)["nullity"]
+    assert len(json.loads(out.read_text())["symmetries"]) == nullity
+    assert (nullity > 2) == (expected == 2)
 
 
 def test_distance_and_qsl_roundtrip(tmp_path, capsys):
@@ -345,7 +371,8 @@ def test_readme_cli_block_lists_every_flag():
 
 
 def test_lie_guard_exit_3_without_traceback(tmp_path, capsys):
-    # the closure's basis buffer would take 1.1 GB at d=91
+    # d^2 - 1 complex d x d matrices take 1.1 GB at d=91, above the guard on
+    # the closure's buffers
     out = tmp_path / "big.json"
     run(capsys, "model", "--name", "hopping_chain", "--param", "d=91",
         "--out", str(out))
@@ -521,3 +548,72 @@ def test_non_finite_model_parameter_is_one_error_line(capsys, params):
     code, stdout, err = run(capsys, "model", *params)
     assert (code, stdout) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_hopping_d7_has_no_spectrum_and_zero_lower_bounds(tmp_path, capsys):
+    # at COMMUTANT_DIM_GUARD the commutant command is guarded, and the
+    # commands that only read the spectrum report that it is missing
+    path = model_file(tmp_path, capsys, "hopping_chain", "d=7")
+    code, stdout, err = run(capsys, "commutant", "--system", path)
+    assert (code, stdout) == (3, "")
+    assert err.startswith("guard:")
+    docs = {}
+    for command in ("analyze", "distance", "qsl"):
+        code, stdout, err = run(capsys, command, "--system", path)
+        assert code == 0, err
+        docs[command] = json.loads(stdout)
+    assert docs["analyze"]["commutant"] == {"skipped": "dimension guard"}
+    assert docs["distance"]["lower"] == 0.0
+    assert docs["qsl"]["epsilon_lower"] == 0.0
+
+
+def test_hopping_d6_is_below_the_guard(tmp_path, capsys):
+    # the largest d the swap-sector kernel serves
+    path = model_file(tmp_path, capsys, "hopping_chain", "d=6")
+    for command in ("commutant", "analyze"):
+        code, _, err = run(capsys, command, "--system", path)
+        assert code == 0, err
+
+
+def test_driftless_cross_kerr_removes_the_bounded_coupling(tmp_path, capsys):
+    # plain `distance` exits 1 here (no drift), as
+    # test_distance_rejects_missing_drift_before_estimating checks
+    path = model_file(tmp_path, capsys, "cross_kerr", "n_modes=2",
+                      "n_photons=3")
+    code, stdout, _ = run(capsys, "distance", "--perturb", "all",
+                          "--system", path)
+    assert code == 0
+    upper = json.loads(stdout)["upper"]
+    code, stdout, _ = run(capsys, "qsl", "--system", path)
+    assert code == 0
+    assert upper["method"] == "drift_removal"
+    assert [p["index"] for p in upper["perturbations"]] == [0]
+    assert json.loads(stdout)["epsilon_upper"] == upper["op_norm"]
+
+
+@pytest.mark.parametrize("argv, model, expected", [
+    pytest.param(["reproduce-paper"], None, 0, id="reproduce_paper"),
+    pytest.param(["distance"], ("cross_kerr", "n_modes=2", "n_photons=3"), 1,
+                 id="distance_without_drift"),
+    pytest.param(["analyze"], ("global_control_chain", "n_qubits=2",
+                               "gammas=1,1"), 2, id="analyze_uncontrollable"),
+    pytest.param(["commutant"], ("hopping_chain", "d=7"), 3,
+                 id="commutant_guard")])
+def test_python_m_qdist_exit_codes(tmp_path, capsys, argv, model, expected):
+    # the one check that needs a real process: `python -m qdist` turns
+    # main's return into the exit status, errors print nothing on stdout,
+    # and no path prints a traceback
+    if model is not None:
+        argv = argv + ["--system", model_file(tmp_path, capsys, *model)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qdist", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr
+    if expected in (1, 3):
+        assert done.stdout == ""
+    else:
+        json.loads(done.stdout)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from qdist import (DimensionGuardError, commutant, commutator,
-                   commutant_dimension, extract_original_space_symmetry,
+                   commutant_dimension, devec_herm,
+                   extract_original_space_symmetry,
                    haar_unitary, is_symmetry_witness, lie_dimension,
                    operator_norm, random_hermitian, tensor_double, vec_herm)
 from qdist.commutant import build_stacked_adjoint
-from qdist.linalg import DEFAULT_TOL
+from qdist.linalg import DEFAULT_TOL, rank_and_nullity
 from qdist.models import build_global_control_chain, build_hopping_chain, pauli_on
 
-from conftest import PAULI_X, PAULI_Z, SWAP_4
+from conftest import PAULI_X, PAULI_Z, SWAP_4, random_pair_system
 
 
 class TestBuildStackedAdjoint:
@@ -192,3 +193,35 @@ class TestOracleEquivalence:
             assert by_commutant.controllable == lie_dimension([a, b]).controllable
             agree += 1
         assert agree == 100
+
+
+# below SECTOR_MIN_DIM the dense matrix is commutant_dimension's one block,
+# taken through the merge, the cutoff and the null-vector path the sectors
+# take: the answers are the dense oracle's, bit for bit
+DENSE_CASES = [
+    pytest.param(lambda: [PAULI_Z], id="Z"),
+    pytest.param(lambda: [PAULI_X, PAULI_Z], id="X_Z"),
+    pytest.param(lambda: build_hopping_chain(3).algebra_generators(),
+                 id="hopping_d3"),
+] + [pytest.param(lambda d=d, seed=seed:
+                  random_pair_system(d, seed).algebra_generators(),
+                  id=f"random_d{d}_seed{seed}")
+     for d in (2, 3) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("build", DENSE_CASES)
+def test_the_dense_block_gives_the_oracle_bit_for_bit(build):
+    gens = build()
+    d = gens[0].shape[0]
+    assert d < commutant.SECTOR_MIN_DIM
+    result = commutant_dimension(gens)
+    oracle = rank_and_nullity(build_stacked_adjoint(gens))
+    assert np.array_equal(result.singular_values, oracle.singular_values)
+    assert result.singular_values.dtype == oracle.singular_values.dtype
+    assert (result.rank, result.nullity, result.controllable) == (
+        oracle.rank, oracle.nullity, oracle.nullity == 2)
+    expected = [devec_herm(v, d * d) for v in oracle.null_basis.T]
+    assert len(result.symmetry_basis) == len(expected) == result.nullity
+    for op, want in zip(result.symmetry_basis, expected):
+        assert np.array_equal(op, want)
+

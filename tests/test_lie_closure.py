@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from qdist import (InputError, commutant_dimension, devec_herm,
-                   haar_unitary, hs_inner, lie_closure, lie_dimension,
+                   haar_unitary, lie_closure, lie_dimension,
                    random_hermitian, vec_herm)
 from qdist.linalg import traceless_part
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising, pauli_on)
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_pair_system,
-                      real_vec, reference_lie_closure)
+                      reference_lie_closure)
 
 
 def test_single_qubit_pair_closes_su2():
@@ -40,16 +40,6 @@ def test_ising_with_full_local_control():
 def test_hopping_chain_with_site_control_controllable():
     system = build_hopping_chain(4)
     assert lie_dimension(system.algebra_generators()).controllable
-
-
-def test_basis_orthonormal_and_skew_hermitian():
-    result = lie_dimension([PAULI_Z, PAULI_X])
-    for i, a in enumerate(result.basis):
-        assert np.max(np.abs(a + a.conj().T)) < 1e-12  # skew-Hermitian
-        assert abs(np.trace(a)) < 1e-12
-        for j, b in enumerate(result.basis):
-            expected = 1.0 if i == j else 0.0
-            assert hs_inner(a, b) == pytest.approx(expected, abs=1e-10)
 
 
 def test_trace_is_shifted_out():
@@ -162,12 +152,6 @@ def test_closure_brackets_with_generators_only(monkeypatch):
     assert k < calls <= k * (dim + 1)
 
 
-def span_projector(basis) -> np.ndarray:
-    """Orthogonal projector onto the real span of orthonormal matrices."""
-    rows = np.array([real_vec(a) for a in basis])
-    return rows.T @ rows
-
-
 ORACLE_CASES = DIMENSION_TABLE + [
     pytest.param(lambda d=d, seed=seed: random_pair_system(d, seed), None,
                  id=f"random_d{d}_seed{seed}")
@@ -186,9 +170,6 @@ def test_matches_the_per_candidate_reference(build, expected):
     result, reference = lie_dimension(gens), reference_lie_closure(gens)
     assert (result.dimension, result.depth, result.controllable) == (
         reference.dimension, reference.depth, reference.controllable)
-    np.testing.assert_allclose(span_projector(result.basis),
-                               span_projector(reference.basis),
-                               rtol=0, atol=1e-9)
 
 
 def block_symmetric_pair(seed, eta):
