@@ -250,7 +250,7 @@ def cmd_distance(args) -> int:
     system = _load_system(args.system, tol)
     indices = _perturb_indices(system, args.perturb)
     methods = tuple(args.methods.split(",")) if args.methods else ESTIMATORS
-    alias = {"gap": "gap_merge", "cut": "min_cut", "block": "block_search",
+    alias = {"gap": "gap_merge", "block": "block_search",
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
     invariants = Invariants(system, tol)
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", default="drift",
                    help="drift | control:k | all (lower-bound index set)")
     p.add_argument("--methods",
-                   help="comma list from gap,cut,block,removal (default all)")
+                   help="comma list from gap,block,removal (default all)")
     _add_common(p)
     p.set_defaults(func=cmd_distance)
 

@@ -41,8 +41,8 @@ of their span, which is block diagonal over R's eigenvalue clusters, so the
 map is stacked in R's eigenbasis on the sum m_c^2 Hermitian positions
 inside the clusters alone, d of them when R's spectrum is simple
 (_joint_commutant; the random-element idea of Murota, Kanno, Kojima &
-Kojima, JJIAM 27, 125 (2010)). The full d^2-column matrix,
-build_stacked_adjoint(doubled=False), is the oracle the tests hold it to.
+Kojima, JJIAM 27, 125 (2010)). The full d^2-column matrix, _stacked_adjoint
+on the generators themselves, is the oracle the tests hold it to.
 Each construction offers its witness to distance.verify_uncontrollable,
 which only checks it. That is the commutant criterion of Zimboras et al.,
 PRA 92, 042309 (2015).
@@ -146,8 +146,8 @@ def _hermitian_adjoint_entries(n: int):
     return entries
 
 
-def build_stacked_adjoint(generators, doubled: bool = True,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def build_stacked_adjoint(generators, tol: ToleranceConfig = DEFAULT_TOL
+                          ) -> np.ndarray:
     """Stack the real blocks of X -> i[H_k^(2), X], one per generator.
 
     Each block is the matrix of that map on Hermitian X in the orthonormal
@@ -155,24 +155,22 @@ def build_stacked_adjoint(generators, doubled: bool = True,
     K n^2 rows and n^2 columns (n = d^2). It is built from Re H and Im H in
     real arithmetic, and it has the same singular values as the stacked
     complex row-vectorized blocks (i H_k^(2))^(ad). A generator that is not
-    Hermitian within tol.hermiticity_tol is an InputError. With
-    doubled=False the blocks are those of X -> i[H_k, X] on the original
-    space (n = d), whose nullspace is the joint commutant: a test oracle
-    only, since joint_blocks builds just the columns it needs
-    (_joint_commutant). The doubled form is the dense oracle the swap
-    sectors of commutant_dimension are tested against, and its one block
-    below SECTOR_MIN_DIM.
+    Hermitian within tol.hermiticity_tol is an InputError. It is the dense
+    oracle the swap sectors of commutant_dimension are tested against, and
+    its one block below SECTOR_MIN_DIM.
     """
     mats, _ = checked_generators(generators, tol)
-    return _stacked_adjoint([tensor_double(m) if doubled else m for m in mats])
+    return _stacked_adjoint([tensor_double(m) for m in mats])
 
 
 def _stacked_adjoint(mats, columns: np.ndarray | None = None) -> np.ndarray:
-    """build_stacked_adjoint's blocks for generators that are already
-    Hermitian complex matrices. With columns, a mask of the n^2 Hermitian
-    basis positions, only those columns (all n^2 rows each), filled from
-    the pattern's entries in them alone: bit for bit the columns of the
-    full matrix, without building it."""
+    """The stacked real blocks of X -> i[H_k, X] on n x n Hermitian X, one
+    per generator, for generators that are already Hermitian complex n x n
+    matrices: build_stacked_adjoint's on the doubled generators, the joint
+    commutant's map on the original ones. With columns, a mask of the n^2
+    Hermitian basis positions, only those columns (all n^2 rows each),
+    filled from the pattern's entries in them alone: bit for bit the
+    columns of the full matrix, without building it."""
     n = mats[0].shape[0]
     flat, z_index, weight = _hermitian_adjoint_entries(n)
     width = n * n
@@ -333,10 +331,10 @@ def sector_blocks(mats, vs: np.ndarray, va: np.ndarray) -> list:
     s x s block ("sym"), the Hermitian a x a block ("anti") and the complex
     s x a block Z ("off"). The sym and anti blocks are the stacked real
     blocks of X -> i[H_s, X] (K s^2 x s^2) and X -> i[H_a, X] (K a^2 x a^2),
-    as build_stacked_adjoint(doubled=False) would give them. The off block
-    is the stacked row-vectorized map Z -> i(H_s Z - Z H_a) (K s a x s a),
-    whose singular values are those of the real map on Z, each counted
-    twice: complex128 in general.
+    as _stacked_adjoint gives them. The off block is the stacked
+    row-vectorized map Z -> i(H_s Z - Z H_a) (K s a x s a), whose singular
+    values are those of the real map on Z, each counted twice: complex128
+    in general.
 
     V_s and V_a are real, so a generator whose traceless part is real or
     imaginary (conjugation_parity) keeps that parity in H_s and H_a. When

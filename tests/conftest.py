@@ -44,6 +44,17 @@ def adjoint_action_matrix(b) -> np.ndarray:
     return np.kron(bm, eye) - np.kron(eye, bm.T)
 
 
+def original_space_adjoint(generators, tol: ToleranceConfig = DEFAULT_TOL
+                           ) -> np.ndarray:
+    """The stacked real blocks of X -> i[H_k, X] on the original space (K d^2
+    x d^2, in the vec_herm basis), whose nullspace is the generators' joint
+    commutant: build_stacked_adjoint's construction without the doubling,
+    the full-width oracle joint_blocks and the sym sector are checked
+    against."""
+    mats, _ = checked_generators(generators, tol)
+    return commutant._stacked_adjoint(mats)
+
+
 def vec_row(m) -> np.ndarray:
     """Row-major flattening of a matrix into a vector."""
     return np.asarray(m, dtype=np.complex128).ravel(order="C").copy()

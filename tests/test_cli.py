@@ -11,9 +11,10 @@ import pytest
 
 from qdist import cli, distance
 from qdist.cli import build_parser, main
-from qdist.distance import certificate_to_json, epsilon_upper_drift_removal
+from qdist.distance import (certificate_from_json, certificate_to_json,
+                            epsilon_upper_drift_removal, epsilon_upper_min_cut)
 from qdist.linalg import matrix_to_json
-from qdist.models import pauli_on
+from qdist.models import build_hopping_chain, pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
 
 from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
@@ -433,6 +434,33 @@ def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
     assert stdout == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert calls == []
+
+
+def test_distance_cut_is_an_unknown_method(tmp_path, capsys):
+    # min cut is block search's step above its guard, not a method of its own
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    code, stdout, err = run(capsys, "distance", "--system", path,
+                            "--methods", "cut")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "unknown distance methods: ['cut']" in err
+
+
+def test_stored_min_cut_certificate_still_loads(tmp_path, capsys):
+    # the hopping d=4 site cut, stored under the min_cut label that block
+    # search gives its certificates above the guard
+    path = model_file(tmp_path, capsys, "hopping_chain", "d=4")
+    doc = certificate_to_json(epsilon_upper_min_cut(build_hopping_chain(4)))
+    assert certificate_from_json(doc).method == "min_cut"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "qsl", "--system", path,
+                          "--cert", str(cert_file))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["certificate"]["method"] == "min_cut"
+    assert report["delta_lower"] == pytest.approx(np.sqrt(2))
+    assert report["delta_provenance"] == "symmetry_sqrt2"
 
 
 @pytest.mark.parametrize("system, methods, name", [

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qdist import commutant, distance
-from qdist import (DimensionGuardError, DistanceCertificate, HermitianOperator,
-                   InputError, NumericalError, UncontrollableSystemError,
+from qdist import (DistanceCertificate, HermitianOperator, InputError,
+                   NumericalError, UncontrollableSystemError,
                    commutator, cut_weight_of,
                    epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    epsilon_upper_drift_removal, epsilon_upper_gap_merge,
@@ -347,17 +347,30 @@ class TestBlockSearch:
         assert cert.detail.endswith("of 12 blocks")  # 2047 candidates
         assert calls == {"_block_cut_delta": 1, "verify_uncontrollable": 1}
 
-    def test_guard_bounds_the_candidate_batch_not_d(self):
+    def test_guard_bounds_the_candidate_batch_not_d(self, monkeypatch):
         # hopping d=16: the site control has two blocks, one candidate
         system = build_hopping_chain(16)
         invariants = Invariants(system)
         block = epsilon_upper_block_search(system, invariants=invariants)
         min_cut = epsilon_upper_min_cut(system, invariants=invariants)
         assert block.verified_uncontrollable
+        assert block.method == "block_search"
         assert block.op_norm == min_cut.op_norm == pytest.approx(1.0, abs=1e-12)
-        # a random d=14 control has 14 blocks: 8191 candidates of 14 x 14
-        with pytest.raises(DimensionGuardError, match="8191 bipartitions"):
-            epsilon_upper_block_search(random_pair_system(14, 1))
+        # a random d=14 control has 14 blocks: 8191 candidates of 14 x 14,
+        # none scored; the min cut's one bipartition answers instead
+        system = random_pair_system(14, 1)
+        invariants = Invariants(system)
+        min_cut = epsilon_upper_min_cut(system, invariants=invariants)
+
+        def unscored(*args):
+            raise AssertionError("a candidate was scored above the guard")
+
+        monkeypatch.setattr(distance, "_bipartition_norms", unscored)
+        block = epsilon_upper_block_search(system, invariants=invariants)
+        assert block.method == "min_cut"
+        assert block.op_norm == min_cut.op_norm
+        assert block.verified_uncontrollable
+        assert verify_certificate(system, block)
 
     @pytest.mark.parametrize("d", range(6, 11))
     def test_tied_pick_does_not_depend_on_the_basis(self, d):
@@ -419,22 +432,27 @@ class TestBlockSearch:
         assert cert.op_norm == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("rotated", [False, True])
-    @pytest.mark.parametrize("kind", ["random", "site_projector", "three_level"])
+    @pytest.mark.parametrize("kind", ["random", "site_projector", "three_level",
+                                      "diagonal_pair"])
     @pytest.mark.parametrize("d", range(3, 8))
     def test_never_loses_to_min_cut(self, d, kind, rotated):
         # both read their blocks from commutant.joint_blocks, and the min-cut
-        # bipartition is one of the candidates the block search scores
+        # bipartition is one of the candidates the block search scores;
+        # diagonal_pair is a control family, two commuting diagonal controls
         for seed in range(30):
             drift = random_hermitian(d, 500 + seed, traceless=True).matrix
-            control = {
-                "random": lambda: random_hermitian(d, 600 + seed).matrix,
-                "site_projector": lambda: site_projector(d, seed % d),
-                "three_level": lambda: np.diag([float(j % 3) for j in range(d)]),
+            controls = {
+                "random": lambda: [random_hermitian(d, 600 + seed).matrix],
+                "site_projector": lambda: [site_projector(d, seed % d)],
+                "three_level": lambda: [np.diag([float(j % 3) for j in range(d)])],
+                "diagonal_pair": lambda: [np.diag([float(j % m) for j in range(d)])
+                                          for m in (2, 3)],
             }[kind]()
             if rotated:
                 u = haar_unitary(d, 700 + seed)
-                drift, control = u @ drift @ u.conj().T, u @ control @ u.conj().T
-            system = drift_system(drift, control)
+                drift = u @ drift @ u.conj().T
+                controls = [u @ c @ u.conj().T for c in controls]
+            system = drift_system(drift, *controls)
             invariants = Invariants(system)
             block = epsilon_upper_block_search(system, invariants=invariants)
             min_cut = epsilon_upper_min_cut(system, invariants=invariants)
@@ -790,9 +808,41 @@ class TestEpsilonBest:
         assert len(calls) == 1
 
     def test_no_applicable_method_is_input_error(self):
-        methods = ("gap_merge", "min_cut", "block_search")
-        with pytest.raises(InputError, match="gap_merge, min_cut, block_search"):
+        methods = ("gap_merge", "block_search")
+        with pytest.raises(InputError, match="gap_merge, block_search"):
             epsilon_best(build_two_qubit_ising(1.0), methods=methods)
+
+    @pytest.mark.parametrize("system, method", [
+        (random_pair_system(4, 0), "block_search"),
+        (random_pair_system(12, 3), "block_search"),
+        (build_hopping_chain(6), "gap_merge")],
+        ids=["pair_d4", "pair_d12", "hopping_d6"])
+    def test_runs_no_min_cut_below_the_guard(self, monkeypatch, system, method):
+        # on both random pairs the min cut ties the block search's pick
+        for name in ("epsilon_upper_min_cut", "stoer_wagner_min_cut"):
+            def unexpected(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran below the guard")
+            monkeypatch.setattr(distance, name, unexpected)
+        upper = epsilon_best(system).upper
+        assert upper.verified_uncontrollable
+        assert upper.method == method
+
+    def test_control_family_above_the_guard_gets_the_min_cut(self):
+        # a d=14 drift with two commuting diagonal controls: 14 joint blocks,
+        # above block search's guard. Its min cut takes control families,
+        # and beats removing the drift
+        d = 14
+        drift = random_hermitian(d, 1400, traceless=True).matrix
+        controls = [np.diag(np.arange(d) - (d - 1) / 2),
+                    np.diag([float(j % 3) for j in range(d)])]
+        system = drift_system(drift, *controls)
+        invariants = Invariants(system)
+        assert len(invariants.fixed_blocks[1]) == d
+        upper = epsilon_best(system, invariants=invariants).upper
+        assert upper.method == "min_cut"
+        assert upper.verified_uncontrollable
+        removal = epsilon_upper_drift_removal(system, invariants=invariants)
+        assert upper.op_norm < removal.op_norm
 
     def test_uncontrollable_input_is_error(self, svd_log):
         # the Lie closure's verdict ends it before any SVD

@@ -17,7 +17,8 @@ from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising)
 from qdist.system import system_to_json
 
-from conftest import adjoint_action_matrix, random_pair_system
+from conftest import (adjoint_action_matrix, original_space_adjoint,
+                      random_pair_system)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,7 +39,8 @@ def complex_reference(gens, doubled):
 
 
 def assert_same_spectrum(gens, doubled):
-    real = build_stacked_adjoint(gens, doubled=doubled)
+    real = (build_stacked_adjoint(gens) if doubled
+            else original_space_adjoint(gens))
     reference = complex_reference(gens, doubled)
     assert real.dtype == np.float64 and real.shape == reference.shape
     s_real = rank_and_nullity(real, want_null_basis=False)
@@ -78,7 +80,7 @@ def test_coordinates_round_trip_and_keep_the_inner_product(n):
 def test_block_is_the_map_on_coordinates():
     h = random_hermitian(3, 7).matrix
     x = random_hermitian(3, 8).matrix
-    block = build_stacked_adjoint([h], doubled=False)
+    block = original_space_adjoint([h])
     np.testing.assert_allclose(block @ vec_herm(x),
                                vec_herm(1j * (h @ x - x @ h)), atol=1e-12)
 

@@ -1,7 +1,7 @@
 """joint_blocks finds the generators' joint commutant in the eigenbasis of one
 random element R of their span, on the sum m_c^2 positions inside R's
 eigenvalue clusters. The dense oracle is the full stacked original-space
-matrix, build_stacked_adjoint(doubled=False) decomposed by rank_and_nullity,
+matrix, conftest.original_space_adjoint decomposed by rank_and_nullity,
 with the same random combination of its null vectors diagonalized."""
 
 import numpy as np
@@ -9,14 +9,14 @@ import pytest
 
 from qdist import (DEFAULT_TOL, ControlSystem, NumericalError, cli, commutant,
                    haar_unitary, random_hermitian)
-from qdist.commutant import (_joint_commutant, block_projector,
-                             build_stacked_adjoint, joint_blocks)
+from qdist.commutant import _joint_commutant, block_projector, joint_blocks
 from qdist.distance import is_symmetry_witness
 from qdist.linalg import devec_herm, rank_and_nullity, vec_herm
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising)
 
-from conftest import manual_gap_merge, random_pair_system
+from conftest import (manual_gap_merge, original_space_adjoint,
+                      random_pair_system)
 
 MODELS = {
     "ising_0.5": lambda: build_two_qubit_ising(0.5),
@@ -39,8 +39,7 @@ def oracle(gens, tol=DEFAULT_TOL):
     the blocks as joint_blocks found them before: the eigenspaces of a
     random combination of the dense null vectors."""
     d = np.asarray(gens[0]).shape[0]
-    r = rank_and_nullity(build_stacked_adjoint(gens, doubled=False, tol=tol),
-                         tol=tol)
+    r = rank_and_nullity(original_space_adjoint(gens, tol=tol), tol=tol)
     if r.nullity <= 1:
         return r.nullity, r.null_basis, None
     rng = np.random.default_rng(0)

@@ -1,7 +1,7 @@
 """The commutant spectrum from the swap sectors (three, or five real blocks
 for the models, whose generators are each real or imaginary) equals the
 spectrum of the dense stacked doubled-space adjoint matrix, which stays the
-oracle: build_stacked_adjoint(doubled=True) decomposed by rank_and_nullity."""
+oracle: build_stacked_adjoint decomposed by rank_and_nullity."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising,
                           hopping_drift)
 
-from conftest import random_pair_system
+from conftest import original_space_adjoint, random_pair_system
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,7 +138,7 @@ def test_sector_svd_failure_is_a_numerical_error(monkeypatch):
 
 def test_sector_blocks_cover_the_doubled_space():
     # [V_s V_a] is orthogonal, the widths add up to d^4, and the Sym^2
-    # block is build_stacked_adjoint(doubled=False) on H_s
+    # block is the original-space map on H_s
     d = 5
     vs, va = swap_sector_bases(d)
     v = np.hstack([vs, va])
@@ -149,7 +149,7 @@ def test_sector_blocks_cover_the_doubled_space():
     h_s = vs.T @ tensor_double(gens[0]) @ vs
     np.testing.assert_allclose(
         sym[:sym.shape[1]],
-        build_stacked_adjoint([(h_s + h_s.conj().T) / 2], doubled=False),
+        original_space_adjoint([(h_s + h_s.conj().T) / 2]),
         atol=1e-12)
 
 
