@@ -27,8 +27,19 @@ model of qdist.models. A real generator maps real symmetric X to
 imaginary antisymmetric i[H, X] and back, an imaginary one keeps each
 kind, so the Sym^2 and Lambda^2 sectors each split into two real blocks
 of about half the width, and the off-diagonal sector becomes one real
-matrix of the same width: five float64 SVDs in place of two real and one
+matrix of the same width: five float64 blocks in place of two real and one
 complex. Generators without a parity take the three sectors unchanged.
+
+A spectrum without symmetry operators (commutant_spectrum, the d <= 4
+cross-check of distance.verify_uncontrollable, qdist commutant without
+--emit-symmetries) reads each sector block's values off the eigenvalues of
+its Gram matrix M^H M where they certify them (_gram_values): every value
+but the sector identity at least _GRAM_FLOOR = 1e-2 times the block's
+largest, where the Gram's error, about n eps sigma_max^2 / sigma, stays
+near 1e-12 sigma_max and no rank is read near the cutoff. The identity of
+Sym^2 or Lambda^2 then reads exactly 0.0. Every other block, the dense
+matrix below SECTOR_MIN_DIM and every call that wants symmetry operators
+take the SVD, the one route to null vectors.
 
 The same construction on the original space (X -> i[H_k, X]) gives the
 generators' joint commutant. joint_blocks reads their finest joint
@@ -80,6 +91,13 @@ _CLUSTER_REL_GAP = 1e-6
 # joint_blocks draws R and the commutant element from this seed: fixed,
 # since its results must be reproducible
 _JOINT_SEED = 719
+# a values-only sector block reads its singular values off the eigenvalues
+# of its Gram matrix only when all of them, bar the sector identity, are at
+# least this fraction of its largest. The Gram's error in sigma is about
+# n eps sigma_max^2 / sigma, so above the floor it stays near 1e-12
+# sigma_max, and seven decades above rank_rel_tol no rank is read near the
+# cutoff; a block with a smaller value takes the SVD.
+_GRAM_FLOOR = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +105,10 @@ class CommutantResult:
     """Nullity/rank and the d^4 singular values (descending) of the stacked
     doubled-space adjoint matrix, merged from its blocks (the dense matrix
     or its swap sectors), plus the Hermitian symmetry operators whose
-    coordinates span its nullspace."""
+    coordinates span its nullspace (empty without want_symmetries). A
+    values-only spectrum takes a sector block's values from its Gram
+    eigenvalues where they are certified, with its sector identity at
+    exactly 0.0, and from the SVD otherwise."""
 
     nullity: int
     rank: int
@@ -398,7 +419,12 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
     real blocks split further by complex conjugation. Their merged values
     are the d^4 singular values, rank counts those above rank_rel_tol
     times the largest one, and each block's null vectors under that one
-    cutoff give the symmetry operators (_sector_operators). At
+    cutoff give the symmetry operators (_sector_operators). Without
+    want_symmetries a sector block whose Gram eigenvalues certify its
+    values (_gram_values: all but the sector identity at least
+    _GRAM_FLOOR times its largest) takes them from there and needs no SVD;
+    every other block, the dense one and every block of a call with
+    want_symmetries take singular_decomposition. At
     d >= COMMUTANT_DIM_GUARD it raises DimensionGuardError (no override);
     generators below 2 x 2 are an InputError.
     """
@@ -413,8 +439,7 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                               np.arange(d ** 4))]
     else:
         blocks = sector_blocks(mats, *swap_sector_bases(d))
-    decompositions = [singular_decomposition(b.matrix, want_symmetries)
-                      for b in blocks]
+    decompositions = [_decomposition(b, want_symmetries) for b in blocks]
     # an off-diagonal value is one of the real map on Z, counted twice
     values = np.sort(np.concatenate([
         np.repeat(sv, 2 if b.sector == "off" else 1)
@@ -432,6 +457,39 @@ def commutant_dimension(generators, tol: ToleranceConfig = DEFAULT_TOL,
                            symmetry_basis=symmetries,
                            controllable=(nullity == 2),
                            singular_values=values)
+
+
+def _decomposition(block: SectorBlock, want_vectors: bool):
+    """singular_decomposition of a block, or for a sector block without
+    vectors its values from the Gram matrix when _gram_values certifies
+    them (with None for the vectors)."""
+    if not want_vectors and block.sector != "dense":
+        values = _gram_values(block)
+        if values is not None:
+            return values, None
+    return singular_decomposition(block.matrix, want_vectors)
+
+
+def _gram_values(block: SectorBlock) -> np.ndarray | None:
+    """The singular values (descending) of a sector block from the
+    eigenvalues lambda (ascending) of its Gram matrix M^H M, or None when
+    the Gram does not certify them.
+
+    k, the sector identity directions among the block's columns, is 1 for
+    the sym or anti block that holds its sector's diagonal (column 0 is the
+    E_00 position) and 0 otherwise: the identity of Sym^2 or Lambda^2 is an
+    exact null vector there. The values are certified when
+    lambda[k] >= _GRAM_FLOOR^2 lambda[-1] > 0; they are then sqrt(lambda[k:])
+    and k exact zeros. A failed eigensolve is a NumericalError."""
+    m = block.matrix
+    k = int(block.sector != "off" and block.columns[0] == 0)
+    try:
+        lam = np.linalg.eigvalsh(m.conj().T @ m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigvalsh failed: {exc}") from exc
+    if not lam[k] >= _GRAM_FLOOR ** 2 * lam[-1] > 0:
+        return None
+    return np.concatenate([np.sqrt(lam[k:])[::-1], np.zeros(k)])
 
 
 def _sector_operators(block: SectorBlock, y: np.ndarray, d: int) -> list:

@@ -32,7 +32,7 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      as_operator, checked_generators, commutator,
                      hermitian_eigensystem, matrix_from_json, matrix_to_json,
                      operator_norm, traceless_part)
-from .system import ControlSystem
+from .system import ControlSystem, generator_index
 
 # bound on N d^2 for block search's N bipartitions at dimension d: a random
 # d=12 pair's 2047 candidates are scored, a d=14 pair's 8191 give way to
@@ -67,7 +67,7 @@ class DistanceCertificate:
         for index, delta in self.perturbations:
             if not isinstance(delta, HermitianOperator):
                 raise InputError("certificate perturbations must wrap HermitianOperator")
-            if index < 0:
+            if generator_index(index) < 0:
                 raise InputError("negative generator index in certificate")
 
 
@@ -557,7 +557,7 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     nullity exceeds 2 (an uncontrollable system is at distance 0). It
     decides no verdict.
     """
-    indices = sorted(set(int(i) for i in perturbed_indices))
+    indices = sorted(set(generator_index(i) for i in perturbed_indices))
     n = len(system.generators())
     if not indices:
         raise InputError("perturbed_indices must be non-empty")
@@ -667,14 +667,14 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
         raise InputError("perturbations must be a list of objects with keys "
                          "index, matrix")
     try:
-        indices = [int(e["index"]) for e in entries]
         op_norm, l11_norm = float(obj["op_norm"]), float(obj["l11_norm"])
         method = str(obj["method"])
         verified = bool(obj["verified_uncontrollable"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
-    perturbations = [(i, as_operator(matrix_from_json(e["matrix"]), tol))
-                     for i, e in zip(indices, entries)]
+    # DistanceCertificate checks each index (system.generator_index)
+    perturbations = [(e["index"], as_operator(matrix_from_json(e["matrix"]), tol))
+                     for e in entries]
     witness = obj.get("symmetry_witness")
     witness_op = None
     if witness is not None:

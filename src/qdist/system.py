@@ -129,6 +129,7 @@ class ControlSystem:
         layout = self._layout()
         deltas: dict[int, np.ndarray] = {}
         for index, delta in perturbations:
+            index = generator_index(index)
             if not 0 <= index < len(layout):
                 raise InputError(f"perturbation index {index} out of range")
             dm = as_matrix(delta)
@@ -143,6 +144,15 @@ class ControlSystem:
             bounded=tuple(BoundedControl(op, cap) for role, op, cap in layout
                           if role == "bounded"),
             unbounded=tuple(op for role, op, _ in layout if role == "unbounded"))
+
+
+def generator_index(value) -> int:
+    """value as an index into a system's flat generator list: an int or a
+    numpy integer, never a bool or a number or string that only converts
+    to one. Anything else is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"generator index must be an integer, got {value!r}")
+    return int(value)
 
 
 def make_system(drift=None, bounded=(), unbounded=(),

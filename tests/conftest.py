@@ -202,10 +202,50 @@ def spectrum_log(monkeypatch):
     return log
 
 
+class GramInput(NamedTuple):
+    shape: tuple
+    dtype: np.dtype
+    matrix: np.ndarray
+    certified: bool
+
+
+@pytest.fixture
+def gram_log(monkeypatch):
+    """Record every sector block that commutant._gram_values reads, in call
+    order: its shape, its dtype, the array itself (for identity checks
+    against svd_log) and whether the Gram certified its values."""
+    log = []
+    gram_values = commutant._gram_values
+
+    def logging_gram_values(block):
+        values = gram_values(block)
+        log.append(GramInput(block.matrix.shape, block.matrix.dtype,
+                             block.matrix, values is not None))
+        return values
+
+    monkeypatch.setattr(commutant, "_gram_values", logging_gram_values)
+    return log
+
+
 def drift_system(drift, *controls):
     """A system of this drift and unbounded controls, matrices as given:
     the input the distance estimators take."""
     return make_system(drift=drift, unbounded=controls)
+
+
+def block_symmetric_pair(seed, eta):
+    """A (2 | 3) block-diagonal drift and control at d=5, in a Haar-random
+    basis, each broken by eta times a traceless random Hermitian."""
+    u = haar_unitary(5, 1000 + seed)
+    gens = []
+    for k in range(2):
+        m = np.zeros((5, 5), dtype=complex)
+        m[:2, :2] = random_hermitian(2, 10 * seed + 2 * k).matrix
+        m[2:, 2:] = random_hermitian(3, 10 * seed + 2 * k + 1).matrix
+        broken = m + eta * random_hermitian(5, 500 + 10 * seed + k,
+                                            traceless=True).matrix
+        gens.append(traceless_part(u @ broken @ u.conj().T))
+    return gens
 
 
 def random_pair_system(d, seed):

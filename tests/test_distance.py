@@ -517,6 +517,18 @@ class TestLowerBound:
         assert epsilon_lower_svd(doubled, [0]) == pytest.approx(
             2 * epsilon_lower_svd(system, [0]), rel=1e-12)
 
+    @pytest.mark.parametrize("index", [0.7, 1.0, "0", "x", None, True])
+    def test_index_that_is_no_integer_is_an_input_error(self, index):
+        # indices are checked, not truncated: 0.7 would read generator 0
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        with pytest.raises(InputError, match="must be an integer"):
+            epsilon_lower_svd(system, [index])
+
+    def test_numpy_integer_index_is_an_index(self):
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        assert epsilon_lower_svd(system, [np.int64(1)]) \
+            == epsilon_lower_svd(system, [1])
+
     def test_below_every_verified_certificate(self):
         for seed in range(12):
             d = 2 + seed % 2
@@ -914,6 +926,25 @@ class TestCertificateSerialization:
                                       cert.perturbations[0][1].matrix)
         np.testing.assert_array_equal(back.symmetry_witness.matrix,
                                       cert.symmetry_witness.matrix)
+
+    @pytest.mark.parametrize("index", [0.7, 1.0, "0", True, False, None, [0]])
+    def test_index_that_is_no_integer_is_an_input_error(self, index):
+        # hopping d=4: the stored certificate perturbs the drift, index 0;
+        # 0.7 and "0" would load as 0 and verify, True as 1
+        system = build_hopping_chain(4)
+        doc = certificate_to_json(epsilon_best(system).upper)
+        assert doc["perturbations"][0]["index"] == 0
+        assert verify_certificate(system, certificate_from_json(doc))
+        doc["perturbations"][0]["index"] = index
+        with pytest.raises(InputError, match="must be an integer"):
+            certificate_from_json(doc)
+
+    def test_certificate_index_is_checked_on_construction(self):
+        with pytest.raises(InputError, match="must be an integer"):
+            DistanceCertificate(
+                perturbations=[(0.7, HermitianOperator(np.zeros((2, 2))))],
+                op_norm=0.0, l11_norm=0.0, method="manual",
+                verified_uncontrollable=False)
 
     def test_unknown_keys_rejected(self):
         cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))

@@ -155,3 +155,15 @@ def test_inequality_rhs_weights_each_perturbed_generator(has_drift):
     assert check.rhs == pytest.approx(expected, rel=1e-14)
     assert check.holds and check.lhs <= check.rhs
 
+
+
+@pytest.mark.parametrize("index", [0.7, 1.0, "0", True, None])
+def test_perturbation_index_that_is_no_integer_is_an_input_error(index):
+    # checked, not truncated or compared: True would perturb generator 1
+    system = mixed_system(True, 1, 1)
+    with pytest.raises(InputError, match="must be an integer"):
+        system.with_perturbations([(index, np.zeros((3, 3)))])
+    delta = 0.1 * np.eye(3)
+    by_numpy = system.with_perturbations([(np.int64(1), delta)])
+    np.testing.assert_array_equal(by_numpy.generators()[1].matrix,
+                                  system.generators()[1].matrix + delta)

@@ -95,31 +95,39 @@ def test_non_hermitian_generator_is_an_input_error():
         commutant_dimension([np.diag([1.0, -1.0]), raising])
 
 
-def assert_sector_inputs(svd_log, spectrum_log, d, spectra, off_dtype):
+def assert_sector_inputs(svd_log, gram_log, spectrum_log, d, spectra,
+                         off_dtype):
     """spectra commutant spectra were taken from the swap sectors, and every
-    SVD input is float64 except the off-diagonal sector of each spectrum,
-    s a columns wide, which is off_dtype: complex128 for generic complex
-    generators (4 n^3 flops at width n = s a, against 8 n^3 for its real
-    form at width 2 n), float64 when every generator's traceless part is
-    real or imaginary. None has d^4 columns."""
+    block they decompose is float64 except the off-diagonal sector of each
+    spectrum, s a columns wide, which is off_dtype: complex128 for generic
+    complex generators (4 n^3 flops at width n = s a, against 8 n^3 for its
+    real form at width 2 n), float64 when every generator's traceless part
+    is real or imaginary. Values-only spectra hand each block to the Gram
+    first, and only the blocks it does not certify reach the SVD. None has
+    d^4 or 2 s a columns."""
     s, a = d * (d + 1) // 2, d * (d - 1) // 2
     assert len(spectrum_log) == spectra
     off = [] if off_dtype == np.float64 else [(np.dtype(off_dtype), s * a)] * spectra
-    assert [(c.dtype, c.shape[-1]) for c in svd_log
-            if c.dtype != np.float64] == off
-    assert not any(c.shape[-1] == d ** 4 for c in svd_log)
+    complex_grams = [c for c in gram_log if c.dtype != np.float64]
+    assert [(c.dtype, c.shape[-1]) for c in complex_grams] == off
+    assert [id(c.matrix) for c in svd_log if c.dtype != np.float64] == [
+        id(c.matrix) for c in complex_grams if not c.certified]
+    assert not any(c.shape[-1] in (d ** 4, 2 * s * a)
+                   for c in [*svd_log, *gram_log])
 
 
-def test_analyze_hands_only_real_inputs_to_the_svd(svd_log, spectrum_log):
+def test_analyze_hands_only_real_inputs_to_the_svd(svd_log, gram_log,
+                                                   spectrum_log):
     # hopping d=4: one spectrum, the unperturbed one; both generators are
     # real, so the off-diagonal swap sector is decomposed in float64 too
     analyze_system(build_hopping_chain(4), DEFAULT_TOL)
-    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=1,
+    assert_sector_inputs(svd_log, gram_log, spectrum_log, 4, spectra=1,
                          off_dtype=np.float64)
 
 
 def test_qsl_cert_hands_only_real_inputs_to_the_svd(tmp_path, capsys,
-                                                    svd_log, spectrum_log):
+                                                    svd_log, gram_log,
+                                                    spectrum_log):
     # Ising delta=1: the d <= 4 cross-check of the certificate and the
     # lower bound each take one spectrum; its generators are each real or
     # imaginary
@@ -129,18 +137,23 @@ def test_qsl_cert_hands_only_real_inputs_to_the_svd(tmp_path, capsys,
     system_path.write_text(json.dumps(system_to_json(system)))
     cert_path.write_text(json.dumps(certificate_to_json(cert)))
     svd_log.clear()
+    gram_log.clear()
     spectrum_log.clear()
     assert main(["qsl", "--system", str(system_path),
                  "--cert", str(cert_path)]) == 0
     capsys.readouterr()
-    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=2,
+    assert_sector_inputs(svd_log, gram_log, spectrum_log, 4, spectra=2,
                          off_dtype=np.float64)
 
 
-def test_complex_pair_hands_its_off_sector_over_as_complex(svd_log,
+def test_complex_pair_hands_its_off_sector_over_as_complex(svd_log, gram_log,
                                                           spectrum_log):
     # a random pair has no conjugation parity: its off-diagonal sector is
-    # one complex128 SVD input, everything else float64
+    # one complex128 matrix of width s a, everything else float64. The
+    # unperturbed spectrum is values-only and the Gram certifies the off
+    # sector, so it is the Gram's input and never the SVD's
     analyze_system(random_pair_system(4, 0), DEFAULT_TOL)
-    assert_sector_inputs(svd_log, spectrum_log, 4, spectra=1,
+    assert_sector_inputs(svd_log, gram_log, spectrum_log, 4, spectra=1,
                          off_dtype=np.complex128)
+    assert all(c.certified for c in gram_log if c.dtype == np.complex128)
+    assert all(c.dtype == np.float64 for c in svd_log)

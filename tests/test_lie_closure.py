@@ -4,12 +4,11 @@ import pytest
 from qdist import (InputError, commutant_dimension, devec_herm,
                    haar_unitary, lie_closure, lie_dimension,
                    random_hermitian, vec_herm)
-from qdist.linalg import traceless_part
 from qdist.models import (build_cross_kerr, build_global_control_chain,
                           build_hopping_chain, build_two_qubit_ising, pauli_on)
 
-from conftest import (PAULI_X, PAULI_Y, PAULI_Z, random_pair_system,
-                      reference_lie_closure)
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, block_symmetric_pair,
+                      random_pair_system, reference_lie_closure)
 
 
 def test_single_qubit_pair_closes_su2():
@@ -170,21 +169,6 @@ def test_matches_the_per_candidate_reference(build, expected):
     result, reference = lie_dimension(gens), reference_lie_closure(gens)
     assert (result.dimension, result.depth, result.controllable) == (
         reference.dimension, reference.depth, reference.controllable)
-
-
-def block_symmetric_pair(seed, eta):
-    """A (2 | 3) block-diagonal drift and control at d=5, in a Haar-random
-    basis, each broken by eta times a traceless random Hermitian."""
-    u = haar_unitary(5, 1000 + seed)
-    gens = []
-    for k in range(2):
-        m = np.zeros((5, 5), dtype=complex)
-        m[:2, :2] = random_hermitian(2, 10 * seed + 2 * k).matrix
-        m[2:, 2:] = random_hermitian(3, 10 * seed + 2 * k + 1).matrix
-        broken = m + eta * random_hermitian(5, 500 + 10 * seed + k,
-                                            traceless=True).matrix
-        gens.append(traceless_part(u @ broken @ u.conj().T))
-    return gens
 
 
 @pytest.mark.parametrize("eta", [1e-11, 1e-9, 1e-7])
