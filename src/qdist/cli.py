@@ -25,7 +25,8 @@ from .distance import (ESTIMATORS, Invariants, certificate_from_json,
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
-from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_to_json
+from .linalg import (DEFAULT_TOL, ToleranceConfig, json_object, json_value,
+                     matrix_to_json)
 from .models import (ModelSpec, build_model, build_global_control_chain,
                      build_two_qubit_ising, delta_gamma, hopping_spectrum,
                      reference_bounds)
@@ -42,22 +43,14 @@ EXIT_NUMERICAL = 4
 _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(ToleranceConfig))
 
 
-def _tolerance(source: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{source} must be a number, got {value!r}") from None
-
-
 def _resolve_tolerances(args) -> ToleranceConfig:
     """defaults < --tol-config file < explicit flags."""
     values = DEFAULT_TOL.to_dict()
     config_path = getattr(args, "tol_config", None)
     if config_path:
-        loaded = _load_json(config_path, "tolerance config")
-        if not isinstance(loaded, dict) or set(loaded) - set(_TOL_FIELDS):
-            raise InputError(f"tolerance config may only set {_TOL_FIELDS}")
-        values.update({k: _tolerance(f"tolerance config {k}", v)
+        loaded = json_object(_load_json(config_path, "tolerance config"),
+                             "tolerance config", optional=_TOL_FIELDS)
+        values.update({k: json_value(v, float, f"tolerance config {k}")
                        for k, v in loaded.items()})
     for field in _TOL_FIELDS:
         flag = getattr(args, field, None)
@@ -85,6 +78,8 @@ def _load_json(path: str, kind: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer of over 4300 digits
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _write_json(path: str, obj, kind: str) -> None:

@@ -30,8 +30,9 @@ from .errors import InputError, NumericalError, UncontrollableSystemError
 from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      as_operator, checked_generators, commutator,
-                     hermitian_eigensystem, matrix_from_json, matrix_to_json,
-                     operator_norm, traceless_part)
+                     hermitian_eigensystem, json_object, json_value,
+                     matrix_from_json, matrix_to_json, operator_norm,
+                     traceless_part)
 from .system import ControlSystem, generator_index
 
 # bound on N d^2 for block search's N bipartitions at dimension d: a random
@@ -652,26 +653,21 @@ def certificate_to_json(cert: DistanceCertificate) -> dict:
 
 def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
                           ) -> DistanceCertificate:
-    if not isinstance(obj, dict):
-        raise InputError("certificate JSON must be an object")
-    keys = {"format", "method", "perturbations", "op_norm", "l11_norm",
-            "verified_uncontrollable", "symmetry_witness", "detail"}
-    extra = set(obj) - keys
-    if extra:
-        raise InputError(f"unknown keys in certificate JSON: {sorted(extra)}")
-    if obj.get("format") != 1:
-        raise InputError(f"unsupported certificate format {obj.get('format')!r}")
+    """Parse the certificate format (README, "File formats"): the integer
+    format 1, method, op_norm, l11_norm and verified_uncontrollable, and
+    optionally perturbations (each an integer index and a matrix), a
+    symmetry_witness matrix or null and a detail string. Unknown keys are
+    rejected."""
+    obj = json_object(obj, "certificate", (
+        "format", "method", "op_norm", "l11_norm", "verified_uncontrollable"),
+        ("perturbations", "symmetry_witness", "detail"))
+    if json_value(obj["format"], int, "certificate format") != 1:
+        raise InputError(f"unsupported certificate format {obj['format']!r}")
     entries = obj.get("perturbations", [])
-    if not isinstance(entries, list) or any(
-            not isinstance(e, dict) or set(e) != {"index", "matrix"} for e in entries):
-        raise InputError("perturbations must be a list of objects with keys "
-                         "index, matrix")
-    try:
-        op_norm, l11_norm = float(obj["op_norm"]), float(obj["l11_norm"])
-        method = str(obj["method"])
-        verified = bool(obj["verified_uncontrollable"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed certificate JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputError("perturbations must be a list in certificate JSON")
+    entries = [json_object(e, "certificate perturbation", ("index", "matrix"))
+               for e in entries]
     # DistanceCertificate checks each index (system.generator_index)
     perturbations = [(e["index"], as_operator(matrix_from_json(e["matrix"]), tol))
                      for e in entries]
@@ -680,7 +676,11 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
     if witness is not None:
         witness_op = as_operator(matrix_from_json(witness), tol)
     return DistanceCertificate(
-        perturbations=perturbations, op_norm=op_norm, l11_norm=l11_norm,
-        method=method, verified_uncontrollable=verified,
-        symmetry_witness=witness_op, detail=str(obj.get("detail", "")),
+        perturbations=perturbations, symmetry_witness=witness_op,
+        op_norm=json_value(obj["op_norm"], float, "certificate op_norm"),
+        l11_norm=json_value(obj["l11_norm"], float, "certificate l11_norm"),
+        method=json_value(obj["method"], str, "certificate method"),
+        verified_uncontrollable=json_value(obj["verified_uncontrollable"], bool,
+                                           "certificate verified_uncontrollable"),
+        detail=json_value(obj.get("detail", ""), str, "certificate detail"),
     )

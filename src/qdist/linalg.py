@@ -18,6 +18,7 @@ Conventions fixed for the whole package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import InitVar, asdict, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -345,18 +346,62 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix wire format; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise InputError("matrix JSON must be an object")
-    extra = set(obj) - {"rows", "cols", "re", "im"}
-    if extra:
-        raise InputError(f"unknown keys in matrix JSON: {sorted(extra)}")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1 or re.size != rows * cols or im.size != rows * cols:
+    """Parse the matrix wire format: integers rows, cols >= 1 and flat lists
+    re, im of rows*cols numbers each (json_value's rule), no other key."""
+    obj = json_object(obj, "matrix", ("rows", "cols", "re", "im"))
+    rows = json_value(obj["rows"], int, "matrix rows")
+    cols = json_value(obj["cols"], int, "matrix cols")
+    re, im = json_numbers(obj["re"], "matrix re"), json_numbers(obj["im"], "matrix im")
+    if rows < 1 or cols < 1 or not re.shape == im.shape == (rows * cols,):
         raise InputError("matrix JSON entry count does not match rows*cols")
     return as_matrix((re + 1j * im).reshape(rows, cols))
+
+
+def json_object(obj, kind: str, required=(), optional=()) -> dict:
+    """obj as a `kind` JSON object: every key of `required` present and no
+    key outside `required` and `optional`, else an InputError naming kind."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind} JSON must be an object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise InputError(f"{kind} JSON lacks keys {missing}")
+    extra = obj.keys() - {*required, *optional}
+    if extra:
+        raise InputError(f"unknown keys in {kind} JSON: {sorted(extra)}")
+    return obj
+
+
+# the one rule for a JSON value is its exact type: a bool (a subclass of int)
+# is never a number, and a number may be written as an int
+_JSON_NUMBER = {int, float}
+_JSON_KINDS = {bool: ({bool}, "a boolean"), int: ({int}, "an integer"),
+               str: ({str}, "a string"), float: (_JSON_NUMBER, "a finite number")}
+
+
+def json_value(value, kind: type, name: str):
+    """value as a JSON `kind`: bool, int, str or float (a finite number,
+    returned as a float). Nothing is converted from another type: "1" is no
+    number, 1.0 no int, true neither. Anything else is an InputError naming
+    `name`."""
+    types, what = _JSON_KINDS[kind]
+    if type(value) in types and (kind is not float or abs(value) <= sys.float_info.max):
+        return float(value) if kind is float else value
+    raise InputError(f"{name} must be {what}, got {value!r}")
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """value, a JSON list of finite numbers (json_value's rule) or a list of
+    equally long such lists, as a 1-D or 2-D float64 array. Anything else is
+    an InputError naming `name`."""
+    rows = value if isinstance(value, list) and value and all(
+        isinstance(row, list) for row in value) else [value]
+    if all(isinstance(row, list) and _JSON_NUMBER.issuperset(map(type, row))
+           for row in rows):
+        try:
+            array = np.array(value, dtype=float)
+            if np.isfinite(array).all():
+                return array
+        except (OverflowError, ValueError):  # an int beyond floats; ragged rows
+            pass
+    raise InputError(f"{name} must be a list, or a list of equally long lists, "
+                     "of finite numbers")

@@ -70,14 +70,15 @@ def _validated_params(name: str, params: dict) -> dict:
             raise InputError(f"model {name} parameter {key!r}: {exc}") from None
 
     def real(value) -> float:
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError(f"must be a real number, got {value!r}")
         if not math.isfinite(value := float(value)):
             raise ValueError(f"must be finite, got {value}")
         return value
 
     def integer(value) -> int:
-        if not (isinstance(value, numbers.Integral)
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral)
                 or isinstance(value, numbers.Real) and float(value).is_integer()):
             raise TypeError(f"must be an integer, got {value!r}")
         return int(value)

@@ -23,7 +23,8 @@ from .distance import (DistanceCertificate, Invariants, certificate_to_json,
                        epsilon_lower_svd, is_symmetry_witness,
                        verify_uncontrollable)
 from .errors import InputError
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
+from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, json_numbers,
+                     json_object, operator_norm)
 from .system import ControlSystem
 
 DELTA_UNIVERSAL = 0.25          # dimension-independent floor
@@ -298,11 +299,9 @@ def pulse_to_json(pulse: PiecewisePulse) -> dict:
 
 
 def pulse_from_json(obj) -> PiecewisePulse:
-    if not isinstance(obj, dict) or set(obj) - {"durations", "amplitudes"}:
-        raise InputError('pulse JSON must be {"durations": [...], "amplitudes": [[...]]}')
-    try:
-        durations = np.asarray(obj["durations"], dtype=float)
-        amplitudes = np.asarray(obj["amplitudes"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed pulse JSON: {exc}") from exc
-    return PiecewisePulse(durations=durations, amplitudes=amplitudes)
+    """Parse {"durations": [...], "amplitudes": [[...], ...]}: a list of
+    numbers and a list of equally long rows of numbers, no other key."""
+    obj = json_object(obj, "pulse", ("durations", "amplitudes"))
+    return PiecewisePulse(
+        durations=json_numbers(obj["durations"], "pulse durations"),
+        amplitudes=json_numbers(obj["amplitudes"], "pulse amplitudes"))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
-                     as_operator, matrix_from_json, matrix_to_json,
-                     traceless_part)
+                     as_operator, json_object, json_value, matrix_from_json,
+                     matrix_to_json, traceless_part)
 
 SYSTEM_FORMAT_VERSION = 1
 
@@ -186,14 +186,12 @@ def system_to_json(system: ControlSystem) -> dict:
 
 
 def system_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
-    """Parse the versioned system format. Unknown fields are rejected."""
-    if not isinstance(obj, dict):
-        raise InputError("system JSON must be an object")
-    extra = set(obj) - {"format", "drift", "bounded", "unbounded"}
-    if extra:
-        raise InputError(f"unknown keys in system JSON: {sorted(extra)}")
-    if obj.get("format") != SYSTEM_FORMAT_VERSION:
-        raise InputError(f"unsupported system format {obj.get('format')!r}, "
+    """Parse the versioned system format: the integer format 1, and optionally
+    a drift matrix or null, bounded entries (a matrix and a number cap) and
+    unbounded matrices. Unknown keys are rejected."""
+    obj = json_object(obj, "system", ("format",), ("drift", "bounded", "unbounded"))
+    if json_value(obj["format"], int, "system format") != SYSTEM_FORMAT_VERSION:
+        raise InputError(f"unsupported system format {obj['format']!r}, "
                          f"expected {SYSTEM_FORMAT_VERSION}")
     drift = obj.get("drift")
     entries, unbounded = obj.get("bounded", []), obj.get("unbounded", [])
@@ -201,13 +199,9 @@ def system_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
         raise InputError("bounded and unbounded must be lists in system JSON")
     bounded = []
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"matrix", "cap"}:
-            raise InputError(f"bounded[{k}] must be an object with keys matrix, cap")
-        try:
-            cap = float(entry["cap"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bounded[{k}] cap is not a number: {exc}") from exc
-        bounded.append((matrix_from_json(entry["matrix"]), cap))
+        entry = json_object(entry, f"system bounded[{k}]", ("matrix", "cap"))
+        bounded.append((matrix_from_json(entry["matrix"]),
+                        json_value(entry["cap"], float, f"bounded[{k}] cap")))
     unbounded = [matrix_from_json(m) for m in unbounded]
     return make_system(drift=None if drift is None else matrix_from_json(drift),
                        bounded=bounded, unbounded=unbounded, tol=tol)

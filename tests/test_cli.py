@@ -239,12 +239,17 @@ def test_analyze_uncontrollable_exit_2(tmp_path, capsys):
     assert "uncontrollable" in report["note"]
 
 
-def test_malformed_json_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    (b"{not json", "line"),
+    (b'{"format": 1, "drift": \xff}', "utf-8"),
+    (b'{"format": ' + b"1" * 5000 + b"}", "4300 digits")],
+    ids=["not_json", "not_utf8", "integer_beyond_the_digit_limit"])
+def test_malformed_json_exit_1(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_bytes(text)
     code, _, err = run(capsys, "lie", "--system", str(bad))
     assert code == 1
-    assert "line" in err
+    assert err.startswith("error:") and message in err
 
 
 def _drop(key):
@@ -277,6 +282,31 @@ PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
     pytest.param(PULSE_FLAGS, "pulse",
                  lambda p: p | {"amplitudes": [1.0, -1.0]},
                  id="flat_amplitudes_one_per_segment"),
+    pytest.param(SYSTEM_FLAGS, "system", lambda s: s | {"format": True},
+                 id="format_true"),
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"drift": s["drift"] | {"rows": 2.9}},
+                 id="rows_not_an_integer"),
+    # JSON reads 1e400 as inf, as it reads json.dumps's Infinity
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"drift": s["drift"] | {"rows": float("inf")}},
+                 id="rows_overflows_to_inf"),
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"drift": s["drift"] | {"re": [[1, 0], [0, -1]]}},
+                 id="re_nested_im_flat"),
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"bounded": [{"matrix": s["drift"], "cap": "2"}]},
+                 id="cap_a_numeric_string"),
+    pytest.param(SYSTEM_FLAGS, "system",
+                 lambda s: s | {"bounded": [{"matrix": s["drift"], "cap": True}]},
+                 id="cap_true"),
+    pytest.param(CERT_FLAGS, "cert",
+                 lambda c: c | {"verified_uncontrollable": "false"},
+                 id="verified_flag_a_string"),
+    pytest.param(CERT_FLAGS, "cert", lambda c: c | {"op_norm": "0.5"},
+                 id="op_norm_a_numeric_string"),
+    pytest.param(PULSE_FLAGS, "pulse", lambda p: p | {"durations": ["0.5", 0.25]},
+                 id="duration_a_numeric_string"),
     pytest.param(["model", "--name", "hopping_chain", "--param", "d=abc"],
                  None, None, id="param_d_not_an_integer"),
     pytest.param(["model", "--name", "global_control_chain", "--param",
@@ -496,6 +526,10 @@ TOL_CONFIG_FLAGS = SYSTEM_FLAGS + ["--tol-config", "{config}"]
                  id="config_value_not_a_number"),
     pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": null}',
                  id="config_value_null"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": "1e-6"}',
+                 id="config_value_a_numeric_string"),
+    pytest.param(TOL_CONFIG_FLAGS, '{"commute_tol": true}',
+                 id="config_value_true"),
     pytest.param(TOL_CONFIG_FLAGS, '{"rank_rel_tol": ',
                  id="config_malformed_json"),
     pytest.param(SYSTEM_FLAGS + ["--tol-config", "{missing}/tol.json"], None,

@@ -1,6 +1,7 @@
 """Systems, certificates and pulses survive their JSON wire formats bit for
 bit: to_json, json.dumps, json.loads, from_json gives every array back
-with equal values and dtype, and every scalar back equal."""
+with equal values and dtype, and every scalar back equal. A document with
+one leaf of the wrong kind parses or is an InputError, nothing else."""
 
 import json
 
@@ -9,7 +10,8 @@ import pytest
 
 from qdist.distance import (METHODS, DistanceCertificate, certificate_from_json,
                             certificate_to_json)
-from qdist.linalg import HermitianOperator
+from qdist.errors import InputError
+from qdist.linalg import HermitianOperator, matrix_from_json, matrix_to_json
 from qdist.speed_limit import PiecewisePulse, pulse_from_json, pulse_to_json
 from qdist.system import make_system, system_from_json, system_to_json
 
@@ -119,3 +121,44 @@ def test_pulse_round_trip(pulse):
     assert_same_array(back.durations, pulse.durations)
     assert back.amplitudes.shape == pulse.amplitudes.shape
     assert_same_array(back.amplitudes, pulse.amplitudes)
+
+
+BAD_LEAVES = [None, True, "1", float("inf"), float("nan"), [], {}, [[1]]]
+
+
+def leaf_paths(doc, path=()):
+    """Paths to every scalar and every empty list or object in doc."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, child in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the leaf at path replaced by value."""
+    doc = through_json(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@SETTINGS
+@hypothesis.given(case=st.one_of(
+    hermitian(2).map(lambda m: (matrix_from_json, matrix_to_json(m))),
+    systems().map(lambda s: (system_from_json, system_to_json(s))),
+    certificates().map(lambda c: (certificate_from_json, certificate_to_json(c))),
+    pulses().map(lambda p: (pulse_from_json, pulse_to_json(p)))))
+def test_one_bad_leaf_parses_or_is_an_input_error(case):
+    # the parsers' one rule for JSON values: any leaf swapped for a value of
+    # the wrong kind is an InputError, never another exception
+    parse, doc = case
+    for path in leaf_paths(doc):
+        for value in BAD_LEAVES:
+            try:
+                parse(replaced(doc, path, value))
+            except InputError:
+                pass

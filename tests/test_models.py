@@ -268,10 +268,15 @@ class TestModelSpec:
          "parameter 'gammas': 'int' object is not iterable"),
         (lambda: ModelSpec("global_control_chain",
                            {"n_qubits": 2, "gammas": [1.0, 1.2], "edges": [(0, 1, 1)]}),
-         "parameter 'edges': too many values to unpack")],
+         "parameter 'edges': too many values to unpack"),
+        (lambda: ModelSpec("two_qubit_ising", {"delta": True}),
+         "parameter 'delta': must be a real number, got True"),
+        (lambda: build_cross_kerr(2, True),
+         "parameter 'n_photons': must be an integer, got True")],
         ids=["spec_d_float", "chain_n_float", "hopping_d_float",
              "kerr_photons_float", "delta_string", "delta_none", "d_string",
-             "gamma_string", "edge_float", "gammas_scalar", "edge_triple"])
+             "gamma_string", "edge_float", "gammas_scalar", "edge_triple",
+             "delta_bool", "kerr_photons_bool"])
     def test_non_numeric_parameters_rejected(self, make, message):
         with pytest.raises(InputError, match=re.escape(message)):
             make()
