@@ -22,11 +22,10 @@ from .linalg import (DEFAULT_TOL, HermitianOperator, RankResult,
 from .models import (ModelSpec, build_cross_kerr, build_global_control_chain,
                      build_hopping_chain, build_model, build_two_qubit_ising,
                      delta_gamma, reference_bounds)
-from .speed_limit import (InequalityCheck, PiecewisePulse, ProbeResult,
-                          SpeedLimitReport, delta_lower_bound, evolve,
-                          pulse_from_json, pulse_to_json,
-                          reachable_distance_probe, t_star_lower,
-                          verify_perturbation_inequality)
+from .speed_limit import (InequalityCheck, PiecewisePulse, SpeedLimitReport,
+                          delta_lower_bound, evolve, pulse_from_json,
+                          pulse_to_json, reachable_distance_lower,
+                          t_star_lower, verify_perturbation_inequality)
 from .system import (BoundedControl, ControlSystem, make_system, pair_system,
                      system_from_json, system_to_json)
 
@@ -37,7 +36,7 @@ __all__ = [
     "CutResult", "DEFAULT_TOL", "DimensionGuardError", "DistanceCertificate",
     "DistanceEstimate", "HermitianOperator", "InequalityCheck", "InputError",
     "LieClosureResult", "ModelSpec", "NumericalError", "PiecewisePulse",
-    "ProbeResult", "QdistError", "RankResult", "SpeedLimitReport",
+    "QdistError", "RankResult", "SpeedLimitReport",
     "ToleranceConfig", "UncontrollableSystemError", "build_cross_kerr",
     "build_global_control_chain", "build_hopping_chain", "build_model",
     "build_stacked_adjoint", "build_two_qubit_ising", "certificate_from_json",
@@ -51,7 +50,7 @@ __all__ = [
     "lie_dimension",
     "make_system", "matrix_from_json", "matrix_to_json", "operator_norm",
     "pair_system", "pulse_from_json", "pulse_to_json", "random_hermitian",
-    "rank_and_nullity", "reachable_distance_probe", "reference_bounds",
+    "rank_and_nullity", "reachable_distance_lower", "reference_bounds",
     "stoer_wagner_min_cut", "system_from_json", "system_to_json",
     "t_star_lower", "tensor_double", "trace_norm", "traceless_part",
     "vec_herm", "verify_certificate", "verify_perturbation_inequality",

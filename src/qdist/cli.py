@@ -417,18 +417,7 @@ def cmd_reproduce_paper(args) -> int:
     tol = _resolve_tolerances(args)
     rows = reproduce_paper_rows(tol)
     all_pass = all(r["pass"] for r in rows)
-    if args.pretty:
-        width = max(len(r["example"]) for r in rows)
-        qwidth = max(len(r["quantity"]) for r in rows)
-        for r in rows:
-            status = "PASS" if r["pass"] else "FAIL"
-            print(f"{r['example']:<{width}}  {r['quantity']:<{qwidth}}  "
-                  f"computed {r['computed']:.12g}  paper {r['paper']:.12g}  "
-                  f"{status}  {r['detail']}")
-        print(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    else:
-        print(json.dumps({"rows": rows, "all_pass": all_pass},
-                         indent=2, sort_keys=True))
+    _emit({"rows": rows, "all_pass": all_pass}, args.pretty)
     return EXIT_OK if all_pass else EXIT_VERDICT
 
 

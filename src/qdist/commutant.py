@@ -45,9 +45,10 @@ The same construction on the original space (X -> i[H_k, X]) gives the
 generators' joint commutant. joint_blocks reads their finest joint
 invariant blocks from it, the one place they are found: min cut, block
 search, the drift-removal witness, the gap-merge witness (through
-extract_original_space_symmetry) and the reachable-distance probe all take
-theirs from there. For several generators it is not built on all d^2
-columns: the joint commutant lies in the commutant of one random element R
+extract_original_space_symmetry) and the reachable-distance bound
+(speed_limit.reachable_distance_lower) all take theirs from there. For
+several generators it is not built on all d^2 columns: the joint
+commutant lies in the commutant of one random element R
 of their span, which is block diagonal over R's eigenvalue clusters, so the
 map is stacked in R's eigenbasis on the sum m_c^2 Hermitian positions
 inside the clusters alone, d of them when R's spectrum is simple

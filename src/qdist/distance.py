@@ -89,10 +89,12 @@ class DistanceEstimate:
 
 
 def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff M is not a multiple of the identity and commutes with every
+    """True iff M is not a multiple of the identity (its traceless part
+    exceeds 1e-8 ||M||, so a zero M fails) and commutes with every
     generator within commute_tol (relative to ||M|| ||H_k||), plus a floor
     of 1e-14 ||M|| max_k ||H_k|| for a generator that is zero up to the
-    roundoff of the others.
+    roundoff of the others. Both tests are relative to ||M||, so scaling M
+    never changes the answer.
 
     Such an M proves uncontrollability, since su(d) has a trivial commutant.
     A witness whose dimension differs from the generators' is an InputError.
@@ -109,7 +111,7 @@ def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     floor = 1e-14 * scale * gen_norms.max(initial=0.0)
     if np.any(bracket_norms > tol.commute_tol * scale * gen_norms + floor):
         return False
-    return bool(norms[1] > 1e-8 * max(scale, 1.0))
+    return bool(norms[1] > 1e-8 * scale)
 
 
 def agreed_verdict(verdicts: dict, d: int) -> bool:

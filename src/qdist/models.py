@@ -25,6 +25,10 @@ from .system import ControlSystem, make_system
 MODEL_NAMES = ("two_qubit_ising", "global_control_chain", "hopping_chain",
                "cross_kerr")
 
+# largest Hilbert-space dimension a model spec may imply; checked on the
+# parameters with integer comparisons, before any array is built
+MODEL_DIM_GUARD = 5000
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -89,6 +93,10 @@ def _validated_params(name: str, params: dict) -> dict:
             raise InputError("two_qubit_ising requires delta != 0")
     elif name == "global_control_chain":
         n = take("n_qubits", integer, required=True)
+        # 2^n > MODEL_DIM_GUARD exactly when n reaches its bit length; checked
+        # before the default edge list, whose length is n - 1
+        if n >= MODEL_DIM_GUARD.bit_length():
+            _refuse(f"2^{n}")
         gammas = take("gammas", lambda v: [real(x) for x in v], required=True)
         edges = take("edges", lambda v: [(integer(i), integer(j)) for i, j in v],
                      default=[(k, k + 1) for k in range(n - 1)])
@@ -114,6 +122,8 @@ def _validated_params(name: str, params: dict) -> dict:
         d = take("d", integer, required=True)
         if d < 2:
             raise InputError("hopping_chain needs d >= 2")
+        if d > MODEL_DIM_GUARD:
+            _refuse(str(d))
         out = {"d": d}
     else:  # cross_kerr
         n_modes = take("n_modes", integer, required=True)
@@ -121,10 +131,29 @@ def _validated_params(name: str, params: dict) -> dict:
         cap_c = take("cap_c", real, default=1.0)
         if n_modes < 2 or n_photons < 1 or cap_c <= 0:
             raise InputError("cross_kerr needs n_modes >= 2, n_photons >= 1, cap_c > 0")
+        if _binomial_exceeds(n_photons + n_modes - 1, n_photons, MODEL_DIM_GUARD):
+            _refuse(f"C({n_photons + n_modes - 1}, {n_photons})")
         out = {"n_modes": n_modes, "n_photons": n_photons, "cap_c": cap_c}
     if params:
         raise InputError(f"unknown parameters for {name}: {sorted(params)}")
     return out
+
+
+def _refuse(dim: str):
+    raise DimensionGuardError(
+        f"model dimension {dim} exceeds the {MODEL_DIM_GUARD} guard")
+
+
+def _binomial_exceeds(n: int, k: int, bound: int) -> bool:
+    """C(n, k) > bound, from the running products C(n - k + i, i), each an
+    integer and growing with i, stopped as soon as one passes the bound."""
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > bound:
+            return True
+    return False
 
 
 def build_two_qubit_ising(delta: float,
@@ -270,9 +299,6 @@ def build_cross_kerr(n_modes: int, n_photons: int, cap_c: float = 1.0,
                                  "cap_c": cap_c}).parameters
     n_modes, n_photons, cap_c = p["n_modes"], p["n_photons"], p["cap_c"]
     dim = cross_kerr_sector_dim(n_modes, n_photons)
-    if dim > 5000:
-        raise DimensionGuardError(
-            f"fixed-N sector dimension {dim} exceeds the 5000 guard")
     basis = fock_sector_basis(n_modes, n_photons)
     eye = np.eye(dim)
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .commutant import block_projector, joint_blocks
 from .distance import (DistanceCertificate, Invariants, certificate_to_json,
-                       epsilon_lower_svd, is_symmetry_witness,
-                       verify_uncontrollable)
+                       epsilon_lower_svd, is_symmetry_witness)
 from .errors import InputError
 from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, json_numbers,
                      json_object, operator_norm)
@@ -92,17 +91,6 @@ class InequalityCheck:
     lhs: float
     rhs: float
     holds: bool
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeResult:
-    """Reachability distance probe output. certified=True only for the exact
-    sqrt(2) symmetry floor; sampled values are heuristic upper estimates of
-    the infimum for the given target, never bounds."""
-
-    value: float
-    certified: bool
-    method: str
 
 
 # most complex entries in one chunk's (S, d, d) stack of segment
@@ -239,58 +227,40 @@ def verify_perturbation_inequality(system: ControlSystem,
                            holds=bool(lhs <= rhs + INEQUALITY_SLACK))
 
 
-def _random_pulse(system: ControlSystem, rng, segments: int = 8) -> PiecewisePulse:
-    durations = rng.uniform(0.05, 1.5, size=segments)
-    cols = []
-    for b in system.bounded:
-        cols.append(rng.uniform(-b.cap, b.cap, size=segments))
-    for _ in system.unbounded:
-        cols.append(rng.normal(0.0, 2.0, size=segments))
-    amplitudes = np.column_stack(cols) if cols else np.zeros((segments, 0))
-    return PiecewisePulse(durations=durations, amplitudes=amplitudes)
+def reachable_distance_lower(system: ControlSystem, target,
+                             tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Certified lower bound on min ||V - target|| over the unitaries V the
+    system can reach; 0.0 where it proves nothing.
 
-
-def reachable_distance_probe(system: ControlSystem, target,
-                             sample_budget: int = 200, seed=0,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> ProbeResult:
-    """How far the target unitary stays from everything this (uncontrollable)
-    system can reach.
-
-    Uncontrollability is decided by distance.verify_uncontrollable, which
-    is offered the projector onto the generators' first joint block
-    (commutant.joint_blocks). Every reachable unitary maps each joint block
-    into itself. If some block's projector P has P (target) P = 0 (the
-    target maps range(P) into its orthogonal complement) and passes
-    is_symmetry_witness, the exact floor sqrt(2) is certified: orthogonal
-    states stay at distance sqrt(2). Otherwise random piecewise pulses are
-    sampled and the smallest ||U_pulse - target|| is returned as a
-    heuristic estimate only.
+    Each of the generators' finest joint blocks (commutant.joint_blocks)
+    whose projector P passes is_symmetry_witness commutes with every
+    reachable V. For a unit x in range(P), with Q = 1 - P, Vx lies in
+    range(P), so ||(V - U)x||^2 = ||Vx - PUx||^2 + ||QUx||^2 >=
+    (1 - ||PUx||)^2 + ||QUx||^2. x is the top right singular vector of QUP,
+    and the bound is the largest over the accepted blocks: for a unitary
+    target sqrt(2 - 2 sqrt(1 - ||QUP||^2)), sqrt(2) when the target maps a
+    vector of the block wholly out of it. It holds for any target matrix.
+    A controllable system, or one with no accepted block, gets 0.0.
     """
-    u_target = as_matrix(target)
-    d = system.dim
-    if u_target.shape != (d, d):
+    u = as_matrix(target)
+    if u.shape != (system.dim, system.dim):
         raise InputError("target dimension mismatch")
     gens = system.algebra_generators()
     # a single block (None) has no proper projector
     basis, blocks = joint_blocks(gens, tol) or (None, [])
-    projectors = [block_projector(basis, block) for block in blocks]
-    witness = projectors[0] if projectors else None
-    uncontrollable, _ = verify_uncontrollable(gens, tol, witness)
-    if not uncontrollable:
-        raise InputError("system is controllable: every unitary is reachable "
-                         "and the probe is meaningless")
-    for p in projectors:
-        if (operator_norm(p @ u_target @ p) <= 1e-9
-                and is_symmetry_witness(p, gens, tol)):
-            return ProbeResult(value=DELTA_SYMMETRY, certified=True,
-                               method="symmetry_floor")
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(int(sample_budget)):
-        u = evolve(system, _random_pulse(system, rng))
-        best = min(best, operator_norm(u - u_target))
-    return ProbeResult(value=float(best), certified=False,
-                       method="sampled_upper_estimate")
+    best = 0.0
+    for block in blocks:
+        p = block_projector(basis, block)
+        if not is_symmetry_witness(p, gens, tol):
+            continue
+        # the block's basis columns are orthonormal, so x = basis[:, block] w
+        # is a unit vector of range(P) even where QUP vanishes; ||QUx|| = s[0]
+        uvp = u @ basis[:, block]
+        inside = p @ uvp
+        _, s, wh = np.linalg.svd(uvp - inside)
+        best = max(best, float(np.hypot(
+            1.0 - np.linalg.norm(inside @ wh[0].conj()), s[0])))
+    return best
 
 
 def pulse_to_json(pulse: PiecewisePulse) -> dict:

@@ -568,15 +568,34 @@ def test_one_dimensional_system_exit_1(tmp_path, capsys, command):
     assert err.startswith("error:") and "dimension must be >= 2" in err
 
 
-def test_pretty_and_json_carry_identical_numbers(tmp_path, capsys):
-    out = tmp_path / "sys.json"
-    run(capsys, "model", "--name", "hopping_chain", "--param", "d=4",
-        "--out", str(out))
-    _, json_out, _ = run(capsys, "distance", "--system", str(out))
-    _, pretty_out, _ = run(capsys, "distance", "--system", str(out), "--pretty")
+@pytest.mark.parametrize("command", ["distance", "reproduce-paper"])
+def test_pretty_and_json_carry_identical_numbers(tmp_path, capsys, command):
+    argv = [command]
+    if command == "distance":
+        out = tmp_path / "sys.json"
+        run(capsys, "model", "--name", "hopping_chain", "--param", "d=4",
+            "--out", str(out))
+        argv += ["--system", str(out)]
+    _, json_out, _ = run(capsys, *argv)
+    _, pretty_out, _ = run(capsys, *argv, "--pretty")
     doc = json.loads(json_out)
-    assert repr(doc["upper"]["op_norm"]) in pretty_out
-    assert repr(doc["lower"]) in pretty_out
+    if command == "distance":
+        assert repr(doc["upper"]["op_norm"]) in pretty_out
+        assert repr(doc["lower"]) in pretty_out
+    else:
+        pretty = re.findall(r"^ *(?:computed|paper): (.*)$", pretty_out, re.M)
+        assert pretty == [repr(row[key]) for row in doc["rows"]
+                          for key in ("computed", "paper")]
+        assert "all_pass: True" in pretty_out
+
+
+def test_model_above_the_dimension_guard_exits_3(capsys):
+    # refused on the parameters, before hopping_drift builds 10^5 x 10^5
+    code, stdout, err = run(capsys, "model", "--name", "hopping_chain",
+                            "--param", "d=100000")
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("guard:") and "Traceback" not in err
 
 
 def test_model_reference_block(capsys):

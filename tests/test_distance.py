@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -7,12 +8,12 @@ import pytest
 from qdist import commutant, distance
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    NumericalError, UncontrollableSystemError,
-                   commutator, cut_weight_of,
+                   commutator, cut_weight_of, delta_lower_bound,
                    epsilon_best, epsilon_lower_svd, epsilon_upper_block_search,
                    epsilon_upper_drift_removal, epsilon_upper_gap_merge,
                    epsilon_upper_min_cut, haar_unitary, hermitian_eigensystem,
                    make_system, operator_norm, random_hermitian,
-                   stoer_wagner_min_cut, verify_certificate)
+                   stoer_wagner_min_cut, t_star_lower, verify_certificate)
 from qdist.commutant import (block_projector, commutant_dimension,
                              extract_original_space_symmetry, joint_blocks)
 from qdist.distance import (Invariants, certificate_from_json,
@@ -592,14 +593,29 @@ class TestVerifyCertificate:
             verify_certificate(system, bad)
 
 
+@pytest.mark.parametrize("w", [1e-12, 1e-9, 1e-6, 1.0, 1e3])
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
-def test_witness_floor_scales_with_the_generators(c):
+def test_witness_floor_scales_with_the_generators(c, w):
     # a generator that is zero up to the roundoff of the others (as a gap
-    # merge leaves on hopping d=2) does not reject the witness at any scale;
-    # one that breaks the symmetry far above roundoff does at every scale
-    witness = np.diag([1.0, 0.0])
+    # merge leaves on hopping d=2) does not reject the witness at any scale
+    # of either; one that breaks the symmetry far above roundoff does at
+    # every scale; a zero witness and the identity never pass
+    witness = w * np.diag([1.0, 0.0])
     assert is_symmetry_witness(witness, [c * PAULI_Z, c * 1e-16 * PAULI_X])
     assert not is_symmetry_witness(witness, [c * PAULI_Z, c * 1e-6 * PAULI_X])
+    assert not is_symmetry_witness(0 * witness, [c * PAULI_Z])
+    assert not is_symmetry_witness(w * np.eye(2), [c * PAULI_Z])
+
+
+def test_a_small_certificate_witness_keeps_the_sqrt2_floor():
+    system = build_hopping_chain(4)
+    cert = epsilon_best(system).upper
+    assert cert.method == "gap_merge"
+    small = dataclasses.replace(cert, symmetry_witness=HermitianOperator(
+        1e-9 * cert.symmetry_witness.matrix))
+    assert delta_lower_bound(system, small) == (np.sqrt(2), "symmetry_sqrt2")
+    assert t_star_lower(system, small).t_star_lower == pytest.approx(
+        t_star_lower(system, cert).t_star_lower, rel=1e-12)
 
 
 class TestVerifyUncontrollable:

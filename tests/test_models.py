@@ -210,6 +210,29 @@ class TestCrossKerr:
         assert ref_even["paper_norm_is_exact"]
 
 
+# each model's parameters at the dimension guard (5000) and just above it:
+# hopping d, 2^n qubits, the fixed-N sector's C(N + M - 1, N)
+_AT_THE_GUARD = [
+    ("hopping_chain", {"d": 5000}, {"d": 5001}),
+    ("global_control_chain", {"n_qubits": 12, "gammas": [1.0] * 12},
+     {"n_qubits": 13, "gammas": [1.0] * 13}),
+    ("cross_kerr", {"n_modes": 2, "n_photons": 4999},
+     {"n_modes": 2, "n_photons": 5000}),
+    ("cross_kerr", {"n_modes": 5, "n_photons": 16},
+     {"n_modes": 5, "n_photons": 17}),
+]
+
+
+@pytest.mark.parametrize("name, at, above", _AT_THE_GUARD,
+                         ids=["hopping", "qubits", "kerr_two_modes",
+                              "kerr_five_modes"])
+def test_spec_guards_the_dimension_it_implies(name, at, above):
+    # validation alone: the spec at the guard builds no array here
+    assert ModelSpec(name, at).parameters
+    with pytest.raises(DimensionGuardError, match="exceeds the 5000 guard"):
+        ModelSpec(name, above)
+
+
 class TestModelSpec:
     def test_dispatch(self):
         system = build_model(ModelSpec("hopping_chain", {"d": 3}))

@@ -7,8 +7,8 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    PiecewisePulse, delta_lower_bound, epsilon_best,
                    epsilon_upper_drift_removal, epsilon_upper_min_cut, evolve,
                    haar_unitary, make_system, operator_norm, pulse_from_json,
-                   pulse_to_json, reachable_distance_probe, t_star_lower,
-                   trace_norm, verify_perturbation_inequality)
+                   pulse_to_json, random_hermitian, reachable_distance_lower,
+                   t_star_lower, trace_norm, verify_perturbation_inequality)
 from qdist.distance import Invariants
 from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising, cross_kerr_coupling,
@@ -286,58 +286,118 @@ class TestPerturbationInequality:
         assert held == 100
 
 
-class TestReachableDistanceProbe:
-    def test_blocked_chain_symmetry_floor(self):
+def sampled_pulse(system, rng, segments: int = 8) -> PiecewisePulse:
+    """Random piecewise pulse within the system's caps: the sampler the
+    reachable-distance bound is checked against."""
+    durations = rng.uniform(0.05, 1.5, size=segments)
+    cols = [rng.uniform(-b.cap, b.cap, size=segments) for b in system.bounded]
+    cols += [rng.normal(0.0, 2.0, size=segments) for _ in system.unbounded]
+    amplitudes = np.column_stack(cols) if cols else np.zeros((segments, 0))
+    return PiecewisePulse(durations=durations, amplitudes=amplitudes)
+
+
+def block_diagonal_system(sizes, basis, seed):
+    """Drift, one bounded and one unbounded control, each a random Hermitian
+    block-diagonal matrix (block sizes `sizes`) in the columns of `basis`,
+    with the block projectors in that basis."""
+    d = sum(sizes)
+    edges = np.cumsum([0, *sizes])
+
+    def blocked(offset):
+        m = np.zeros((d, d), dtype=complex)
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            m[lo:hi, lo:hi] = random_hermitian(hi - lo, seed + offset + k).matrix
+        return basis @ m @ basis.conj().T
+
+    system = make_system(drift=blocked(0), bounded=[(blocked(100), 1.0)],
+                         unbounded=[blocked(200)])
+    projectors = [basis[:, lo:hi] @ basis[:, lo:hi].conj().T
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+    return system, projectors
+
+
+def conjugated(system, w):
+    """The system with every generator conjugated by the unitary w."""
+    def conj(op):
+        return w @ op.matrix @ w.conj().T
+    return make_system(drift=conj(system.drift),
+                       bounded=[(conj(b.operator), b.cap) for b in system.bounded],
+                       unbounded=[conj(op) for op in system.unbounded])
+
+
+class TestReachableDistanceLower:
+    def test_blocked_chain_reads_sqrt2(self):
         system = build_hopping_chain(4)
         cert = epsilon_upper_min_cut(system)
         blocked = system.with_perturbations(
             [(i, d.matrix) for i, d in cert.perturbations])
         # permutation moving every site across the cut
         target = np.eye(4)[:, ::-1].astype(complex)
-        probe = reachable_distance_probe(blocked, target, sample_budget=10)
-        assert probe.certified
-        assert probe.value == pytest.approx(np.sqrt(2))
-
-    def test_reachable_target_small_distance(self):
-        system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
-        target = evolve(system, PiecewisePulse(durations=[0.4],
-                                               amplitudes=[[0.3]]))
-        short = reachable_distance_probe(system, target, sample_budget=100,
-                                         seed=5)
-        long = reachable_distance_probe(system, target, sample_budget=400,
-                                        seed=5)
-        assert not short.certified
-        assert long.value <= short.value  # nested sampling with a shared seed
-        assert long.value < 0.1
+        assert reachable_distance_lower(blocked, target) == pytest.approx(
+            np.sqrt(2))
 
     def test_diagonal_system_vs_x_target(self):
-        # every reachable unitary is a diagonal phase, so the distance to X
-        # certifies at the sqrt(2) orthogonal-state floor
+        # every reachable unitary is a diagonal phase, so X stays at the
+        # sqrt(2) orthogonal-state floor
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
-        probe = reachable_distance_probe(system, PAULI_X, sample_budget=10)
-        assert probe.certified
-        assert probe.value == pytest.approx(np.sqrt(2))
-        # sampling agrees: random reachable unitaries never get closer
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            phi = rng.uniform(0, 2 * np.pi)
-            u = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-            assert operator_norm(u - PAULI_X) >= np.sqrt(2) - 1e-6
+        assert reachable_distance_lower(system, PAULI_X) == pytest.approx(
+            np.sqrt(2))
 
-    def test_finest_joint_blocks_certify_a_site_swap(self):
+    def test_finest_joint_blocks_catch_a_site_swap(self):
         # every reachable unitary is diagonal; the swap of sites 0 and 1
-        # maps site 0 onto site 1, so the site-0 projector certifies sqrt(2)
+        # maps site 0 onto site 1, so the site-0 block reads sqrt(2)
         system = make_system(drift=np.diag([1.0, 2.0, 3.0]),
                              unbounded=[np.diag([1.0, -1.0, 0.5])])
         target = np.eye(3)[:, [1, 0, 2]].astype(complex)
-        probe = reachable_distance_probe(system, target, sample_budget=10)
-        assert probe.certified
-        assert probe.value == pytest.approx(np.sqrt(2))
+        assert reachable_distance_lower(system, target) == pytest.approx(
+            np.sqrt(2))
 
-    def test_controllable_input_rejected(self):
+    def test_controllable_system_reads_zero(self):
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
+        assert reachable_distance_lower(system, PAULI_Y) == 0.0
+
+    def test_reachable_target_reads_zero(self):
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
+        target = evolve(system, PiecewisePulse(durations=[0.4],
+                                               amplitudes=[[0.3]]))
+        assert reachable_distance_lower(system, target) == pytest.approx(
+            0.0, abs=1e-12)
+
+    def test_wrong_dimension_target_rejected(self):
+        system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
         with pytest.raises(InputError):
-            reachable_distance_probe(system, np.eye(2))
+            reachable_distance_lower(system, np.eye(3))
+
+    def test_never_exceeds_a_sampled_distance(self):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            d = 2 + trial % 5
+            cut = 1 + trial % (d - 1)
+            sizes = (cut, d - cut)
+            basis = haar_unitary(d, 600 + trial)
+            system, projectors = block_diagonal_system(sizes, basis, 50 * trial)
+            target = haar_unitary(d, 900 + trial)
+            reached = [evolve(system, sampled_pulse(system, rng))
+                       for _ in range(60)]
+            bound = reachable_distance_lower(system, target)
+            assert bound <= min(operator_norm(v - target) for v in reached) + 1e-9
+            # the bound needs no unitary target
+            shrunk = 0.5 * target
+            assert reachable_distance_lower(system, shrunk) <= min(
+                operator_norm(v - shrunk) for v in reached) + 1e-9
+            # a unitary target reads the closed form at its best block
+            off = max(operator_norm((np.eye(d) - p) @ target @ p)
+                      for p in projectors)
+            assert bound == pytest.approx(
+                np.sqrt(2 - 2 * np.sqrt(max(0.0, 1 - off ** 2))), rel=1e-9)
+            # neither a global phase nor a change of basis moves it
+            assert reachable_distance_lower(
+                system, np.exp(0.7j * trial) * target) == pytest.approx(
+                    bound, rel=1e-9)
+            w = haar_unitary(d, 1200 + trial)
+            assert reachable_distance_lower(
+                conjugated(system, w), w @ target @ w.conj().T
+            ) == pytest.approx(bound, rel=1e-9)
 
 
 class TestComposedSupplementaryInequality:
