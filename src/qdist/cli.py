@@ -2,8 +2,9 @@
 
 JSON-first output (opt-in pretty tables with --pretty) so reports can feed
 scripts and CI gates directly. Exit codes distinguish failure kinds:
-0 success, 1 malformed input, 2 mathematical verdict (uncontrollable input
-or a failed reproduction row), 3 size guard, 4 numerical failure.
+0 success, 1 malformed input (a usage error too), 2 mathematical verdict
+(uncontrollable input or a failed reproduction row), 3 size guard,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -139,20 +140,22 @@ def _scalar(value) -> str:
 # ---------------------------------------------------------------- commands
 
 
-_INT_PARAMS = {"n_qubits", "d", "n_modes", "n_photons"}
-_FLOAT_PARAMS = {"delta", "cap_c"}
+def _number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _parse_model_param(raw: str) -> tuple[str, object]:
+    """key=value with value a number, or one of the two list syntaxes
+    (gammas=1,1.2 and edges=0-1,1-2). ModelSpec decides which keys a model
+    takes and what kind of number each must be."""
     if "=" not in raw:
         raise InputError(f"--param expects key=value, got {raw!r}")
     key, value = raw.split("=", 1)
     key = key.strip()
     try:
-        if key in _INT_PARAMS:
-            return key, int(value)
-        if key in _FLOAT_PARAMS:
-            return key, float(value)
         if key == "gammas":
             return key, [float(x) for x in value.split(",") if x]
         if key == "edges":
@@ -162,9 +165,9 @@ def _parse_model_param(raw: str) -> tuple[str, object]:
                     i, j = pair.split("-")
                     edges.append((int(i), int(j)))
             return key, edges
+        return key, _number(value)
     except ValueError as exc:
         raise InputError(f"--param {key}: cannot parse {value!r}: {exc}") from None
-    raise InputError(f"unknown model parameter {key!r}")
 
 
 def cmd_model(args) -> int:
@@ -249,9 +252,9 @@ def cmd_distance(args) -> int:
              "removal": "drift_removal"}
     methods = tuple(alias.get(m, m) for m in methods)
     invariants = Invariants(system, tol)
-    estimate = epsilon_best(system, tol, methods, invariants=invariants)
+    cert = epsilon_best(system, tol, methods, invariants=invariants)
     _emit({
-        "upper": certificate_to_json(estimate.upper),
+        "upper": certificate_to_json(cert),
         "lower": epsilon_lower_svd(system, indices, tol=tol,
                                    invariants=invariants),
         "perturbed_indices": indices,
@@ -274,7 +277,7 @@ def cmd_qsl(args) -> int:
                              "controllability")
         cert = dataclasses.replace(cert, verified_uncontrollable=True)
     else:
-        cert = epsilon_best(system, tol=tol, invariants=invariants).upper
+        cert = epsilon_best(system, tol=tol, invariants=invariants)
     report = t_star_lower(system, cert, tol=tol, invariants=invariants)
     _emit(report.to_dict() | {"tolerances": tol.to_dict()}, args.pretty)
     return EXIT_OK
@@ -295,9 +298,10 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig
                    ) -> tuple[dict, int]:
     """Full pipeline report; returns (report dict, exit code).
 
-    Every stage reads one Invariants of the system. Where it has no
-    spectrum (the commutant's dimension guard), the commutant section says
-    so, and distance.lower and qsl.epsilon_lower are both 0.0.
+    Every stage reads one Invariants of the system. distance.lower is the
+    qsl report's epsilon_lower. Where the system has no spectrum (the
+    commutant's dimension guard), the commutant section says so, and that
+    lower bound is 0.0.
     """
     invariants = Invariants(system, tol)
     report: dict = {
@@ -321,14 +325,14 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig
         report["note"] = "system uncontrollable: distance and qsl stages skipped"
         return report, EXIT_VERDICT
     try:
-        estimate = epsilon_best(system, tol=tol, invariants=invariants)
+        cert = epsilon_best(system, tol=tol, invariants=invariants)
     except InputError as exc:
         report["note"] = f"distance stage unavailable: {exc}"
         return report, EXIT_OK
-    report["distance"] = {"upper": certificate_to_json(estimate.upper),
-                          "lower": estimate.lower}
-    report["qsl"] = t_star_lower(system, estimate.upper, tol=tol,
-                                 invariants=invariants).to_dict()
+    qsl = t_star_lower(system, cert, tol=tol, invariants=invariants)
+    report["distance"] = {"upper": certificate_to_json(cert),
+                          "lower": qsl.epsilon_lower}
+    report["qsl"] = qsl.to_dict()
     return report, EXIT_OK
 
 
@@ -356,8 +360,8 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     for delta in (0.5, 1.0, 2.0):
         system = build_two_qubit_ising(delta, tol=tol)
         invariants = Invariants(system, tol)
-        estimate = epsilon_best(system, tol=tol, invariants=invariants)
-        report = t_star_lower(system, estimate.upper, tol, invariants=invariants)
+        cert = epsilon_best(system, tol=tol, invariants=invariants)
+        report = t_star_lower(system, cert, tol, invariants=invariants)
         bound = 1.0 / (4.0 * delta)
         exact = math.pi / (2.0 * delta)
         ratio = exact / report.t_star_lower
@@ -424,8 +428,17 @@ def cmd_reproduce_paper(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 1, where argparse exits 2,
+    the code of a mathematical verdict. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdist",
         description="Controllability, distance to uncontrollability, and "
                     "quantum-speed-limit bounds for finite-dimensional "

@@ -18,7 +18,7 @@ argument on the stacked doubled-space adjoint matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,30 +46,33 @@ _CROSS_CHECK_MAX_DIM = 4
 
 @dataclass(frozen=True, eq=False)
 class DistanceCertificate:
-    """A concrete Hermitian perturbation with its norms and verification state.
+    """A concrete Hermitian perturbation and its verification state.
 
-    perturbations: list of (generator index, delta) pairs, indices into the
-    owning system's flat generator list (drift first). op_norm is the largest
-    single ||delta_j||; l11_norm sums entry moduli (for min-cut certificates it
-    is evaluated in the controls' joint block basis where the cut lives).
+    perturbations: a non-empty list of (generator index, delta) pairs,
+    indices into the owning system's flat generator list (drift first).
+    op_norm, the largest single ||delta_j||, is no argument: it is read
+    off them on construction.
     """
 
     perturbations: list
-    op_norm: float
-    l11_norm: float
     method: str
     verified_uncontrollable: bool
     symmetry_witness: HermitianOperator | None = None
     detail: str = ""
+    op_norm: float = field(init=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown certificate method {self.method!r}")
+        if not self.perturbations:
+            raise InputError("certificate carries no perturbation")
         for index, delta in self.perturbations:
             if not isinstance(delta, HermitianOperator):
                 raise InputError("certificate perturbations must wrap HermitianOperator")
             if generator_index(index) < 0:
                 raise InputError("negative generator index in certificate")
+        object.__setattr__(self, "op_norm", max(
+            operator_norm(delta) for _, delta in self.perturbations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +81,6 @@ class CutResult:
 
     partition: tuple
     cut_weight: float
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceEstimate:
-    """Best verified certificate and the SVD lower bound on its generators."""
-
-    upper: DistanceCertificate
-    lower: float
 
 
 def is_symmetry_witness(m, gens, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -217,21 +212,18 @@ def verify_uncontrollable(gens, tol: ToleranceConfig = DEFAULT_TOL, witness=None
     return not agreed_verdict(verdicts, d), witness
 
 
-def _certificate(system, deltas, method, tol, l11=None, witness=None,
-                 detail=""):
+def _certificate(system, deltas, method, tol, witness=None, detail=""):
     """Apply the (flat index, delta) pairs with system.with_perturbations,
     the one path every check of a certificate takes, verify the perturbed
     system from scratch offering the construction's witness (a projector
     matrix or HermitianOperator, or None), and wrap the deltas as a
-    certificate. l11 defaults to the sum of the deltas' entry moduli."""
+    certificate."""
     perturbed = system.with_perturbations(deltas, tol=tol)
     offered = None if witness is None else as_operator(witness, tol)
     verified, witness = verify_uncontrollable(perturbed.algebra_generators(),
                                               tol, offered)
-    l11 = sum(np.sum(np.abs(d)) for _, d in deltas) if l11 is None else l11
     return DistanceCertificate(
         perturbations=[(i, as_operator(d, tol)) for i, d in deltas],
-        op_norm=max(operator_norm(d) for _, d in deltas), l11_norm=float(l11),
         method=method, verified_uncontrollable=verified,
         symmetry_witness=witness, detail=detail)
 
@@ -392,11 +384,9 @@ def epsilon_upper_min_cut(system: ControlSystem,
     invariants.fixed_blocks that the block search enumerates. The removed
     entries make the perturbed drift block diagonal in that basis, so the
     block projector commutes with every control and the perturbed drift,
-    and is offered to the verifier as the witness. Minimal in the L_{1,1}
-    norm over this family (l11_norm = 2 * cut weight, evaluated in the
-    block basis); the operator norm of the assembled perturbation is
-    reported alongside. No drift, or controls with no common block
-    structure (no cut): InputError.
+    and is offered to the verifier as the witness. The cut weight and the
+    partition are named in the certificate's detail. No drift, or controls
+    with no common block structure (no cut): InputError.
     """
     invariants, index, hd = _drift(system, tol, invariants, "min cut")
     if invariants.fixed_blocks is None:
@@ -407,7 +397,7 @@ def epsilon_upper_min_cut(system: ControlSystem,
     delta, projector = _block_cut_delta(hd, basis, blocks, cut.partition[0])
     detail = f"cut weight {cut.cut_weight:.6g}, partition {cut.partition}"
     return _certificate(system, [(index, delta)], "min_cut", tol,
-                        l11=2 * cut.cut_weight, witness=projector, detail=detail)
+                        witness=projector, detail=detail)
 
 
 def _bipartitions(blocks, d: int) -> np.ndarray:
@@ -586,8 +576,8 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
 
 def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
                  methods=ESTIMATORS, *, invariants: Invariants | None = None
-                 ) -> DistanceEstimate:
-    """Best verified upper-bound certificate plus the SVD lower bound.
+                 ) -> DistanceCertificate:
+    """Best verified upper-bound certificate.
 
     The estimators perturb the drift, or a driftless system's bounded
     generators, and keep the rest fixed (Invariants.perturbed). Requires a
@@ -602,10 +592,8 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     the same invariants; one that does not apply (InputError) contributes
     nothing. The smallest op_norm among the verified certificates wins, the
     earlier method on a tie. InputError when no selected method applies;
-    NumericalError when none verified.
-
-    The lower bound is epsilon_lower_svd, with the same invariants
-    (resolve_invariants), over the generators upper perturbs.
+    NumericalError when none verified. The lower bound on the generators
+    it perturbs is epsilon_lower_svd's, which t_star_lower reports.
     """
     unknown = set(methods) - set(ESTIMATORS)
     if unknown:
@@ -632,10 +620,7 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     verified = [c for c in certificates if c.verified_uncontrollable]
     if not verified:
         raise NumericalError("no estimator produced a verified certificate")
-    upper = min(verified, key=lambda c: c.op_norm)
-    lower = epsilon_lower_svd(system, [i for i, _ in upper.perturbations],
-                              tol=tol, invariants=invariants)
-    return DistanceEstimate(upper=upper, lower=lower)
+    return min(verified, key=lambda c: c.op_norm)
 
 
 def certificate_to_json(cert: DistanceCertificate) -> dict:
@@ -644,8 +629,7 @@ def certificate_to_json(cert: DistanceCertificate) -> dict:
         "method": cert.method,
         "perturbations": [{"index": int(i), "matrix": matrix_to_json(d.matrix)}
                           for i, d in cert.perturbations],
-        "op_norm": float(cert.op_norm),
-        "l11_norm": float(cert.l11_norm),
+        "op_norm": cert.op_norm,
         "verified_uncontrollable": bool(cert.verified_uncontrollable),
         "symmetry_witness": None if cert.symmetry_witness is None
         else matrix_to_json(cert.symmetry_witness.matrix),
@@ -656,16 +640,18 @@ def certificate_to_json(cert: DistanceCertificate) -> dict:
 def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
                           ) -> DistanceCertificate:
     """Parse the certificate format (README, "File formats"): the integer
-    format 1, method, op_norm, l11_norm and verified_uncontrollable, and
-    optionally perturbations (each an integer index and a matrix), a
-    symmetry_witness matrix or null and a detail string. Unknown keys are
-    rejected."""
+    format 1, method, a non-empty list of perturbations (each an integer
+    index and a matrix), op_norm and verified_uncontrollable, and
+    optionally a symmetry_witness matrix or null, a detail string and the
+    l11_norm that earlier writers added. op_norm and l11_norm must be
+    numbers, and neither is kept: op_norm is read off the perturbations.
+    Unknown keys are rejected."""
     obj = json_object(obj, "certificate", (
-        "format", "method", "op_norm", "l11_norm", "verified_uncontrollable"),
-        ("perturbations", "symmetry_witness", "detail"))
+        "format", "method", "perturbations", "op_norm", "verified_uncontrollable"),
+        ("l11_norm", "symmetry_witness", "detail"))
     if json_value(obj["format"], int, "certificate format") != 1:
         raise InputError(f"unsupported certificate format {obj['format']!r}")
-    entries = obj.get("perturbations", [])
+    entries = obj["perturbations"]
     if not isinstance(entries, list):
         raise InputError("perturbations must be a list in certificate JSON")
     entries = [json_object(e, "certificate perturbation", ("index", "matrix"))
@@ -677,10 +663,11 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
     witness_op = None
     if witness is not None:
         witness_op = as_operator(matrix_from_json(witness), tol)
+    for key in ("op_norm", "l11_norm"):
+        if key in obj:
+            json_value(obj[key], float, f"certificate {key}")
     return DistanceCertificate(
         perturbations=perturbations, symmetry_witness=witness_op,
-        op_norm=json_value(obj["op_norm"], float, "certificate op_norm"),
-        l11_norm=json_value(obj["l11_norm"], float, "certificate l11_norm"),
         method=json_value(obj["method"], str, "certificate method"),
         verified_uncontrollable=json_value(obj["verified_uncontrollable"], bool,
                                            "certificate verified_uncontrollable"),

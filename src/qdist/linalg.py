@@ -171,16 +171,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values, ||.||_1."""
-    return float(np.sum(np.linalg.svd(as_matrix(m), compute_uv=False)))
-
-
-def hs_inner(a, b) -> float:
-    """Real Hilbert-Schmidt inner product Re tr(A^dagger B)."""
-    return float(np.real(np.sum(np.conj(as_matrix(a)) * as_matrix(b))))
-
-
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA for square matrices of equal dimension."""
     am, bm = _as_square(a), _as_square(b)

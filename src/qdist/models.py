@@ -217,17 +217,6 @@ def hopping_spectrum(d: int) -> np.ndarray:
     return np.sort(2.0 * np.cos(k * np.pi / (d + 1)))
 
 
-def hopping_eigenvectors(d: int) -> np.ndarray:
-    """Closed-form eigenvectors sin(n k pi/(d+1)), columns matching
-    hopping_spectrum order (ascending eigenvalue)."""
-    n = np.arange(1, d + 1)[:, None]
-    k = np.arange(1, d + 1)[None, :]
-    v = np.sqrt(2.0 / (d + 1)) * np.sin(n * k * np.pi / (d + 1))
-    eigs = 2.0 * np.cos(np.arange(1, d + 1) * np.pi / (d + 1))
-    order = np.argsort(eigs, kind="stable")
-    return v[:, order].astype(complex)
-
-
 def build_hopping_chain(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
     """Hopping chain with a single unbounded control on the first site."""
     d = ModelSpec("hopping_chain", {"d": d}).parameters["d"]

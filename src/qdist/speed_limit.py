@@ -161,32 +161,30 @@ def t_star_lower(system: ControlSystem, cert: DistanceCertificate,
     """Speed-limit report T* >= delta / (c * epsilon_eff).
 
     epsilon_eff is ||delta H|| for a single perturbed generator and
-    M * max_j ||delta_j|| when M generators are perturbed simultaneously
-    (the conservative inversion of the per-generator budget epsilon/M).
-    c is the largest amplitude cap among the perturbed generators, 1 when
-    only the drift is perturbed. delta always comes from delta_lower_bound.
-    Certificates touching unbounded controls are rejected: an unbounded
-    amplitude defeats the propagation bound.
+    M * max_j ||delta_j|| (M * cert.op_norm) when M generators are
+    perturbed simultaneously (the conservative inversion of the
+    per-generator budget epsilon/M). c is the largest amplitude cap among
+    the perturbed generators, 1 when only the drift is perturbed. delta
+    always comes from delta_lower_bound. Certificates touching unbounded
+    controls are rejected: an unbounded amplitude defeats the propagation
+    bound.
 
     epsilon_lower is epsilon_lower_svd over the certificate's perturbed
     generators (0.0 where the spectrum proves nothing), always computed,
-    with the invariants passed on to it.
+    with the invariants passed on to it: the one lower bound that analyze
+    reports, as distance.lower and as epsilon_lower.
     """
     if not cert.verified_uncontrollable:
         raise InputError("t_star_lower requires a verified certificate")
-    if not cert.perturbations:
-        raise InputError("certificate carries no perturbation")
     caps = []
-    norms = []
-    for index, delta_op in cert.perturbations:
+    for index, _ in cert.perturbations:
         cap = system.amplitude_cap(index)
         if cap is None:
             raise InputError(
                 f"certificate perturbs unbounded generator {index}; the "
                 "speed-limit argument needs a bounded amplitude")
         caps.append(cap)
-        norms.append(operator_norm(delta_op.matrix))
-    eps_eff = len(norms) * max(norms)
+    eps_eff = len(cert.perturbations) * cert.op_norm
     if eps_eff <= 0:
         raise InputError("certificate has zero effective perturbation norm")
     cap_c = max(caps)

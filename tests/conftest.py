@@ -18,7 +18,7 @@ import pytest
 
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    commutant, distance, haar_unitary, hermitian_eigensystem,
-                   make_system, operator_norm, random_hermitian)
+                   make_system, random_hermitian)
 from qdist.commutant import commutant_dimension, commutant_spectrum
 from qdist.errors import DimensionGuardError
 from qdist.lie_closure import LIE_BUFFER_GUARD_BYTES, LieClosureResult
@@ -270,8 +270,6 @@ def manual_gap_merge(system):
                                      - np.outer(v[:, k + 1], v[:, k + 1].conj()))
     delta = (delta + delta.conj().T) / 2
     cert = DistanceCertificate(perturbations=[(index, HermitianOperator(delta))],
-                               op_norm=operator_norm(delta),
-                               l11_norm=float(np.sum(np.abs(delta))),
                                method="manual", verified_uncontrollable=False)
     return dataclasses.replace(
         cert, verified_uncontrollable=distance.verify_certificate(system, cert))

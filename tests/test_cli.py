@@ -272,6 +272,12 @@ PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
     pytest.param(SYSTEM_FLAGS, "system", lambda s: s | {"bounded": 5},
                  id="bounded_not_a_list"),
     pytest.param(CERT_FLAGS, "cert", _drop("op_norm"), id="cert_without_op_norm"),
+    pytest.param(CERT_FLAGS, "cert", _drop("perturbations"),
+                 id="cert_without_perturbations"),
+    pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": []},
+                 id="cert_with_no_perturbation"),
+    pytest.param(CERT_FLAGS, "cert", lambda c: c | {"l11_norm": "2"},
+                 id="legacy_l11_norm_a_numeric_string"),
     pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": [5]},
                  id="perturbation_not_an_object"),
     pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": [
@@ -313,6 +319,8 @@ PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
                   "gammas=1,x"], None, None, id="param_gammas_not_numbers"),
     pytest.param(["model", "--name", "global_control_chain", "--param",
                   "edges=0-1-2"], None, None, id="param_edge_not_a_pair"),
+    pytest.param(["model", "--name", "hopping_chain", "--param", "d=4.5"],
+                 None, None, id="param_d_not_integral"),
 ])
 def test_malformed_input_exit_1_without_traceback(tmp_path, capsys, argv,
                                                   broken, change):
@@ -332,6 +340,70 @@ def test_malformed_input_exit_1_without_traceback(tmp_path, capsys, argv,
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_unknown_model_parameter_is_named_by_the_model(capsys):
+    code, stdout, err = run(capsys, "model", "--name", "hopping_chain",
+                            "--param", "d=4", "--param", "n_sites=4")
+    assert (code, stdout) == (1, "")
+    assert "unknown parameters for hopping_chain: ['n_sites']" in err
+
+
+def test_integral_float_parameter_builds_the_integer_model(capsys):
+    # ModelSpec decides a parameter's kind, for the CLI as for the library
+    outputs = []
+    for value in ("4", "4.0"):
+        code, stdout, err = run(capsys, "model", "--name", "hopping_chain",
+                                "--param", f"d={value}")
+        assert code == 0, err
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
+# the `upper` that `qdist distance` wrote for the (Z, X) pair before
+# certificates lost l11_norm, and the `qsl --cert` report it gave then
+LEGACY_CERT = {
+    "detail": "best block subset (0,) of 2 blocks", "format": 1,
+    "l11_norm": 1.9999999999999996, "method": "block_search",
+    "op_norm": 0.9999999999999998,
+    "perturbations": [{"index": 0, "matrix": {
+        "cols": 2, "im": [0.0, 0.0, 0.0, 0.0],
+        "re": [-0.9999999999999998, 0.0, 0.0, 0.9999999999999998], "rows": 2}}],
+    "symmetry_witness": {
+        "cols": 2, "im": [0.0, 0.0, 0.0, 0.0],
+        "re": [0.4999999999999999, -0.4999999999999999, -0.4999999999999999,
+               0.4999999999999999], "rows": 2},
+    "verified_uncontrollable": True}
+LEGACY_QSL = {
+    "amplitude_cap_c": 1.0, "delta_lower": 1.4142135623730951,
+    "delta_provenance": "symmetry_sqrt2", "epsilon_lower": 0.4999999999999999,
+    "epsilon_upper": 0.9999999999999998, "t_star_lower": 1.4142135623730954}
+
+
+def qsl_with_cert(tmp_path, capsys, cert: dict) -> dict:
+    system = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, stdout, err = run(capsys, "qsl", "--system", system, "--cert", str(path))
+    assert code == 0, err
+    report = json.loads(stdout)
+    del report["tolerances"]
+    return report
+
+
+def test_a_certificate_with_l11_norm_still_loads(tmp_path, capsys):
+    report = qsl_with_cert(tmp_path, capsys, LEGACY_CERT)
+    legacy = {k: v for k, v in LEGACY_CERT.items() if k != "l11_norm"}
+    assert report.pop("certificate") == legacy
+    assert report == pytest.approx(LEGACY_QSL, rel=1e-12)
+
+
+def test_a_loaded_certificate_reports_the_norm_of_its_perturbations(
+        tmp_path, capsys):
+    # a stored op_norm is checked as a number and then ignored
+    report = qsl_with_cert(tmp_path, capsys, LEGACY_CERT | {"op_norm": 5.0})
+    assert report["certificate"]["op_norm"] == LEGACY_CERT["op_norm"]
+    assert report["epsilon_upper"] == LEGACY_CERT["op_norm"]
 
 
 def test_unknown_field_rejected(tmp_path, capsys):
@@ -368,8 +440,33 @@ def test_removed_flags_are_unknown_arguments(tmp_path, capsys, command, flag):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
     with pytest.raises(SystemExit) as exc:
         main([command, "--system", path, flag])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "the following arguments are required: --system"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["distance", "--system", "{system}", "--tol-rank", "abc"],
+     "invalid float value: 'abc'")], ids=["no_system", "no_command", "bad_float"])
+def test_usage_errors_are_malformed_input(tmp_path, capsys, argv, message):
+    # exit 2 is the mathematical verdict: argparse's own code would read as
+    # "uncontrollable" to a script
+    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(system=path) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qdist") and message in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def _parser_flags() -> dict:
@@ -674,6 +771,7 @@ def test_driftless_cross_kerr_removes_the_bounded_coupling(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, model, expected", [
     pytest.param(["reproduce-paper"], None, 0, id="reproduce_paper"),
+    pytest.param(["analyze"], None, 1, id="usage_error"),
     pytest.param(["distance"], ("cross_kerr", "n_modes=2", "n_photons=3"), 1,
                  id="distance_without_drift"),
     pytest.param(["analyze"], ("global_control_chain", "n_qubits=2",

@@ -255,7 +255,7 @@ class TestMinCut:
         cert = epsilon_upper_min_cut(
             drift_system(hopping_drift(4), site_projector(4, 0)))
         assert cert.op_norm == pytest.approx(1.0, abs=1e-10)
-        assert cert.l11_norm == pytest.approx(2.0, abs=1e-10)
+        assert cert.detail.startswith("cut weight 1,")
         assert cert.verified_uncontrollable
         assert cert.symmetry_witness is not None
         # witness is a projector commuting with control and perturbed drift
@@ -289,9 +289,12 @@ class TestMinCut:
         drift = random_hermitian(4, 41, traceless=True).matrix
         control = random_hermitian(4, 42, traceless=True).matrix
         cert = epsilon_upper_min_cut(drift_system(drift, control))
-        _, _, weights = control_basis_graph(drift, control)
+        basis, _, weights = control_basis_graph(drift, control)
         best, _ = brute_force_min_cut(weights)
-        assert cert.l11_norm == pytest.approx(2 * best, rel=1e-12)
+        assert cert.detail.startswith(f"cut weight {best:.6g},")
+        # the removed entries, in the block basis, sum to twice the cut weight
+        delta = basis.conj().T @ cert.perturbations[0][1].matrix @ basis
+        assert np.sum(np.abs(delta)) == pytest.approx(2 * best, rel=1e-12)
 
 
 class TestBlockSearch:
@@ -310,7 +313,7 @@ class TestBlockSearch:
         # estimator, which epsilon_best runs once
         with pytest.raises(InputError, match="block structure"):
             epsilon_upper_block_search(drift_system(drift, *controls))
-        cert = epsilon_best(build_two_qubit_ising(delta)).upper
+        cert = epsilon_best(build_two_qubit_ising(delta))
         assert cert.method == "drift_removal"
         assert cert.op_norm == pytest.approx(delta, abs=1e-12)
         assert cert.verified_uncontrollable
@@ -534,9 +537,9 @@ class TestLowerBound:
         for seed in range(12):
             d = 2 + seed % 2
             system = random_pair_system(d, 1000 + seed)
-            estimate = epsilon_best(system)
+            cert = epsilon_best(system)
             lower = epsilon_lower_svd(system, [0])
-            assert lower <= estimate.upper.op_norm + 1e-12
+            assert lower <= cert.op_norm + 1e-12
 
 
 class TestVerifyCertificate:
@@ -549,8 +552,7 @@ class TestVerifyCertificate:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         zero = DistanceCertificate(
             perturbations=[(0, HermitianOperator(np.zeros((2, 2))))],
-            op_norm=0.0, l11_norm=0.0, method="manual",
-            verified_uncontrollable=False)
+            method="manual", verified_uncontrollable=False)
         assert not verify_certificate(system, zero)
 
     def test_gap_merge_on_hopping_chain(self):
@@ -563,8 +565,7 @@ class TestVerifyCertificate:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         bad = DistanceCertificate(
             perturbations=[(5, HermitianOperator(np.zeros((2, 2))))],
-            op_norm=0.0, l11_norm=0.0, method="manual",
-            verified_uncontrollable=False)
+            method="manual", verified_uncontrollable=False)
         with pytest.raises(InputError):
             verify_certificate(system, bad)
 
@@ -575,8 +576,7 @@ class TestVerifyCertificate:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         zero = DistanceCertificate(
             perturbations=[(0, HermitianOperator(np.zeros((2, 2))))],
-            op_norm=0.0, l11_norm=0.0, method="manual",
-            verified_uncontrollable=True,
+            method="manual", verified_uncontrollable=True,
             symmetry_witness=HermitianOperator(witness))
         assert not verify_certificate(system, zero)
         assert not is_symmetry_witness(witness, system.algebra_generators())
@@ -585,8 +585,7 @@ class TestVerifyCertificate:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
         bad = DistanceCertificate(
-            perturbations=cert.perturbations, op_norm=cert.op_norm,
-            l11_norm=cert.l11_norm, method=cert.method,
+            perturbations=cert.perturbations, method=cert.method,
             verified_uncontrollable=True,
             symmetry_witness=HermitianOperator(np.diag([1.0, 0.0, 0.0])))
         with pytest.raises(InputError):
@@ -609,7 +608,7 @@ def test_witness_floor_scales_with_the_generators(c, w):
 
 def test_a_small_certificate_witness_keeps_the_sqrt2_floor():
     system = build_hopping_chain(4)
-    cert = epsilon_best(system).upper
+    cert = epsilon_best(system)
     assert cert.method == "gap_merge"
     small = dataclasses.replace(cert, symmetry_witness=HermitianOperator(
         1e-9 * cert.symmetry_witness.matrix))
@@ -792,18 +791,18 @@ class TestVerifyUncontrollable:
 class TestEpsilonBest:
     def test_two_qubit_ising(self):
         system = build_two_qubit_ising(1.0)
-        estimate = epsilon_best(system)
-        assert estimate.upper.op_norm == pytest.approx(1.0, abs=1e-12)
-        assert estimate.upper.verified_uncontrollable
-        assert 0 < estimate.lower <= 1.0
+        cert = epsilon_best(system)
+        assert cert.op_norm == pytest.approx(1.0, abs=1e-12)
+        assert cert.verified_uncontrollable
+        assert 0 < epsilon_lower_svd(system, [0]) <= 1.0
 
     def test_hopping_d6_gap_merge_wins(self):
         system = build_hopping_chain(6)
-        estimate = epsilon_best(system)
+        cert = epsilon_best(system)
         gap = 2 * (np.cos(np.pi / 7) - np.cos(2 * np.pi / 7))
         assert gap / 2 < 1.0  # beats the unit edge cut for d >= 5
-        assert estimate.upper.op_norm == pytest.approx(gap / 2, abs=1e-10)
-        assert estimate.upper.method == "gap_merge"
+        assert cert.op_norm == pytest.approx(gap / 2, abs=1e-10)
+        assert cert.method == "gap_merge"
 
     @pytest.mark.parametrize("system", [
         build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2])])
@@ -851,7 +850,7 @@ class TestEpsilonBest:
             def unexpected(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} ran below the guard")
             monkeypatch.setattr(distance, name, unexpected)
-        upper = epsilon_best(system).upper
+        upper = epsilon_best(system)
         assert upper.verified_uncontrollable
         assert upper.method == method
 
@@ -866,7 +865,7 @@ class TestEpsilonBest:
         system = drift_system(drift, *controls)
         invariants = Invariants(system)
         assert len(invariants.fixed_blocks[1]) == d
-        upper = epsilon_best(system, invariants=invariants).upper
+        upper = epsilon_best(system, invariants=invariants)
         assert upper.method == "min_cut"
         assert upper.verified_uncontrollable
         removal = epsilon_upper_drift_removal(system, invariants=invariants)
@@ -882,29 +881,28 @@ class TestEpsilonBest:
     def test_all_returned_certificates_verified(self):
         for seed in range(8):
             system = random_pair_system(2 + seed % 2, 500 + seed)
-            estimate = epsilon_best(system)
-            assert estimate.upper.verified_uncontrollable
-            assert estimate.lower <= estimate.upper.op_norm + 1e-12
+            cert = epsilon_best(system)
+            assert cert.verified_uncontrollable
+            assert epsilon_lower_svd(system, [0]) <= cert.op_norm + 1e-12
 
     def test_driftless_system_removes_bounded_generators(self):
         from qdist.models import build_cross_kerr
         system = build_cross_kerr(2, 4, cap_c=0.5)
-        estimate = epsilon_best(system)
-        assert estimate.upper.method == "drift_removal"
-        assert estimate.upper.verified_uncontrollable
+        cert = epsilon_best(system)
+        assert cert.method == "drift_removal"
+        assert cert.verified_uncontrollable
         # numbered by the system's flat layout, as every certificate is
-        assert ([i for i, _ in estimate.upper.perturbations]
-                == system.indices("bounded"))
+        assert [i for i, _ in cert.perturbations] == system.indices("bounded")
         # the other estimators perturb a drift, and this system has none
         for estimator in (epsilon_upper_gap_merge, epsilon_upper_min_cut,
                           epsilon_upper_block_search):
             with pytest.raises(InputError, match="has none"):
                 estimator(system)
         # traceless-shifted coupling: half the spread of {a(N-a)} = N^2/8
-        assert estimate.upper.op_norm == pytest.approx(2.0, abs=1e-12)
-        assert 0 < estimate.lower <= estimate.upper.op_norm
+        assert cert.op_norm == pytest.approx(2.0, abs=1e-12)
         from qdist import t_star_lower
-        report = t_star_lower(system, estimate.upper)
+        report = t_star_lower(system, cert)
+        assert 0 < report.epsilon_lower <= cert.op_norm
         assert report.amplitude_cap_c == 0.5
         assert report.t_star_lower == pytest.approx(0.25 / (0.5 * 2.0),
                                                     rel=1e-12)
@@ -936,7 +934,6 @@ class TestCertificateSerialization:
         back = certificate_from_json(doc)
         assert back.method == cert.method
         assert back.op_norm == cert.op_norm
-        assert back.l11_norm == cert.l11_norm
         assert back.verified_uncontrollable == cert.verified_uncontrollable
         np.testing.assert_array_equal(back.perturbations[0][1].matrix,
                                       cert.perturbations[0][1].matrix)
@@ -948,7 +945,7 @@ class TestCertificateSerialization:
         # hopping d=4: the stored certificate perturbs the drift, index 0;
         # 0.7 and "0" would load as 0 and verify, True as 1
         system = build_hopping_chain(4)
-        doc = certificate_to_json(epsilon_best(system).upper)
+        doc = certificate_to_json(epsilon_best(system))
         assert doc["perturbations"][0]["index"] == 0
         assert verify_certificate(system, certificate_from_json(doc))
         doc["perturbations"][0]["index"] = index
@@ -959,8 +956,24 @@ class TestCertificateSerialization:
         with pytest.raises(InputError, match="must be an integer"):
             DistanceCertificate(
                 perturbations=[(0.7, HermitianOperator(np.zeros((2, 2))))],
-                op_norm=0.0, l11_norm=0.0, method="manual",
-                verified_uncontrollable=False)
+                method="manual", verified_uncontrollable=False)
+
+    def test_certificate_without_perturbation_is_an_input_error(self):
+        with pytest.raises(InputError, match="carries no perturbation"):
+            DistanceCertificate(perturbations=[], method="manual",
+                                verified_uncontrollable=True)
+
+    def test_op_norm_is_read_off_the_perturbations(self):
+        cert = DistanceCertificate(
+            perturbations=[(0, HermitianOperator(0.5 * PAULI_Z)),
+                           (1, HermitianOperator(-2.0 * PAULI_X))],
+            method="manual", verified_uncontrollable=False)
+        assert cert.op_norm == 2.0
+        with pytest.raises(AttributeError):
+            cert.op_norm = 1.0
+        with pytest.raises(TypeError):
+            DistanceCertificate(perturbations=cert.perturbations, op_norm=1.0,
+                                method="manual", verified_uncontrollable=False)
 
     def test_unknown_keys_rejected(self):
         cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))

@@ -4,7 +4,7 @@ import pytest
 from qdist import (HermitianOperator, InputError, ToleranceConfig,
                    commutator, haar_unitary, hermitian_eigensystem,
                    operator_norm, random_hermitian, rank_and_nullity,
-                   tensor_double, trace_norm)
+                   tensor_double)
 from qdist.commutant import build_stacked_adjoint
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, adjoint_action_matrix,
@@ -45,25 +45,6 @@ class TestOperatorNorm:
             v = haar_unitary(d, 200 + k)
             assert operator_norm(u @ a @ v) == pytest.approx(operator_norm(a),
                                                              rel=1e-10)
-
-
-class TestTraceNorm:
-    def test_identity(self):
-        assert trace_norm(np.eye(5)) == pytest.approx(5.0, abs=1e-12)
-
-    def test_rank_one_projector(self):
-        v = np.array([1, 1j, -1]) / np.sqrt(3)
-        p = np.outer(v, v.conj())
-        assert trace_norm(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_pure_states(self):
-        rho = np.diag([1.0, 0.0, 0.0])
-        sigma = np.diag([0.0, 1.0, 0.0])
-        assert trace_norm(rho - sigma) == pytest.approx(2.0, abs=1e-12)
-
-    def test_dominates_operator_norm(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert trace_norm(m) >= operator_norm(m) - 1e-12
 
 
 class TestCommutator:
@@ -264,7 +245,7 @@ class TestSupplementaryInequalities:
             v = haar_unitary(d, 3 * k)
             w = haar_unitary(d, 3 * k + 1)
             rho = random_density(d, k)
-            lhs = trace_norm(v @ rho @ v.conj().T - w @ rho @ w.conj().T)
+            lhs = np.linalg.norm(v @ rho @ v.conj().T - w @ rho @ w.conj().T, "nuc")
             assert lhs <= 2 * operator_norm(v - w) + 1e-10
 
 

@@ -13,8 +13,8 @@ from qdist.models import (ModelSpec, build_cross_kerr,
                           cross_kerr_coupling, cross_kerr_sector_dim,
                           delta_gamma, fock_hopping_operators,
                           fock_number_operator, fock_sector_basis,
-                          hopping_drift, hopping_eigenvectors,
-                          hopping_spectrum, reference_bounds, site_projector)
+                          hopping_drift, hopping_spectrum, reference_bounds,
+                          site_projector)
 
 from conftest import SWAP_4
 
@@ -109,13 +109,6 @@ class TestHoppingChain:
             assert lie_dimension(gens).controllable, f"lie failed at d={d}"
             assert commutant_dimension(gens, want_symmetries=False).controllable, \
                 f"commutant failed at d={d}"
-
-    def test_drift_reconstruction_from_closed_form(self):
-        for d in (3, 5, 8):
-            v = hopping_eigenvectors(d)
-            w = hopping_spectrum(d)
-            np.testing.assert_allclose((v * w) @ v.conj().T, hopping_drift(d),
-                                       atol=1e-10)
 
     def test_control_traceless_shift(self):
         system = build_hopping_chain(5)

@@ -102,10 +102,12 @@ def test_analyze_computes_each_invariant_once(monkeypatch, svd_log,
 def test_analyze_report_matches_unshared_calls(name):
     system = SYSTEMS[name]()
     report, _ = analyze_system(system, DEFAULT_TOL)
-    estimate = epsilon_best(system, tol=DEFAULT_TOL)
-    qsl = t_star_lower(system, estimate.upper, tol=DEFAULT_TOL)
+    cert = epsilon_best(system, tol=DEFAULT_TOL)
+    qsl = t_star_lower(system, cert, tol=DEFAULT_TOL)
+    lower = epsilon_lower_svd(system, [i for i, _ in cert.perturbations],
+                              tol=DEFAULT_TOL)
     assert dumps(report["distance"]) == dumps(
-        {"upper": certificate_to_json(estimate.upper), "lower": estimate.lower})
+        {"upper": certificate_to_json(cert), "lower": lower})
     assert dumps(report["qsl"]) == dumps(qsl.to_dict())
 
 
@@ -172,13 +174,13 @@ def test_controls_alone_are_closed_once(tmp_path, capsys, monkeypatch, argv):
 def test_estimate_reads_the_spectrum_of_its_invariants(d):
     system = build_hopping_chain(d)
     invariants = Invariants(system)
-    estimate = epsilon_best(system, invariants=invariants)
+    cert = epsilon_best(system, invariants=invariants)
+    lower = t_star_lower(system, cert, invariants=invariants).epsilon_lower
     if d < COMMUTANT_DIM_GUARD:
         assert len(invariants.spectrum.singular_values) == d ** 4
-        assert estimate.lower == epsilon_lower_svd(
-            system, [0], invariants=invariants) > 0
+        assert lower == epsilon_lower_svd(system, [0], invariants=invariants) > 0
     else:
-        assert invariants.spectrum is None and estimate.lower == 0.0
+        assert invariants.spectrum is None and lower == 0.0
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["distance"],
@@ -225,7 +227,7 @@ def test_analyze_reports_one_lower_bound(name):
 
 def test_invariants_of_another_system_are_input_errors():
     system = build_hopping_chain(4)
-    cert = epsilon_best(system).upper
+    cert = epsilon_best(system)
     # same dimension and tolerance: only the system object tells them apart
     other = Invariants(random_pair_system(4, 7), DEFAULT_TOL)
     loose = Invariants(system, ToleranceConfig(rank_rel_tol=1e-8))
@@ -251,8 +253,7 @@ def test_passed_spectrum_gives_bit_identical_bounds(d, seed, indices):
     hypothesis.assume(invariants.spectrum.controllable)
     assert (epsilon_lower_svd(system, indices, invariants=invariants)
             == epsilon_lower_svd(system, indices))
-    estimate = epsilon_best(system, invariants=invariants)
-    assert estimate.lower == epsilon_best(system).lower
-    assert (t_star_lower(system, estimate.upper,
-                         invariants=invariants).epsilon_lower
-            == t_star_lower(system, estimate.upper).epsilon_lower)
+    cert = epsilon_best(system, invariants=invariants)
+    assert cert.op_norm == epsilon_best(system).op_norm
+    assert (t_star_lower(system, cert, invariants=invariants).epsilon_lower
+            == t_star_lower(system, cert).epsilon_lower)

@@ -8,7 +8,7 @@ from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    epsilon_upper_drift_removal, epsilon_upper_min_cut, evolve,
                    haar_unitary, make_system, operator_norm, pulse_from_json,
                    pulse_to_json, random_hermitian, reachable_distance_lower,
-                   t_star_lower, trace_norm, verify_perturbation_inequality)
+                   t_star_lower, verify_perturbation_inequality)
 from qdist.distance import Invariants
 from qdist.models import (build_cross_kerr, build_hopping_chain,
                           build_two_qubit_ising, cross_kerr_coupling,
@@ -29,7 +29,7 @@ class TestDeltaSelection:
 
     def test_ising_drift_removal_gets_quarter(self):
         system = build_two_qubit_ising(1.0)
-        cert = epsilon_upper_block_search_or_removal(system)
+        cert = epsilon_best(system)
         delta, provenance = delta_lower_bound(system, cert)
         assert delta == DELTA_UNIVERSAL
         assert provenance == "universal_quarter"
@@ -39,8 +39,7 @@ class TestDeltaSelection:
         base = epsilon_upper_drift_removal(system)
         # attach a witness that does not commute with the controls
         bad = DistanceCertificate(
-            perturbations=base.perturbations, op_norm=base.op_norm,
-            l11_norm=base.l11_norm, method=base.method,
+            perturbations=base.perturbations, method=base.method,
             verified_uncontrollable=True,
             symmetry_witness=HermitianOperator(PAULI_Z))
         delta, provenance = delta_lower_bound(system, bad)
@@ -50,21 +49,16 @@ class TestDeltaSelection:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         cert = DistanceCertificate(
             perturbations=[(0, HermitianOperator(np.zeros((2, 2))))],
-            op_norm=0.0, l11_norm=0.0, method="manual",
-            verified_uncontrollable=False)
+            method="manual", verified_uncontrollable=False)
         with pytest.raises(InputError):
             delta_lower_bound(system, cert)
-
-
-def epsilon_upper_block_search_or_removal(system):
-    return epsilon_best(system).upper
 
 
 class TestTStarLower:
     def test_two_qubit_ising_quarter_over_delta(self):
         for delta in (0.5, 1.0, 2.0):
             system = build_two_qubit_ising(delta)
-            report = t_star_lower(system, epsilon_best(system).upper)
+            report = t_star_lower(system, epsilon_best(system))
             assert report.t_star_lower == pytest.approx(1 / (4 * delta), abs=1e-12)
             exact = np.pi / (2 * delta)
             assert exact / report.t_star_lower == pytest.approx(2 * np.pi,
@@ -72,11 +66,11 @@ class TestTStarLower:
 
     def test_hopping_chain_symmetry_bound(self):
         system = build_hopping_chain(5)
-        estimate = epsilon_best(system)
-        report = t_star_lower(system, estimate.upper)
+        cert = epsilon_best(system)
+        report = t_star_lower(system, cert)
         assert report.delta_lower == pytest.approx(np.sqrt(2))
         assert report.t_star_lower == pytest.approx(
-            np.sqrt(2) / estimate.upper.op_norm, rel=1e-12)
+            np.sqrt(2) / cert.op_norm, rel=1e-12)
         assert report.epsilon_lower is not None
         assert report.epsilon_lower <= report.epsilon_upper
 
@@ -89,8 +83,8 @@ class TestTStarLower:
         system = make_system(bounded=[(PAULI_X, 1.0), (PAULI_Y, 1.0)],
                              unbounded=unbounded)
         invariants = Invariants(system)
-        estimate = epsilon_best(system, invariants=invariants)
-        report = t_star_lower(system, estimate.upper, invariants=invariants)
+        cert = epsilon_best(system, invariants=invariants)
+        report = t_star_lower(system, cert, invariants=invariants)
         assert report.delta_lower == DELTA_SYMMETRY
         assert report.t_star_lower == pytest.approx(0.7071, abs=1e-4)
 
@@ -103,7 +97,6 @@ class TestTStarLower:
         assert operator_norm(coupling) == pytest.approx(n_photons ** 2 / 4)
         cert = DistanceCertificate(
             perturbations=[(0, HermitianOperator(-coupling))],
-            op_norm=operator_norm(coupling), l11_norm=float(np.sum(np.abs(coupling))),
             method="manual", verified_uncontrollable=True)
         report = t_star_lower(system, cert)
         assert report.delta_provenance == "universal_quarter"
@@ -115,21 +108,19 @@ class TestTStarLower:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         cert = DistanceCertificate(
             perturbations=[(1, HermitianOperator(-PAULI_X))],
-            op_norm=1.0, l11_norm=2.0, method="manual",
-            verified_uncontrollable=True)
+            method="manual", verified_uncontrollable=True)
         with pytest.raises(InputError):
             t_star_lower(system, cert)
 
     def test_scaling(self):
         system = build_two_qubit_ising(1.0)
         invariants = Invariants(system)
-        estimate = epsilon_best(system, invariants=invariants)
-        report = t_star_lower(system, estimate.upper, invariants=invariants)
+        cert = epsilon_best(system, invariants=invariants)
+        report = t_star_lower(system, cert, invariants=invariants)
         scaled_system = build_two_qubit_ising(3.0)
         scaled_invariants = Invariants(scaled_system)
-        scaled_estimate = epsilon_best(scaled_system,
-                                       invariants=scaled_invariants)
-        scaled = t_star_lower(scaled_system, scaled_estimate.upper,
+        scaled_cert = epsilon_best(scaled_system, invariants=scaled_invariants)
+        scaled = t_star_lower(scaled_system, scaled_cert,
                               invariants=scaled_invariants)
         assert scaled.epsilon_upper == pytest.approx(3 * report.epsilon_upper,
                                                      rel=1e-12)
@@ -141,8 +132,7 @@ class TestTStarLower:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_Z])
         cert = DistanceCertificate(
             perturbations=[(0, HermitianOperator(0.1 * PAULI_Z))],
-            op_norm=0.1, l11_norm=0.2, method="manual",
-            verified_uncontrollable=True)
+            method="manual", verified_uncontrollable=True)
         report = t_star_lower(system, cert)
         assert report.epsilon_lower == 0.0
         assert isinstance(report.epsilon_lower, float)
@@ -255,8 +245,7 @@ class TestPerturbationInequality:
         system = make_system(drift=PAULI_Z, unbounded=[PAULI_X])
         cert = DistanceCertificate(
             perturbations=[(0, HermitianOperator(np.zeros((2, 2))))],
-            op_norm=0.0, l11_norm=0.0, method="manual",
-            verified_uncontrollable=True)
+            method="manual", verified_uncontrollable=True)
         pulse = PiecewisePulse(durations=[1.0], amplitudes=[[0.7]])
         check = verify_perturbation_inequality(system, cert, pulse)
         assert check.lhs == pytest.approx(0.0, abs=1e-12)
@@ -264,7 +253,7 @@ class TestPerturbationInequality:
 
     def test_ising_random_pulse(self, rng):
         system = build_two_qubit_ising(1.0)
-        cert = epsilon_best(system).upper
+        cert = epsilon_best(system)
         pulse = PiecewisePulse(durations=rng.uniform(0.05, 0.6, 20),
                                amplitudes=rng.normal(0, 1.5, (20, 4)))
         check = verify_perturbation_inequality(system, cert, pulse)
@@ -409,7 +398,7 @@ class TestComposedSupplementaryInequality:
             rho = random_density(d * d, k)
             w1 = np.kron(u1, u1)
             w2 = np.kron(u2, u2)
-            lhs = trace_norm(w1 @ rho @ w1.conj().T - w2 @ rho @ w2.conj().T)
+            lhs = np.linalg.norm(w1 @ rho @ w1.conj().T - w2 @ rho @ w2.conj().T, "nuc")
             assert lhs <= 4 * operator_norm(u1 - u2) + 1e-10
 
 

@@ -103,8 +103,7 @@ def test_lower_bound_of_an_uncontrollable_system_is_zero(data, d, seed):
     assert epsilon_lower_svd(system, [0, 1]) == 0.0
     cert = DistanceCertificate(
         perturbations=[(0, HermitianOperator(-system.drift.matrix))],
-        op_norm=1.0, l11_norm=1.0, method="manual",
-        verified_uncontrollable=True)
+        method="manual", verified_uncontrollable=True)
     assert t_star_lower(system, cert).epsilon_lower == 0.0
     with pytest.raises(UncontrollableSystemError):
         epsilon_best(system)
