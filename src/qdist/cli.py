@@ -20,9 +20,8 @@ import numpy as np
 from . import __version__
 from .commutant import (CommutantResult, commutant_dimension,
                         extract_original_space_symmetry)
-from .distance import (ESTIMATORS, Invariants, certificate_from_json,
-                       certificate_to_json, epsilon_best, epsilon_lower_svd,
-                       verify_certificate)
+from .distance import (Invariants, certificate_from_json, certificate_to_json,
+                       epsilon_best, epsilon_lower_svd, verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
@@ -222,42 +221,15 @@ def cmd_commutant(args) -> int:
     return EXIT_OK if result.controllable else EXIT_VERDICT
 
 
-def _perturb_indices(system: ControlSystem, spec: str) -> list[int]:
-    n = len(system.generators())
-    if spec == "drift":
-        if system.drift is None:
-            raise InputError("system has no drift to perturb")
-        return system.indices("drift")
-    if spec == "all":
-        return list(range(n))
-    if spec.startswith("control:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"--perturb control:k needs an integer k, "
-                             f"got {spec!r}") from None
-        n_controls = len(system.bounded) + len(system.unbounded)
-        if not 0 <= k < n_controls:
-            raise InputError(f"control index {k} out of range")
-        return [n - n_controls + k]
-    raise InputError(f"--perturb must be drift, all, or control:k, got {spec!r}")
-
-
 def cmd_distance(args) -> int:
     tol = _resolve_tolerances(args)
     system = _load_system(args.system, tol)
-    indices = _perturb_indices(system, args.perturb)
-    methods = tuple(args.methods.split(",")) if args.methods else ESTIMATORS
-    alias = {"gap": "gap_merge", "block": "block_search",
-             "removal": "drift_removal"}
-    methods = tuple(alias.get(m, m) for m in methods)
     invariants = Invariants(system, tol)
-    cert = epsilon_best(system, tol, methods, invariants=invariants)
+    cert = epsilon_best(system, tol, invariants=invariants)
     _emit({
         "upper": certificate_to_json(cert),
-        "lower": epsilon_lower_svd(system, indices, tol=tol,
-                                   invariants=invariants),
-        "perturbed_indices": indices,
+        "lower": epsilon_lower_svd(system, [i for i, _ in cert.perturbations],
+                                   tol=tol, invariants=invariants),
         "tolerances": tol.to_dict(),
     }, args.pretty)
     return EXIT_OK
@@ -469,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="distance-to-uncontrollability bounds")
     p.add_argument("--system", required=True)
-    p.add_argument("--perturb", default="drift",
-                   help="drift | control:k | all (lower-bound index set)")
-    p.add_argument("--methods",
-                   help="comma list from gap,block,removal (default all)")
     _add_common(p)
     p.set_defaults(func=cmd_distance)
 

@@ -49,9 +49,9 @@ class DistanceCertificate:
     """A concrete Hermitian perturbation and its verification state.
 
     perturbations: a non-empty list of (generator index, delta) pairs,
-    indices into the owning system's flat generator list (drift first).
-    op_norm, the largest single ||delta_j||, is no argument: it is read
-    off them on construction.
+    indices into the owning system's flat generator list (drift first),
+    each index at most once. op_norm, the largest single ||delta_j||, is
+    no argument: it is read off them on construction.
     """
 
     perturbations: list
@@ -66,11 +66,18 @@ class DistanceCertificate:
             raise InputError(f"unknown certificate method {self.method!r}")
         if not self.perturbations:
             raise InputError("certificate carries no perturbation")
+        seen = set()
         for index, delta in self.perturbations:
             if not isinstance(delta, HermitianOperator):
                 raise InputError("certificate perturbations must wrap HermitianOperator")
-            if generator_index(index) < 0:
+            index = generator_index(index)
+            if index < 0:
                 raise InputError("negative generator index in certificate")
+            # applied deltas of one generator add up, and op_norm would
+            # read the largest part instead of their sum
+            if index in seen:
+                raise InputError(f"certificate perturbs generator {index} twice")
+            seen.add(index)
         object.__setattr__(self, "op_norm", max(
             operator_norm(delta) for _, delta in self.perturbations))
 
@@ -539,7 +546,8 @@ def epsilon_lower_svd(system: ControlSystem, perturbed_indices,
     delta_j of one generator moves its block by at most 4 ||delta_j|| in
     operator norm, and losing controllability requires driving sigma to zero,
     so by Weyl's inequality every uncontrollable perturbation of the given m
-    generators satisfies max_j ||delta_j|| >= sigma / (4 m). The stacked
+    generators satisfies max_j ||delta_j|| >= sigma / (4 m). Only the count
+    m of distinct perturbed generators enters, not which they are. The stacked
     matrix is the real one of build_stacked_adjoint: each block is the
     complex row-vectorized block in an orthonormal Hermitian basis, a
     unitary change of basis, so sigma and the 4 ||delta_j|| bound are those
@@ -574,9 +582,8 @@ def verify_certificate(system: ControlSystem, cert: DistanceCertificate,
     return verified
 
 
-def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
-                 methods=ESTIMATORS, *, invariants: Invariants | None = None
-                 ) -> DistanceCertificate:
+def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL, *,
+                 invariants: Invariants | None = None) -> DistanceCertificate:
     """Best verified upper-bound certificate.
 
     The estimators perturb the drift, or a driftless system's bounded
@@ -588,16 +595,13 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
     then the controls-alone gate invariants.fixed_lie (InputError), then
     invariants.controllable (agreed_verdict), the spectrum's first read.
 
-    Each method in `methods` builds and verifies its certificate once, with
+    Each of the ESTIMATORS builds and verifies its certificate once, with
     the same invariants; one that does not apply (InputError) contributes
-    nothing. The smallest op_norm among the verified certificates wins, the
-    earlier method on a tie. InputError when no selected method applies;
+    nothing, and drift removal always applies. The smallest op_norm among
+    the verified certificates wins, the earlier method on a tie.
     NumericalError when none verified. The lower bound on the generators
     it perturbs is epsilon_lower_svd's, which t_star_lower reports.
     """
-    unknown = set(methods) - set(ESTIMATORS)
-    if unknown:
-        raise InputError(f"unknown distance methods: {sorted(unknown)}")
     invariants = resolve_invariants(system, tol, invariants)
     if not invariants.lie.controllable:
         raise UncontrollableSystemError("system is already uncontrollable")
@@ -606,17 +610,12 @@ def epsilon_best(system: ControlSystem, tol: ToleranceConfig = DEFAULT_TOL,
         raise InputError(f"the {fixed} alone are controllable: no perturbation of "
                          f"the {perturbed} can render the system uncontrollable")
     invariants.controllable  # NumericalError if the spectrum's verdict disagrees
-    estimators = _estimators()
     certificates: list[DistanceCertificate] = []
-    for method in methods:
+    for estimator in _estimators().values():
         try:
-            certificates.append(estimators[method](system, tol,
-                                                   invariants=invariants))
+            certificates.append(estimator(system, tol, invariants=invariants))
         except InputError:
             pass  # the construction does not apply to this system
-    if not certificates:
-        raise InputError("none of the selected distance methods applies "
-                         f"to this system: {', '.join(methods)}")
     verified = [c for c in certificates if c.verified_uncontrollable]
     if not verified:
         raise NumericalError("no estimator produced a verified certificate")

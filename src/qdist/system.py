@@ -4,13 +4,14 @@ A system is one optional drift, a list of amplitude-capped (bounded)
 generators and a list of unbounded generators, all Hermitian and of one
 common dimension. Generators are addressed by a flat index with the drift
 first (index 0 when present), then bounded, then unbounded; distance
-certificates and CLI flags use these indices. ControlSystem alone maps
-indices to roles and caps, and a pulse's control columns to generators.
+certificates use these indices. ControlSystem alone maps indices to roles
+and caps, and a pulse's control columns to generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,15 @@ class ControlSystem:
     def __post_init__(self):
         object.__setattr__(self, "bounded", tuple(self.bounded))
         object.__setattr__(self, "unbounded", tuple(self.unbounded))
-        ops = self.generators()
-        if not ops:
+        # (role, operator, cap) per generator in flat order: the drift (cap
+        # 1.0) if present, the bounded controls, then the unbounded (cap None)
+        layout = () if self.drift is None else (("drift", self.drift, 1.0),)
+        layout += tuple(("bounded", b.operator, b.cap) for b in self.bounded)
+        layout += tuple(("unbounded", op, None) for op in self.unbounded)
+        object.__setattr__(self, "_layout", layout)
+        if not layout:
             raise InputError("control system has no generators")
-        dims = {op.dim for op in ops}
+        dims = {op.dim for _, op, _ in layout}
         if len(dims) != 1:
             raise InputError(f"generator dimensions disagree: {sorted(dims)}")
         if self.dim < 2:
@@ -58,33 +64,24 @@ class ControlSystem:
 
     @property
     def dim(self) -> int:
-        return self.generators()[0].dim
-
-    def _layout(self) -> list[tuple[str, HermitianOperator, float | None]]:
-        """(role, operator, cap) per generator in flat order: the drift (cap
-        1.0) if present, the bounded controls, then the unbounded (cap None)."""
-        layout = [] if self.drift is None else [("drift", self.drift, 1.0)]
-        layout += [("bounded", b.operator, b.cap) for b in self.bounded]
-        layout += [("unbounded", op, None) for op in self.unbounded]
-        return layout
+        return self._layout[0][1].dim
 
     def generators(self) -> list[HermitianOperator]:
         """Flat generator list: drift (if present), bounded, then unbounded."""
-        return [op for _, op, _ in self._layout()]
+        return [op for _, op, _ in self._layout]
 
     def indices(self, role: str) -> list[int]:
         """Flat indices of the generators whose role is "drift", "bounded"
         or "unbounded"."""
-        return [i for i, (r, _, _) in enumerate(self._layout()) if r == role]
+        return [i for i, (r, _, _) in enumerate(self._layout) if r == role]
 
     def amplitude_cap(self, index: int) -> float | None:
         """Cap of flat generator `index`, from its role: 1.0 for the drift (its
         amplitude is always 1), None for an unbounded control."""
-        layout = self._layout()
-        if not 0 <= index < len(layout):
+        if not 0 <= index < len(self._layout):
             raise InputError(f"generator index {index} out of range "
-                             f"0..{len(layout) - 1}")
-        return layout[index][2]
+                             f"0..{len(self._layout) - 1}")
+        return self._layout[index][2]
 
     def generator_amplitudes(self, amplitudes) -> np.ndarray:
         """(segments x generators) amplitudes in flat order from a pulse's
@@ -110,23 +107,33 @@ class ControlSystem:
             if worst > b.cap * (1 + 1e-12):
                 raise InputError(f"pulse violates cap on bounded control {j}: "
                                  f"|amplitude| {worst} > {b.cap}")
-        n_drift = len(self.generators()) - n_controls
+        n_drift = len(self._layout) - n_controls
         return np.hstack([np.ones((len(amplitudes), n_drift)), amplitudes])
+
+    @cached_property
+    def _traceless(self) -> tuple[np.ndarray, ...]:
+        """The traceless generator matrices, read-only, computed on first use
+        (a large model that is only written out never holds a second copy)."""
+        mats = tuple(traceless_part(op.matrix) for op in self.generators())
+        for m in mats:
+            m.flags.writeable = False
+        return mats
 
     def algebra_generators(self) -> list[np.ndarray]:
         """Traceless-shifted generator matrices for Lie/commutant tests.
 
         Identity shifts change neither the dynamics (global phase) nor any
         commutator, and the algebraic criteria count dimensions inside su(d).
+        The matrices are read-only and shared between calls.
         """
-        return [traceless_part(op.matrix) for op in self.generators()]
+        return list(self._traceless)
 
     def with_perturbations(self, perturbations, tol: ToleranceConfig = DEFAULT_TOL
                            ) -> "ControlSystem":
         """New system with delta added to each (index, delta) generator; delta
         is a matrix or a HermitianOperator (a certificate's perturbations
         pass as they are)."""
-        layout = self._layout()
+        layout = list(self._layout)
         deltas: dict[int, np.ndarray] = {}
         for index, delta in perturbations:
             index = generator_index(index)

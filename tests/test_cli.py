@@ -9,16 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdist import cli, distance
+from qdist import cli
 from qdist.cli import build_parser, main
 from qdist.distance import (certificate_from_json, certificate_to_json,
                             epsilon_upper_drift_removal, epsilon_upper_min_cut)
 from qdist.linalg import matrix_to_json
 from qdist.models import build_hopping_chain, pauli_on
 from qdist.speed_limit import PiecewisePulse, pulse_to_json
+from qdist.system import make_system, system_to_json
 
-from conftest import (PAULI_X, PAULI_Z, drift_system, flip_commutant_verdicts,
-                      manual_gap_merge, random_pair_system)
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, drift_system,
+                      flip_commutant_verdicts, manual_gap_merge,
+                      random_pair_system)
 
 
 def run(capsys, *argv):
@@ -148,25 +150,6 @@ def test_qsl_cert_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     assert "disagree at d=4" in stderr and "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("perturb", ["all", "control:0"])
-def test_distance_reports_zero_lower_bound_above_the_guard(tmp_path, capsys,
-                                                           perturb):
-    # at d = 8 the commutant is guarded off, so every lower bound is 0.0
-    out = tmp_path / "hop8.json"
-    run(capsys, "model", "--name", "hopping_chain", "--param", "d=8",
-        "--out", str(out))
-    code, stdout, _ = run(capsys, "distance", "--system", str(out))
-    assert code == 0
-    plain = json.loads(stdout)
-    code, stdout, stderr = run(capsys, "distance", "--system", str(out),
-                               "--perturb", perturb)
-    assert code == 0, stderr
-    doc = json.loads(stdout)
-    assert doc["lower"] == 0.0
-    assert doc["upper"] == plain["upper"]
-    assert doc["perturbed_indices"] != plain["perturbed_indices"]
-
-
 def test_verify_ineq(tmp_path, capsys):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
     cert = epsilon_upper_drift_removal(drift_system(PAULI_Z, PAULI_X))
@@ -276,6 +259,9 @@ PULSE_FLAGS = ["verify-ineq", "--system", "{system}", "--cert", "{cert}",
                  id="cert_without_perturbations"),
     pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": []},
                  id="cert_with_no_perturbation"),
+    pytest.param(CERT_FLAGS, "cert",
+                 lambda c: c | {"perturbations": c["perturbations"] * 2},
+                 id="cert_repeats_an_index"),
     pytest.param(CERT_FLAGS, "cert", lambda c: c | {"l11_norm": "2"},
                  id="legacy_l11_norm_a_numeric_string"),
     pytest.param(CERT_FLAGS, "cert", lambda c: c | {"perturbations": [5]},
@@ -435,7 +421,9 @@ def test_dimension_guard_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag", [("commutant", "--force"),
-                                           ("analyze", "--skip-commutant")])
+                                           ("analyze", "--skip-commutant"),
+                                           ("distance", "--perturb"),
+                                           ("distance", "--methods")])
 def test_removed_flags_are_unknown_arguments(tmp_path, capsys, command, flag):
     path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
     with pytest.raises(SystemExit) as exc:
@@ -531,48 +519,6 @@ def test_memory_error_in_any_stage_exits_3(tmp_path, capsys, monkeypatch,
     assert err.startswith("guard:") and "Traceback" not in err
 
 
-def test_distance_rejects_missing_drift_before_estimating(tmp_path, capsys,
-                                                          monkeypatch):
-    out = tmp_path / "kerr.json"
-    run(capsys, "model", "--name", "cross_kerr", "--param", "n_modes=2",
-        "--param", "n_photons=4", "--out", str(out))
-    calls = []
-    monkeypatch.setattr(cli, "epsilon_best",
-                        lambda *args, **kwargs: calls.append(args))
-    code, stdout, err = run(capsys, "distance", "--system", str(out))
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and "no drift" in err
-    assert calls == []
-
-
-@pytest.mark.parametrize("flags", [
-    ["--perturb", "control:x"], ["--perturb", "control:1"],
-    ["--perturb", "bogus"], ["--methods", "gap,nope"]])
-def test_distance_rejects_bad_flags_before_estimating(tmp_path, capsys,
-                                                      monkeypatch, flags):
-    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
-    calls = []
-    # epsilon_best checks the methods before its first work, the Lie closure
-    monkeypatch.setattr(distance, "lie_dimension",
-                        lambda *args, **kwargs: calls.append(args))
-    code, stdout, err = run(capsys, "distance", "--system", path, *flags)
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert calls == []
-
-
-def test_distance_cut_is_an_unknown_method(tmp_path, capsys):
-    # min cut is block search's step above its guard, not a method of its own
-    path = write_pair_system(tmp_path / "zx.json", PAULI_Z, PAULI_X)
-    code, stdout, err = run(capsys, "distance", "--system", path,
-                            "--methods", "cut")
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and "unknown distance methods: ['cut']" in err
-
-
 def test_stored_min_cut_certificate_still_loads(tmp_path, capsys):
     # the hopping d=4 site cut, stored under the min_cut label that block
     # search gives its certificates above the guard
@@ -588,31 +534,6 @@ def test_stored_min_cut_certificate_still_loads(tmp_path, capsys):
     assert report["certificate"]["method"] == "min_cut"
     assert report["delta_lower"] == pytest.approx(np.sqrt(2))
     assert report["delta_provenance"] == "symmetry_sqrt2"
-
-
-@pytest.mark.parametrize("system, methods, name", [
-    pytest.param("ising", "block", "block_search", id="block-block_search"),
-    pytest.param("ising", "gap", "gap_merge", id="gap-gap_merge"),
-    pytest.param("pair4", "gap", "gap_merge", id="pair4-gap-gap_merge")])
-def test_distance_methods_that_do_not_apply_exit_1(tmp_path, capsys, system,
-                                                   methods, name):
-    out = tmp_path / "system.json"
-    if system == "ising":
-        # the ZZ drift is degenerate and the local controls share no blocks
-        run(capsys, "model", "--name", "two_qubit_ising", "--param",
-            "delta=1.0", "--out", str(out))
-    else:
-        # gap merge offers a witness or declines: merging a random pair
-        # leaves one joint block, so the method applies nowhere
-        write_pair_system(out, *random_pair_system(4, 0).algebra_generators())
-    code, stdout, err = run(capsys, "distance", "--system", str(out),
-                            "--methods", methods)
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and name in err
-    assert "Traceback" not in err
-    # with every method, another certificate stands in
-    assert run(capsys, "analyze", "--system", str(out))[0] == 0
 
 
 TOL_CONFIG_FLAGS = SYSTEM_FLAGS + ["--tol-config", "{config}"]
@@ -754,12 +675,9 @@ def test_hopping_d6_is_below_the_guard(tmp_path, capsys):
 
 
 def test_driftless_cross_kerr_removes_the_bounded_coupling(tmp_path, capsys):
-    # plain `distance` exits 1 here (no drift), as
-    # test_distance_rejects_missing_drift_before_estimating checks
     path = model_file(tmp_path, capsys, "cross_kerr", "n_modes=2",
                       "n_photons=3")
-    code, stdout, _ = run(capsys, "distance", "--perturb", "all",
-                          "--system", path)
+    code, stdout, _ = run(capsys, "distance", "--system", path)
     assert code == 0
     upper = json.loads(stdout)["upper"]
     code, stdout, _ = run(capsys, "qsl", "--system", path)
@@ -769,11 +687,44 @@ def test_driftless_cross_kerr_removes_the_bounded_coupling(tmp_path, capsys):
     assert json.loads(stdout)["epsilon_upper"] == upper["op_norm"]
 
 
+@pytest.mark.parametrize("model", [
+    ("hopping_chain", "d=3"), ("hopping_chain", "d=4"),
+    # the commutant is guarded off at d = 8, so the lower bound is 0.0
+    ("hopping_chain", "d=8"), ("two_qubit_ising", "delta=1.0"),
+    ("global_control_chain", "n_qubits=2", "gammas=1,1.2"),
+    ("cross_kerr", "n_modes=2", "n_photons=3"), None],
+    ids=["hopping_d3", "hopping_d4", "hopping_d8", "ising", "global_chain",
+         "cross_kerr", "random_pair_d4"])
+def test_distance_prints_what_analyze_reports(tmp_path, capsys, model):
+    if model is None:
+        path = write_pair_system(tmp_path / "pair.json",
+                                 *random_pair_system(4, 0).algebra_generators())
+    else:
+        path = model_file(tmp_path, capsys, *model)
+    docs = {}
+    for command in ("distance", "analyze"):
+        code, stdout, err = run(capsys, command, "--system", path)
+        assert code == 0, err
+        docs[command] = json.loads(stdout)
+    distance_doc = docs["distance"]
+    assert sorted(distance_doc) == ["lower", "tolerances", "upper"]
+    assert json.dumps({k: distance_doc[k] for k in ("upper", "lower")},
+                      sort_keys=True) == json.dumps(docs["analyze"]["distance"],
+                                                    sort_keys=True)
+    if model == ("hopping_chain", "d=8"):
+        assert distance_doc["lower"] == 0.0
+
+
 @pytest.mark.parametrize("argv, model, expected", [
     pytest.param(["reproduce-paper"], None, 0, id="reproduce_paper"),
     pytest.param(["analyze"], None, 1, id="usage_error"),
-    pytest.param(["distance"], ("cross_kerr", "n_modes=2", "n_photons=3"), 1,
+    pytest.param(["distance"], ("cross_kerr", "n_modes=2", "n_photons=3"), 0,
                  id="distance_without_drift"),
+    # the controls X, Y alone generate su(2): no drift perturbation can
+    # break controllability
+    pytest.param(["distance"], make_system(drift=PAULI_Z,
+                                           unbounded=[PAULI_X, PAULI_Y]), 1,
+                 id="distance_controllable_controls"),
     pytest.param(["analyze"], ("global_control_chain", "n_qubits=2",
                                "gammas=1,1"), 2, id="analyze_uncontrollable"),
     pytest.param(["commutant"], ("hopping_chain", "d=7"), 3,
@@ -782,8 +733,12 @@ def test_python_m_qdist_exit_codes(tmp_path, capsys, argv, model, expected):
     # the one check that needs a real process: `python -m qdist` turns
     # main's return into the exit status, errors print nothing on stdout,
     # and no path prints a traceback
-    if model is not None:
+    if isinstance(model, tuple):
         argv = argv + ["--system", model_file(tmp_path, capsys, *model)]
+    elif model is not None:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_json(model)))
+        argv = argv + ["--system", str(path)]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -834,10 +834,21 @@ class TestEpsilonBest:
         epsilon_best(system)
         assert len(calls) == 1
 
-    def test_no_applicable_method_is_input_error(self):
-        methods = ("gap_merge", "block_search")
-        with pytest.raises(InputError, match="gap_merge, block_search"):
-            epsilon_best(build_two_qubit_ising(1.0), methods=methods)
+    @pytest.mark.parametrize("system, estimator, match", [
+        # the ZZ drift is degenerate
+        (build_two_qubit_ising(1.0), epsilon_upper_gap_merge, "degenerate"),
+        # the local controls share no blocks
+        (build_two_qubit_ising(1.0), epsilon_upper_block_search,
+         "share no invariant block structure"),
+        # merging a random pair's closest eigenvalues leaves one joint block
+        (random_pair_system(4, 0), epsilon_upper_gap_merge, "single joint block")],
+        ids=["ising-gap_merge", "ising-block_search", "pair_d4-gap_merge"])
+    def test_an_estimator_that_does_not_apply_gives_way(self, system, estimator,
+                                                        match):
+        with pytest.raises(InputError, match=match):
+            estimator(system)
+        # another certificate stands in
+        assert epsilon_best(system).verified_uncontrollable
 
     @pytest.mark.parametrize("system, method", [
         (random_pair_system(4, 0), "block_search"),
@@ -962,6 +973,21 @@ class TestCertificateSerialization:
         with pytest.raises(InputError, match="carries no perturbation"):
             DistanceCertificate(perturbations=[], method="manual",
                                 verified_uncontrollable=True)
+
+    def test_repeated_index_is_an_input_error(self):
+        # hopping d=4: four quarters of the drift's gap merge, applied, are
+        # the whole merge, and op_norm would read a quarter of its norm
+        system = build_hopping_chain(4)
+        delta = epsilon_best(system).perturbations[0][1].matrix
+        quarters = [(i, HermitianOperator(delta / 4))
+                    for i in (0, np.int64(0), 0, 0)]
+        with pytest.raises(InputError, match="generator 0 twice"):
+            DistanceCertificate(perturbations=quarters, method="manual",
+                                verified_uncontrollable=True)
+        doc = certificate_to_json(epsilon_best(system))
+        doc["perturbations"] *= 2
+        with pytest.raises(InputError, match="generator 0 twice"):
+            certificate_from_json(doc)
 
     def test_op_norm_is_read_off_the_perturbations(self):
         cert = DistanceCertificate(

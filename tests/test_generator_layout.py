@@ -1,6 +1,7 @@
 """The flat generator layout of ControlSystem: drift (if present), bounded,
-then unbounded. Pulse columns, caps, perturbation indices and the
-`--perturb control:k` flag must all follow the order of generators()."""
+then unbounded. Pulse columns, caps, perturbation indices and the role
+indices of ControlSystem.indices must all follow the order of
+generators()."""
 
 import itertools
 
@@ -10,8 +11,6 @@ import pytest
 from qdist import (DistanceCertificate, HermitianOperator, InputError,
                    PiecewisePulse, evolve, make_system, operator_norm,
                    random_hermitian, verify_perturbation_inequality)
-from qdist.cli import _perturb_indices
-
 from conftest import reference_propagator
 
 LAYOUTS = [(drift, nb, nu)
@@ -82,16 +81,11 @@ class TestFlatOrder:
             np.testing.assert_allclose(new.matrix, op.matrix + deltas[i], atol=1e-15)
             assert perturbed.amplitude_cap(i) == system.amplitude_cap(i)
 
-    def test_perturb_control_flag(self, has_drift, n_bounded, n_unbounded):
+    def test_role_indices(self, has_drift, n_bounded, n_unbounded):
         system = mixed_system(has_drift, n_bounded, n_unbounded)
-        by_column = {pulse_column(system, role, j): i
-                     for i, (role, j) in enumerate(roles(system)) if role != "drift"}
-        for k in range(n_bounded + n_unbounded):
-            assert _perturb_indices(system, f"control:{k}") == [by_column[k]]
-        with pytest.raises(InputError, match="out of range"):
-            _perturb_indices(system, f"control:{n_bounded + n_unbounded}")
-        with pytest.raises(InputError, match="out of range"):
-            _perturb_indices(system, "control:-1")
+        for role in ("drift", "bounded", "unbounded"):
+            assert system.indices(role) == [
+                i for i, (r, _) in enumerate(roles(system)) if r == role]
 
 
 @pytest.mark.parametrize("rows, match", [
@@ -165,3 +159,19 @@ def test_perturbation_index_that_is_no_integer_is_an_input_error(index):
     by_numpy = system.with_perturbations([(np.int64(1), delta)])
     np.testing.assert_array_equal(by_numpy.generators()[1].matrix,
                                   system.generators()[1].matrix + delta)
+
+
+def test_algebra_generators_are_computed_once_and_read_only():
+    system = mixed_system(True, 1, 1)
+    # nothing is held until the first call: a large model that is only
+    # written out keeps one copy of its matrices
+    assert "_traceless" not in vars(system)
+    first, second = system.algebra_generators(), system.algebra_generators()
+    assert first is not second
+    for a, b, op in zip(first, second, system.generators()):
+        assert a is b and not a.flags.writeable
+        assert abs(np.trace(a)) < 1e-12
+        np.testing.assert_allclose(a, op.matrix - np.trace(op.matrix) / 3 * np.eye(3),
+                                   atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0, 0] = 1.0

@@ -70,7 +70,8 @@ def test_system_round_trip(system):
 @st.composite
 def certificates(draw):
     d = draw(st.integers(2, 4))
-    indices = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    indices = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3,
+                            unique=True))
     witness = draw(st.none() | hermitian(d))
     return DistanceCertificate(
         perturbations=[(i, HermitianOperator(draw(hermitian(d))))

@@ -111,8 +111,7 @@ def test_analyze_report_matches_unshared_calls(name):
     assert dumps(report["qsl"]) == dumps(qsl.to_dict())
 
 
-@pytest.mark.parametrize("argv", [["distance"], ["distance", "--perturb", "all"],
-                                  ["qsl"]])
+@pytest.mark.parametrize("argv", [["distance"], ["qsl"]])
 def test_commands_compute_each_invariant_once(tmp_path, capsys, monkeypatch,
                                               svd_log, spectrum_log, argv):
     system = build_hopping_chain(4)
@@ -140,9 +139,8 @@ def test_controllable_controls_are_rejected_before_any_svd(
     assert len(svd_log) == 0
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["distance", "--perturb", "all"], 1), (["qsl"], 1)],
-    ids=["distance_all", "qsl"])
+@pytest.mark.parametrize("argv, code", [(["distance"], 1), (["qsl"], 1)],
+                         ids=["distance", "qsl"])
 def test_controllable_unbounded_controls_are_rejected_before_the_svd(
         tmp_path, capsys, monkeypatch, svd_log, spectrum_log, argv, code):
     # driftless: X, Y alone generate su(2), so removing the bounded Z cannot
@@ -183,9 +181,8 @@ def test_estimate_reads_the_spectrum_of_its_invariants(d):
         assert invariants.spectrum is None and lower == 0.0
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["distance"],
-                                  ["distance", "--perturb", "all"], ["qsl"]],
-                         ids=["analyze", "distance", "distance_all", "qsl"])
+@pytest.mark.parametrize("argv", [["analyze"], ["distance"], ["qsl"]],
+                         ids=["analyze", "distance", "qsl"])
 def test_the_guard_is_asked_once_per_command(tmp_path, capsys, monkeypatch,
                                              argv):
     # at d >= COMMUTANT_DIM_GUARD the answer "no spectrum" is kept like a

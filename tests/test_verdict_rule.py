@@ -65,8 +65,7 @@ def test_commands_reject_a_disagreement_alike_before_any_estimator(
         name = f"epsilon_upper_{method}"
         monkeypatch.setattr(distance, name, counted(name))
     errors = set()
-    for argv in (["analyze"], ["distance"], ["distance", "--perturb", "all"],
-                 ["qsl"]):
+    for argv in (["analyze"], ["distance"], ["qsl"]):
         code = main(argv + ["--system", str(path)])
         out, err = capsys.readouterr()
         assert (code, out) == (4, ""), argv
