@@ -1,8 +1,12 @@
 """Command-line front end.
 
 JSON-first output (opt-in pretty tables with --pretty) so reports can feed
-scripts and CI gates directly. Exit codes distinguish failure kinds:
-0 success, 1 malformed input (a usage error too), 2 mathematical verdict
+scripts and CI gates directly. main is the one path from argv to output:
+it resolves the tolerances, loads --system where a command takes one,
+calls the command, prints the report it returns and maps errors to exit
+codes. A command receives (args, tol, system) and returns (report or
+None, exit code). Exit codes distinguish failure kinds: 0 success,
+1 malformed input (a usage error too), 2 mathematical verdict
 (uncontrollable input or a failed reproduction row), 3 size guard,
 4 numerical failure.
 """
@@ -20,16 +24,16 @@ import numpy as np
 from . import __version__
 from .commutant import (CommutantResult, commutant_dimension,
                         extract_original_space_symmetry)
-from .distance import (Invariants, certificate_from_json, certificate_to_json,
-                       epsilon_best, epsilon_lower_svd, verify_certificate)
+from .distance import (DistanceCertificate, Invariants, certificate_from_json,
+                       certificate_to_json, epsilon_best, epsilon_lower_svd,
+                       verify_certificate)
 from .errors import (DimensionGuardError, InputError, NumericalError,
                      QdistError, UncontrollableSystemError)
 from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, ToleranceConfig, json_object, json_value,
                      matrix_to_json)
-from .models import (ModelSpec, build_model, build_global_control_chain,
-                     build_two_qubit_ising, delta_gamma, hopping_spectrum,
-                     reference_bounds)
+from .models import (ModelSpec, build_global_control_chain, build_model,
+                     hopping_drift, hopping_spectrum, reference_bounds)
 from .speed_limit import (pulse_from_json, t_star_lower,
                           verify_perturbation_inequality)
 from .system import ControlSystem, system_from_json, system_to_json
@@ -46,27 +50,16 @@ _TOL_FIELDS = tuple(f.name for f in dataclasses.fields(ToleranceConfig))
 def _resolve_tolerances(args) -> ToleranceConfig:
     """defaults < --tol-config file < explicit flags."""
     values = DEFAULT_TOL.to_dict()
-    config_path = getattr(args, "tol_config", None)
-    if config_path:
-        loaded = json_object(_load_json(config_path, "tolerance config"),
+    if args.tol_config:
+        loaded = json_object(_load_json(args.tol_config, "tolerance config"),
                              "tolerance config", optional=_TOL_FIELDS)
         values.update({k: json_value(v, float, f"tolerance config {k}")
                        for k, v in loaded.items()})
     for field in _TOL_FIELDS:
-        flag = getattr(args, field, None)
+        flag = getattr(args, field)
         if flag is not None:
             values[field] = flag
     return ToleranceConfig(**values)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pretty", action="store_true",
-                        help="human-readable table instead of JSON")
-    parser.add_argument("--tol-config", help="JSON file overriding tolerances")
-    parser.add_argument("--tol-hermiticity", dest="hermiticity_tol", type=float)
-    parser.add_argument("--tol-rank", dest="rank_rel_tol", type=float)
-    parser.add_argument("--tol-commute", dest="commute_tol", type=float)
-    parser.add_argument("--tol-degeneracy", dest="degeneracy_tol", type=float)
 
 
 def _load_json(path: str, kind: str):
@@ -91,8 +84,9 @@ def _write_json(path: str, obj, kind: str) -> None:
         raise InputError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
-def _load_system(path: str, tol: ToleranceConfig) -> ControlSystem:
-    return system_from_json(_load_json(path, "system"), tol=tol)
+def _load_certificate(path: str, tol: ToleranceConfig) -> DistanceCertificate:
+    """The --cert file, unverified (certificate_from_json keeps no verdict)."""
+    return certificate_from_json(_load_json(path, "certificate"), tol=tol)
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -169,20 +163,15 @@ def _parse_model_param(raw: str) -> tuple[str, object]:
         raise InputError(f"--param {key}: cannot parse {value!r}: {exc}") from None
 
 
-def cmd_model(args) -> int:
-    tol = _resolve_tolerances(args)
+def cmd_model(args, tol, system) -> tuple[dict | None, int]:
     params = dict(_parse_model_param(p) for p in args.param or [])
     spec = ModelSpec(args.name, params)
-    system = build_model(spec, tol=tol)
-    doc = system_to_json(system)
+    doc = system_to_json(build_model(spec, tol=tol))
     if args.out:
         _write_json(args.out, doc, "system")
-    output = doc
     if args.reference:
-        output = {"system": doc, "reference": reference_bounds(spec)}
-    if not args.out or args.reference:
-        _emit(output, args.pretty)
-    return EXIT_OK
+        return {"system": doc, "reference": reference_bounds(spec)}, EXIT_OK
+    return (None if args.out else doc), EXIT_OK
 
 
 def _lie_section(lie: LieClosureResult, d: int) -> dict:
@@ -197,18 +186,13 @@ def _commutant_section(com: CommutantResult) -> dict:
             "nullity": com.nullity, "controllable": com.controllable}
 
 
-def cmd_lie(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
+def cmd_lie(args, tol, system) -> tuple[dict, int]:
     result = lie_dimension(system.algebra_generators(), tol=tol)
-    _emit(_lie_section(result, system.dim) | {"tolerances": tol.to_dict()},
-          args.pretty)
-    return EXIT_OK if result.controllable else EXIT_VERDICT
+    return (_lie_section(result, system.dim) | {"tolerances": tol.to_dict()},
+            EXIT_OK if result.controllable else EXIT_VERDICT)
 
 
-def cmd_commutant(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
+def cmd_commutant(args, tol, system) -> tuple[dict, int]:
     result = commutant_dimension(system.algebra_generators(), tol=tol,
                                  want_symmetries=bool(args.emit_symmetries))
     if args.emit_symmetries:
@@ -216,33 +200,27 @@ def cmd_commutant(args) -> int:
                     {"symmetries": [matrix_to_json(s)
                                     for s in result.symmetry_basis]},
                     "symmetries")
-    _emit(_commutant_section(result) | {"tolerances": tol.to_dict()},
-          args.pretty)
-    return EXIT_OK if result.controllable else EXIT_VERDICT
+    return (_commutant_section(result) | {"tolerances": tol.to_dict()},
+            EXIT_OK if result.controllable else EXIT_VERDICT)
 
 
-def cmd_distance(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
+def cmd_distance(args, tol, system) -> tuple[dict, int]:
     invariants = Invariants(system, tol)
     cert = epsilon_best(system, tol, invariants=invariants)
-    _emit({
+    return {
         "upper": certificate_to_json(cert),
         "lower": epsilon_lower_svd(system, [i for i, _ in cert.perturbations],
                                    tol=tol, invariants=invariants),
         "tolerances": tol.to_dict(),
-    }, args.pretty)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_qsl(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
+def cmd_qsl(args, tol, system) -> tuple[dict, int]:
     invariants = Invariants(system, tol)
     if args.cert:
-        cert = certificate_from_json(_load_json(args.cert, "certificate"), tol=tol)
-        # never trust a serialized flag: the bound is only sound if the
-        # perturbed system really is uncontrollable
+        cert = _load_certificate(args.cert, tol)
+        # the bound is only sound if the perturbed system really is
+        # uncontrollable, so a loaded certificate is verified here
         if not verify_certificate(system, cert, tol=tol):
             raise InputError("certificate failed verification against this "
                              "system; its perturbation does not break "
@@ -251,19 +229,16 @@ def cmd_qsl(args) -> int:
     else:
         cert = epsilon_best(system, tol=tol, invariants=invariants)
     report = t_star_lower(system, cert, tol=tol, invariants=invariants)
-    _emit(report.to_dict() | {"tolerances": tol.to_dict()}, args.pretty)
-    return EXIT_OK
+    return report.to_dict() | {"tolerances": tol.to_dict()}, EXIT_OK
 
 
-def cmd_verify_ineq(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
-    cert = certificate_from_json(_load_json(args.cert, "certificate"), tol=tol)
+def cmd_verify_ineq(args, tol, system) -> tuple[dict, int]:
+    cert = _load_certificate(args.cert, tol)
     pulse = pulse_from_json(_load_json(args.pulse, "pulse"))
     check = verify_perturbation_inequality(system, cert, pulse, tol=tol)
-    _emit({"lhs": check.lhs, "rhs": check.rhs, "holds": check.holds,
-           "tolerances": tol.to_dict()}, args.pretty)
-    return EXIT_OK if check.holds else EXIT_VERDICT
+    return ({"lhs": check.lhs, "rhs": check.rhs, "holds": check.holds,
+             "tolerances": tol.to_dict()},
+            EXIT_OK if check.holds else EXIT_VERDICT)
 
 
 def analyze_system(system: ControlSystem, tol: ToleranceConfig
@@ -308,14 +283,6 @@ def analyze_system(system: ControlSystem, tol: ToleranceConfig
     return report, EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    tol = _resolve_tolerances(args)
-    system = _load_system(args.system, tol)
-    report, code = analyze_system(system, tol)
-    _emit(report, args.pretty)
-    return code
-
-
 # ------------------------------------------------------- paper reproduction
 
 
@@ -330,12 +297,13 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
 
     # two-qubit Ising: bound 1/(4 delta), exact value pi/(2 delta)
     for delta in (0.5, 1.0, 2.0):
-        system = build_two_qubit_ising(delta, tol=tol)
+        spec = ModelSpec("two_qubit_ising", {"delta": delta})
+        system = build_model(spec, tol=tol)
         invariants = Invariants(system, tol)
         cert = epsilon_best(system, tol=tol, invariants=invariants)
         report = t_star_lower(system, cert, tol, invariants=invariants)
-        bound = 1.0 / (4.0 * delta)
-        exact = math.pi / (2.0 * delta)
+        ref = reference_bounds(spec)
+        bound, exact = ref["bound_t_star"], ref["exact_t_star"]
         ratio = exact / report.t_star_lower
         ok = (abs(report.t_star_lower - bound) <= 1e-12
               and abs(ratio - 2.0 * math.pi) <= 1e-12)
@@ -347,8 +315,7 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     for d in (3, 10, 100):
         spec = ModelSpec("hopping_chain", {"d": d})
         ref = reference_bounds(spec)
-        w = np.linalg.eigvalsh(np.diag(np.ones(d - 1), 1)
-                               + np.diag(np.ones(d - 1), -1))
+        w = np.linalg.eigvalsh(hopping_drift(d).real)
         spectrum_dev = float(np.max(np.abs(np.sort(w) - hopping_spectrum(d))))
         min_gap = float(np.min(np.diff(np.sort(w))))
         ok = spectrum_dev <= 1e-10 and min_gap <= ref["gap_bound"] + 1e-12
@@ -365,13 +332,14 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
         float(res_equal.nullity), 2.0,
         (not res_equal.controllable) and witness is not None,
         detail="nullity > 2 with extracted symmetry")
-    controlled = build_global_control_chain(2, [1.0, 1.2], tol=tol)
-    res_distinct = Invariants(controlled, tol).spectrum
-    dg = delta_gamma([1.0, 1.2])
-    t_bound = math.sqrt(2.0) / (1.0 * dg)
+    spec = ModelSpec("global_control_chain", {"n_qubits": 2, "gammas": [1.0, 1.2]})
+    res_distinct = Invariants(build_model(spec, tol=tol), tol).spectrum
+    ref = reference_bounds(spec)
+    t_bound = ref["t_bound"]
     ok = res_distinct.controllable and abs(t_bound - math.sqrt(2.0) / 0.2) <= 1e-12
     row("global_control_chain", "gamma=(1,1.2) t_bound", t_bound,
-        math.sqrt(2.0) / 0.2, ok, detail=f"controllable, delta_gamma {dg:.6g}")
+        math.sqrt(2.0) / 0.2, ok,
+        detail=f"controllable, delta_gamma {ref['delta_gamma']:.6g}")
 
     # cross-Kerr: coupling norm N^2/4 and bound 1/(c N^2)
     for n_photons in (2, 4, 6):
@@ -380,7 +348,7 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
                                             "cap_c": cap})
             ref = reference_bounds(spec)
             computed_bound = 0.25 / (cap * ref["kerr_norm"])
-            paper_bound = 1.0 / (cap * n_photons ** 2)
+            paper_bound = ref["t_bound"]
             ok = (abs(ref["kerr_norm"] - n_photons ** 2 / 4.0) <= 1e-12
                   and abs(computed_bound - paper_bound) <= 1e-12)
             row("cross_kerr", f"t_bound(N={n_photons}, c={cap})",
@@ -389,12 +357,11 @@ def reproduce_paper_rows(tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
     return rows
 
 
-def cmd_reproduce_paper(args) -> int:
-    tol = _resolve_tolerances(args)
+def cmd_reproduce_paper(args, tol, system) -> tuple[dict, int]:
     rows = reproduce_paper_rows(tol)
     all_pass = all(r["pass"] for r in rows)
-    _emit({"rows": rows, "all_pass": all_pass}, args.pretty)
-    return EXIT_OK if all_pass else EXIT_VERDICT
+    return ({"rows": rows, "all_pass": all_pass},
+            EXIT_OK if all_pass else EXIT_VERDICT)
 
 
 # ------------------------------------------------------------------- main
@@ -418,62 +385,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("model", help="build a named example system")
+    def command(name, func, summary, system=True):
+        p = sub.add_parser(name, help=summary)
+        if system:
+            p.add_argument("--system", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("model", cmd_model, "build a named example system", system=False)
     p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", help="write system JSON to this path")
     p.add_argument("--reference", action="store_true",
                    help="include closed-form reference bounds")
-    _add_common(p)
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("lie", help="Lie-closure controllability test")
-    p.add_argument("--system", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_lie)
-
-    p = sub.add_parser("commutant", help="doubled-space commutant test")
-    p.add_argument("--system", required=True)
+    command("lie", cmd_lie, "Lie-closure controllability test")
+    p = command("commutant", cmd_commutant, "doubled-space commutant test")
     p.add_argument("--emit-symmetries", metavar="OUT_JSON",
                    help="write the symmetry basis to a file")
-    _add_common(p)
-    p.set_defaults(func=cmd_commutant)
-
-    p = sub.add_parser("distance", help="distance-to-uncontrollability bounds")
-    p.add_argument("--system", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("qsl", help="quantum-speed-limit report")
-    p.add_argument("--system", required=True)
+    command("distance", cmd_distance, "distance-to-uncontrollability bounds")
+    p = command("qsl", cmd_qsl, "quantum-speed-limit report")
     p.add_argument("--cert", help="certificate JSON (default: run estimators)")
-    _add_common(p)
-    p.set_defaults(func=cmd_qsl)
-
-    p = sub.add_parser("analyze", help="full pipeline report")
-    p.add_argument("--system", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("verify-ineq", help="check the propagation inequality")
-    p.add_argument("--system", required=True)
+    # analyze_system is looked up on each call, so a rebound one runs
+    command("analyze", lambda args, tol, system: analyze_system(system, tol),
+            "full pipeline report")
+    p = command("verify-ineq", cmd_verify_ineq, "check the propagation inequality")
     p.add_argument("--cert", required=True)
     p.add_argument("--pulse", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_ineq)
+    command("reproduce-paper", cmd_reproduce_paper,
+            "reproduce all worked examples with PASS/FAIL", system=False)
 
-    p = sub.add_parser("reproduce-paper",
-                       help="reproduce all worked examples with PASS/FAIL")
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce_paper)
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true",
+                       help="human-readable table instead of JSON")
+        p.add_argument("--tol-config", help="JSON file overriding tolerances")
+        p.add_argument("--tol-hermiticity", dest="hermiticity_tol", type=float)
+        p.add_argument("--tol-rank", dest="rank_rel_tol", type=float)
+        p.add_argument("--tol-commute", dest="commute_tol", type=float)
+        p.add_argument("--tol-degeneracy", dest="degeneracy_tol", type=float)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        tol = _resolve_tolerances(args)
+        system = (system_from_json(_load_json(args.system, "system"), tol=tol)
+                  if "system" in args else None)
+        report, code = args.func(args, tol, system)
+        if report is not None:
+            _emit(report, args.pretty)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

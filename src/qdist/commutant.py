@@ -581,13 +581,15 @@ def _joint_commutant(mats, tol: ToleranceConfig, rng
 def joint_blocks(generators, tol: ToleranceConfig):
     """Finest invariant-subspace decomposition shared by all generators.
 
-    For one generator these are its degenerate eigenspaces (eigenvalues
-    within degeneracy_tol). For several, a random real combination of the
-    Hermitian elements of their joint commutant (_joint_commutant, found in
-    the eigenbasis of a random element of their span) is diagonalized; its
-    spectral projectors commute with every generator. Both random draws
-    come from one fixed seed. Returns (basis, blocks), blocks listing the
-    basis columns of each, or None when there is a single block.
+    For one generator these are its degenerate eigenspaces. For several, a
+    random real combination of the Hermitian elements of their joint
+    commutant (_joint_commutant, found in the eigenbasis of a random
+    element of their span) is diagonalized; its spectral projectors
+    commute with every generator. Adjacent eigenvalues of the diagonalized
+    matrix share a block when they lie within degeneracy_tol times its
+    spread (largest minus smallest eigenvalue). Both random draws come
+    from one fixed seed. Returns (basis, blocks), blocks listing the basis
+    columns of each, or None when there is a single block.
     """
     mats, d = checked_generators(generators, tol)
     if len(mats) == 1:
@@ -601,9 +603,10 @@ def joint_blocks(generators, tol: ToleranceConfig):
         m = devec_herm(rng.standard_normal(len(null)) @ null, d)
         w, u = hermitian_eigensystem(m, tol=tol)
         v = r_basis @ u
+    cutoff = tol.degeneracy_tol * (w[-1] - w[0])
     blocks = [[0]]
     for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= tol.degeneracy_tol:
+        if w[i] - w[i - 1] <= cutoff:
             blocks[-1].append(i)
         else:
             blocks.append([i])

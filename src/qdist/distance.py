@@ -73,8 +73,8 @@ class DistanceCertificate:
             index = generator_index(index)
             if index < 0:
                 raise InputError("negative generator index in certificate")
-            # applied deltas of one generator add up, and op_norm would
-            # read the largest part instead of their sum
+            # op_norm reads one norm per generator, and with_perturbations
+            # refuses a repeated index too
             if index in seen:
                 raise InputError(f"certificate perturbs generator {index} twice")
             seen.add(index)
@@ -258,7 +258,8 @@ def epsilon_upper_gap_merge(system: ControlSystem,
     merged eigenspace invariant (always for a rank-1 control). The witness
     is the projector onto the merged system's first joint block
     (extract_original_space_symmetry), offered to the verifier. No drift, a
-    minimum gap below degeneracy_tol, or a merged system with a single
+    minimum gap at or below degeneracy_tol times the drift's spread
+    (largest minus smallest eigenvalue), or a merged system with a single
     joint block (no witness): InputError, before verifying.
     """
     _, index, hd = _drift(system, tol, invariants, "gap merge")
@@ -266,9 +267,10 @@ def epsilon_upper_gap_merge(system: ControlSystem,
     gaps = np.diff(w)
     k = int(np.argmin(gaps))
     g = float(gaps[k])
-    if g <= tol.degeneracy_tol:
+    if g <= tol.degeneracy_tol * (w[-1] - w[0]):
         raise InputError("drift spectrum is already degenerate (minimum gap "
-                         "below degeneracy_tol): no eigenvalue pair to merge")
+                         "at or below degeneracy_tol times its spread): no "
+                         "eigenvalue pair to merge")
     lo = np.outer(v[:, k], v[:, k].conj())
     hi = np.outer(v[:, k + 1], v[:, k + 1].conj())
     # raise the lower eigenvalue and lower the upper one onto their midpoint
@@ -507,17 +509,19 @@ def epsilon_upper_drift_removal(system: ControlSystem,
     controllable alone, always for a lone control. The verifier is offered
     the projector onto the first of invariants.fixed_blocks; with one block,
     none, unless the fixed generators are all zero within degeneracy_tol
-    (or absent): every projector commutes with zero, so the projector onto
-    the first basis vector is offered.
+    times the largest perturbed generator's norm (or absent): every
+    projector commutes with zero, so the projector onto the first basis
+    vector is offered.
     """
     invariants = resolve_invariants(system, tol, invariants)
     role, indices = invariants.perturbed
     joint = invariants.fixed_blocks
-    if joint is None and all(operator_norm(m) <= tol.degeneracy_tol
-                             for m in invariants.fixed()):
-        joint = np.eye(system.dim), [[0]]  # every projector commutes with zero
-    projector = None if joint is None else block_projector(joint[0], joint[1][0])
     gens = system.algebra_generators()
+    if joint is None:
+        zero = tol.degeneracy_tol * max(operator_norm(gens[i]) for i in indices)
+        if all(operator_norm(m) <= zero for m in invariants.fixed()):
+            joint = np.eye(system.dim), [[0]]  # every projector commutes with zero
+    projector = None if joint is None else block_projector(joint[0], joint[1][0])
     return _certificate(system, [(i, -traceless_part(gens[i])) for i in indices],
                         "drift_removal", tol, witness=projector,
                         detail=_PERTURBED_ROLES[role][2])
@@ -643,8 +647,10 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
     index and a matrix), op_norm and verified_uncontrollable, and
     optionally a symmetry_witness matrix or null, a detail string and the
     l11_norm that earlier writers added. op_norm and l11_norm must be
-    numbers, and neither is kept: op_norm is read off the perturbations.
-    Unknown keys are rejected."""
+    numbers and verified_uncontrollable a bool, and none is kept: op_norm
+    is read off the perturbations, and the loaded certificate is
+    unverified until verify_certificate passes on it. Unknown keys are
+    rejected."""
     obj = json_object(obj, "certificate", (
         "format", "method", "perturbations", "op_norm", "verified_uncontrollable"),
         ("l11_norm", "symmetry_witness", "detail"))
@@ -665,10 +671,11 @@ def certificate_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL
     for key in ("op_norm", "l11_norm"):
         if key in obj:
             json_value(obj[key], float, f"certificate {key}")
+    json_value(obj["verified_uncontrollable"], bool,
+               "certificate verified_uncontrollable")
     return DistanceCertificate(
         perturbations=perturbations, symmetry_witness=witness_op,
         method=json_value(obj["method"], str, "certificate method"),
-        verified_uncontrollable=json_value(obj["verified_uncontrollable"], bool,
-                                           "certificate verified_uncontrollable"),
+        verified_uncontrollable=False,
         detail=json_value(obj.get("detail", ""), str, "certificate detail"),
     )

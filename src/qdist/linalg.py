@@ -35,8 +35,11 @@ class ToleranceConfig:
     rank_rel_tol (default 1e-9) is the relative singular-value cutoff
     sigma_i > tol * sigma_max; commute_tol (1e-9) bounds a symmetry
     witness's commutators relative to the operators' norms; hermiticity_tol
-    (1e-10) bounds max |M - M^dagger| of an input; degeneracy_tol (1e-8)
-    groups eigenvalues into degenerate blocks. Every field
+    (1e-10) bounds max |M - M^dagger| of an input, absolutely;
+    degeneracy_tol (1e-8) groups eigenvalues into degenerate blocks
+    relative to their spread (largest minus smallest eigenvalue), and
+    drift removal counts fixed generators as zero relative to the largest
+    perturbed generator's norm. Every field
     must be finite and >= 0. The field list is the one list of names:
     to_dict and the keys a CLI --tol-config file may set follow it.
     """

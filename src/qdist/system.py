@@ -132,18 +132,19 @@ class ControlSystem:
                            ) -> "ControlSystem":
         """New system with delta added to each (index, delta) generator; delta
         is a matrix or a HermitianOperator (a certificate's perturbations
-        pass as they are)."""
+        pass as they are). Each index may appear once."""
         layout = list(self._layout)
-        deltas: dict[int, np.ndarray] = {}
+        seen = set()
         for index, delta in perturbations:
             index = generator_index(index)
             if not 0 <= index < len(layout):
                 raise InputError(f"perturbation index {index} out of range")
+            if index in seen:
+                raise InputError(f"perturbation list perturbs generator {index} twice")
+            seen.add(index)
             dm = as_matrix(delta)
             if dm.shape != (self.dim, self.dim):
                 raise InputError("perturbation dimension mismatch")
-            deltas[index] = deltas.get(index, 0) + dm
-        for index, dm in sorted(deltas.items()):
             role, op, cap = layout[index]
             layout[index] = (role, as_operator(op.matrix + dm, tol), cap)
         return ControlSystem(

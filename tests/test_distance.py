@@ -804,6 +804,24 @@ class TestEpsilonBest:
         assert cert.op_norm == pytest.approx(gap / 2, abs=1e-10)
         assert cert.method == "gap_merge"
 
+    @pytest.mark.parametrize("system, method, ratio", [
+        (build_hopping_chain(4), "gap_merge", 0.5),
+        (build_hopping_chain(6), "gap_merge", 0.27747906604368),
+        (random_pair_system(4, 0), "block_search", 0.99258769667912),
+        (random_pair_system(5, 3), "block_search", 1.67392984253025)],
+        ids=["hopping_d4", "hopping_d6", "pair_d4", "pair_d5"])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-8, 1e-6, 1.0, 1e3, 1e6])
+    def test_the_best_bound_does_not_depend_on_units(self, system, method,
+                                                     ratio, scale):
+        # degeneracy_tol is relative: with an absolute 1e-8 every system
+        # here fell back to drift removal at the small scales (op_norm/s
+        # 1.618, 1.802, 1.674 and 4.442)
+        cert = epsilon_best(make_system(
+            drift=scale * system.drift.matrix,
+            unbounded=[scale * u.matrix for u in system.unbounded]))
+        assert cert.method == method
+        assert cert.op_norm / scale == pytest.approx(ratio, rel=1e-12)
+
     @pytest.mark.parametrize("system", [
         build_two_qubit_ising(1.0), build_global_control_chain(2, [1.0, 1.2])])
     def test_each_d4_input_is_decomposed_once(self, svd_log, spectrum_log,
@@ -945,7 +963,8 @@ class TestCertificateSerialization:
         back = certificate_from_json(doc)
         assert back.method == cert.method
         assert back.op_norm == cert.op_norm
-        assert back.verified_uncontrollable == cert.verified_uncontrollable
+        assert cert.verified_uncontrollable
+        assert not back.verified_uncontrollable  # the file's flag is not kept
         np.testing.assert_array_equal(back.perturbations[0][1].matrix,
                                       cert.perturbations[0][1].matrix)
         np.testing.assert_array_equal(back.symmetry_witness.matrix,
@@ -962,6 +981,21 @@ class TestCertificateSerialization:
         doc["perturbations"][0]["index"] = index
         with pytest.raises(InputError, match="must be an integer"):
             certificate_from_json(doc)
+
+    def test_a_loaded_certificate_is_unverified(self):
+        # hopping d=4: a 1e-6 shift of two drift eigenvalues breaks nothing,
+        # yet its file claims a verdict. Kept, that claim gave T* = 250000,
+        # with epsilon_upper 1e-6 below the SVD lower bound 0.106
+        system = build_hopping_chain(4)
+        doc = certificate_to_json(DistanceCertificate(
+            perturbations=[(0, HermitianOperator(1e-6 * np.diag([1, -1, 0, 0])))],
+            method="manual", verified_uncontrollable=True))
+        assert doc["verified_uncontrollable"] is True
+        cert = certificate_from_json(doc)
+        assert not cert.verified_uncontrollable
+        assert not verify_certificate(system, cert)
+        with pytest.raises(InputError, match="requires a verified certificate"):
+            t_star_lower(system, cert)
 
     def test_certificate_index_is_checked_on_construction(self):
         with pytest.raises(InputError, match="must be an integer"):

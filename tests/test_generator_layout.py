@@ -161,6 +161,15 @@ def test_perturbation_index_that_is_no_integer_is_an_input_error(index):
                                   system.generators()[1].matrix + delta)
 
 
+def test_a_repeated_perturbation_index_is_an_input_error():
+    # one rule wherever a perturbation list is applied, as a certificate's:
+    # two halves of one delta are refused, not added together
+    system = mixed_system(True, 1, 1)
+    half = 0.05 * np.eye(3)
+    with pytest.raises(InputError, match="perturbs generator 1 twice"):
+        system.with_perturbations([(1, half), (np.int64(1), half)])
+
+
 def test_algebra_generators_are_computed_once_and_read_only():
     system = mixed_system(True, 1, 1)
     # nothing is held until the first call: a large model that is only

@@ -86,8 +86,10 @@ def certificates(draw):
 @hypothesis.given(cert=certificates())
 def test_certificate_round_trip(cert):
     back = certificate_from_json(through_json(certificate_to_json(cert)))
+    # the verdict is checked as a bool but not kept: a loaded certificate
+    # is unverified until verify_certificate passes on it
     assert (back.method, back.detail, back.verified_uncontrollable) == (
-        cert.method, cert.detail, cert.verified_uncontrollable)
+        cert.method, cert.detail, False)
     assert back.op_norm == cert.op_norm
     assert [i for i, _ in back.perturbations] == [
         i for i, _ in cert.perturbations]
