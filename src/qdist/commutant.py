@@ -22,8 +22,8 @@ are tested against. Either way commutant_dimension merges the blocks'
 values under one cutoff and maps their null vectors back one way.
 
 Complex conjugation is a second exact symmetry when every generator is
-real or imaginary up to the identity (conjugation_parity), as in every
-model of qdist.models. A real generator maps real symmetric X to
+real or imaginary up to the identity (linalg.conjugation_parity), as in
+every model of qdist.models. A real generator maps real symmetric X to
 imaginary antisymmetric i[H, X] and back, an imaginary one keeps each
 kind, so the Sym^2 and Lambda^2 sectors each split into two real blocks
 of about half the width, and the off-diagonal sector becomes one real
@@ -70,8 +70,9 @@ import numpy as np
 
 from .errors import DimensionGuardError, NumericalError
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig,
-                     checked_generators, devec_herm, hermitian_eigensystem,
-                     real_symmetric_positions,
+                     checked_generators, conjugation_parity, devec_herm,
+                     eigenvalue_clusters, hermitian_eigensystem,
+                     hermitian_part, real_symmetric_positions,
                      singular_decomposition, tensor_double)
 
 # no commutant spectrum at or above this d, and no override. The three swap
@@ -177,7 +178,7 @@ def build_stacked_adjoint(generators, tol: ToleranceConfig = DEFAULT_TOL
     K n^2 rows and n^2 columns (n = d^2). It is built from Re H and Im H in
     real arithmetic, and it has the same singular values as the stacked
     complex row-vectorized blocks (i H_k^(2))^(ad). A generator that is not
-    Hermitian within tol.hermiticity_tol is an InputError. It is the dense
+    Hermitian (linalg.hermitian_matrix) is an InputError. It is the dense
     oracle the swap sectors of commutant_dimension are tested against, and
     its one block below SECTOR_MIN_DIM.
     """
@@ -223,10 +224,6 @@ def _column_entries(pattern, columns: np.ndarray):
     return row[keep], place[col[keep]], z_index[keep], weight[keep]
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
-
-
 @lru_cache(maxsize=8)
 def swap_sector_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Real orthonormal bases of Sym^2 and Lambda^2 in C^d (x) C^d: the
@@ -261,22 +258,6 @@ class SectorBlock(NamedTuple):
     matrix: np.ndarray
     sector: str
     columns: np.ndarray
-
-
-def conjugation_parity(m: np.ndarray) -> int:
-    """+1 when the traceless part of m is real (conj(H) = H up to the
-    identity), -1 when it is imaginary (conj(H) = -H up to the identity),
-    0 otherwise. Read exactly, without a tolerance: the imaginary or the
-    real part must be a multiple of the identity, which commutes with
-    everything and so drops out of every adjoint map. A zero traceless part
-    counts as real."""
-    for parity, part in ((1, m.imag), (-1, m.real)):
-        diagonal = part.diagonal()
-        # no nonzero entry off the diagonal, and a constant diagonal
-        if np.count_nonzero(part) == np.count_nonzero(diagonal) and \
-                (diagonal == diagonal[0]).all():
-            return parity
-    return 0
 
 
 @lru_cache(maxsize=8)
@@ -371,12 +352,12 @@ def sector_blocks(mats, vs: np.ndarray, va: np.ndarray) -> list:
 
     Returns the list of SectorBlock. The generators must already be
     checked. H_s and H_a are symmetrized, not checked again: a generator
-    accepted within hermiticity_tol can give sectors up to twice as far
+    accepted by linalg.hermitian_matrix can give sectors up to twice as far
     from Hermitian.
     """
     doubled = [tensor_double(m) for m in mats]
-    hs = [_hermitian_part(vs.T @ h @ vs) for h in doubled]
-    ha = [_hermitian_part(va.T @ h @ va) for h in doubled]
+    hs = [hermitian_part(vs.T @ h @ vs) for h in doubled]
+    ha = [hermitian_part(va.T @ h @ va) for h in doubled]
     s, a = vs.shape[1], va.shape[1]
     parities = [conjugation_parity(m) for m in mats]
     split = all(parities)
@@ -512,10 +493,10 @@ def _sector_operators(block: SectorBlock, y: np.ndarray, d: int) -> list:
     coords[block.columns] = y
     if block.sector == "off":
         z = coords.reshape(s, a)
-        return [np.sqrt(2) * _hermitian_part(vs @ w @ va.T)
+        return [np.sqrt(2) * hermitian_part(vs @ w @ va.T)
                 for w in (z, 1j * z)]
     v = vs if block.sector == "sym" else va
-    return [_hermitian_part(v @ devec_herm(coords, v.shape[1]) @ v.T)]
+    return [hermitian_part(v @ devec_herm(coords, v.shape[1]) @ v.T)]
 
 
 def _null_vectors(decomposition, cutoff: float) -> np.ndarray:
@@ -543,13 +524,13 @@ def _joint_commutant(mats, tol: ToleranceConfig, rng
 
     R = sum_k g_k H_k, g drawn from rng, is diagonalized once (R = V L V^+).
     Every X that commutes with all H_k commutes with R, so in R's basis it
-    is block diagonal over R's eigenvalue clusters: eigenvalues that differ
-    by at most _CLUSTER_REL_GAP (lambda_max - lambda_min)(R) share one, a
-    scale that, like the commutant, ignores identity shifts. The stacked
-    blocks of X -> i[V^+ H_k V, X] are built only on the sum m_c^2
-    Hermitian basis positions inside the clusters (d of them when R's
-    spectrum is simple), not on all d^2, and their null vectors are the
-    commutant. Its rank cutoff is rank_rel_tol times max_k ||ad H_k||,
+    is block diagonal over R's eigenvalue clusters: adjacent eigenvalues
+    that differ by at most _CLUSTER_REL_GAP (lambda_max - lambda_min)(R)
+    share one (linalg.eigenvalue_clusters), a scale that, like the
+    commutant, ignores identity shifts. The stacked blocks of
+    X -> i[V^+ H_k V, X] are built only on the sum m_c^2 Hermitian basis
+    positions inside the clusters (d of them when R's spectrum is simple),
+    not on all d^2, and their null vectors are the commutant. Its rank cutoff is rank_rel_tol times max_k ||ad H_k||,
     the largest spread lambda_max - lambda_min of a generator, which is
     within sqrt(K) of the largest singular value of the full stacked
     matrix. The restricted matrix's own largest value is no scale: when
@@ -561,12 +542,10 @@ def _joint_commutant(mats, tol: ToleranceConfig, rng
     """
     stack = np.stack(mats)
     r = np.tensordot(rng.standard_normal(len(mats)), stack, 1)
-    lam, basis = hermitian_eigensystem(_hermitian_part(r), tol=tol)
-    # cluster labels: a new cluster at each gap above the threshold
-    split = np.diff(lam) > _CLUSTER_REL_GAP * np.ptp(lam)
-    labels = np.concatenate([[0], np.cumsum(split)])
+    lam, basis = hermitian_eigensystem(hermitian_part(r), tol=tol)
+    labels = eigenvalue_clusters(lam, _CLUSTER_REL_GAP)
     columns = (labels[:, None] == labels).ravel()
-    rotated = [_hermitian_part(basis.conj().T @ m @ basis) for m in mats]
+    rotated = [hermitian_part(basis.conj().T @ m @ basis) for m in mats]
     decomposition = singular_decomposition(_stacked_adjoint(rotated, columns))
     try:
         spread = np.ptp(np.linalg.eigvalsh(stack), axis=1).max()
@@ -587,9 +566,10 @@ def joint_blocks(generators, tol: ToleranceConfig):
     element of their span) is diagonalized; its spectral projectors
     commute with every generator. Adjacent eigenvalues of the diagonalized
     matrix share a block when they lie within degeneracy_tol times its
-    spread (largest minus smallest eigenvalue). Both random draws come
-    from one fixed seed. Returns (basis, blocks), blocks listing the basis
-    columns of each, or None when there is a single block.
+    spread (largest minus smallest eigenvalue, linalg.eigenvalue_clusters).
+    Both random draws come from one fixed seed. Returns (basis, blocks),
+    blocks listing the basis columns of each, or None when there is a
+    single block.
     """
     mats, d = checked_generators(generators, tol)
     if len(mats) == 1:
@@ -603,13 +583,8 @@ def joint_blocks(generators, tol: ToleranceConfig):
         m = devec_herm(rng.standard_normal(len(null)) @ null, d)
         w, u = hermitian_eigensystem(m, tol=tol)
         v = r_basis @ u
-    cutoff = tol.degeneracy_tol * (w[-1] - w[0])
-    blocks = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= cutoff:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
+    labels = eigenvalue_clusters(w, tol.degeneracy_tol)
+    blocks = [np.flatnonzero(labels == c).tolist() for c in range(labels[-1] + 1)]
     return (v, blocks) if len(blocks) > 1 else None
 
 
@@ -617,7 +592,7 @@ def block_projector(basis: np.ndarray, cols) -> np.ndarray:
     """Orthogonal projector onto the span of the given basis columns,
     symmetrized so that it is exactly Hermitian."""
     vp = basis[:, cols]
-    return _hermitian_part(vp @ vp.conj().T)
+    return hermitian_part(vp @ vp.conj().T)
 
 
 def extract_original_space_symmetry(generators, tol: ToleranceConfig = DEFAULT_TOL

@@ -30,9 +30,9 @@ from .errors import InputError, NumericalError, UncontrollableSystemError
 from .lie_closure import LieClosureResult, lie_dimension
 from .linalg import (DEFAULT_TOL, HermitianOperator, ToleranceConfig, as_matrix,
                      as_operator, checked_generators, commutator,
-                     hermitian_eigensystem, json_object, json_value,
-                     matrix_from_json, matrix_to_json, operator_norm,
-                     traceless_part)
+                     hermitian_eigensystem, hermitian_part, json_object,
+                     json_value, matrix_from_json, matrix_to_json,
+                     operator_norm, traceless_part)
 from .system import ControlSystem, generator_index
 
 # bound on N d^2 for block search's N bipartitions at dimension d: a random
@@ -274,8 +274,7 @@ def epsilon_upper_gap_merge(system: ControlSystem,
     lo = np.outer(v[:, k], v[:, k].conj())
     hi = np.outer(v[:, k + 1], v[:, k + 1].conj())
     # raise the lower eigenvalue and lower the upper one onto their midpoint
-    delta = (g / 2) * (lo - hi)
-    delta = (delta + delta.conj().T) / 2
+    delta = hermitian_part((g / 2) * (lo - hi))
     merged = system.with_perturbations([(index, delta)], tol=tol)
     witness = extract_original_space_symmetry(merged.algebra_generators(), tol)
     if witness is None:
@@ -379,7 +378,7 @@ def _block_cut_delta(hd: np.ndarray, basis: np.ndarray, blocks, side) -> tuple:
     p = block_projector(basis, [i for bi in side for i in blocks[bi]])
     q = np.eye(hd.shape[0]) - p
     delta = -(p @ hd @ q + q @ hd @ p)
-    return (delta + delta.conj().T) / 2, p
+    return hermitian_part(delta), p
 
 
 def epsilon_upper_min_cut(system: ControlSystem,

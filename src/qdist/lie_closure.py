@@ -14,7 +14,7 @@ re-orthogonalization, BCGS2: Barlow & Smoktunowicz, Numer. Math. 123, 395
 (2013)).
 
 When every generator is real or imaginary up to the identity
-(commutant.conjugation_parity), as in every model of qdist.models, su(d)
+(linalg.conjugation_parity), as in every model of qdist.models, su(d)
 is graded (Zeier & Schulte-Herbruggen, J. Math. Phys. 52, 113510 (2011)):
 each element is a real symmetric H (grade +1) or an imaginary
 antisymmetric one (grade -1), and the bracket i[A, B] has grade
@@ -33,10 +33,9 @@ from math import sqrt
 
 import numpy as np
 
-from .commutant import conjugation_parity
 from .errors import DimensionGuardError
 from .linalg import (DEFAULT_TOL, ToleranceConfig, checked_generators,
-                     real_symmetric_positions)
+                     conjugation_parity, real_symmetric_positions)
 
 # the closure holds each grade's coordinate rows, up to 8 d^4 bytes, plus
 # one generation's brackets as complex d x d matrices while it runs. It is

@@ -1,6 +1,9 @@
 """Dense complex matrix substrate: norms, commutators, the doubled-space
 construction, real Hermitian coordinates, rank/nullity.
 
+It owns the four rules every module applies to a Hermitian matrix:
+hermitian_matrix, hermitian_part, eigenvalue_clusters, conjugation_parity.
+
 Conventions fixed for the whole package:
 
 * matrices are flattened row-major; the complex row-vectorized map
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import InitVar, asdict, dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,16 +34,16 @@ from .errors import InputError, NumericalError
 class ToleranceConfig:
     """Numerical tolerance policy shared by all modules.
 
-    rank_rel_tol (default 1e-9) is the relative singular-value cutoff
-    sigma_i > tol * sigma_max; commute_tol (1e-9) bounds a symmetry
-    witness's commutators relative to the operators' norms; hermiticity_tol
-    (1e-10) bounds max |M - M^dagger| of an input, absolutely;
-    degeneracy_tol (1e-8) groups eigenvalues into degenerate blocks
-    relative to their spread (largest minus smallest eigenvalue), and
+    All four are relative. rank_rel_tol (default 1e-9) is the relative
+    singular-value cutoff sigma_i > tol * sigma_max; commute_tol (1e-9)
+    bounds a symmetry witness's commutators relative to the operators'
+    norms; hermiticity_tol (1e-10) bounds max |M - M^dagger| of an input
+    relative to max(1, max |M|) (hermitian_matrix); degeneracy_tol (1e-8)
+    groups eigenvalues relative to their spread (eigenvalue_clusters), and
     drift removal counts fixed generators as zero relative to the largest
-    perturbed generator's norm. Every field
-    must be finite and >= 0. The field list is the one list of names:
-    to_dict and the keys a CLI --tol-config file may set follow it.
+    perturbed generator's norm. Every field must be finite and >= 0. The
+    field list is the one list of names: to_dict and the keys a CLI
+    --tol-config file may set follow it.
     """
 
     hermiticity_tol: float = 1e-10
@@ -89,13 +91,30 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def _defect(a: np.ndarray) -> float:
+def hermiticity_defect(m) -> float:
+    """Max-entry deviation from self-adjointness, ||M - M^dagger||_max."""
+    a = _as_square(m)
     return float(np.abs(a - a.conj().T).max())
 
 
-def hermiticity_defect(m) -> float:
-    """Max-entry deviation from self-adjointness, ||M - M^dagger||_max."""
-    return _defect(_as_square(m))
+def hermitian_matrix(m, tol: ToleranceConfig, name: str) -> np.ndarray:
+    """m as a square complex matrix (as_matrix), Hermitian at its own scale:
+    max |M - M^dagger| <= tol.hermiticity_tol * max(1, max |M|), else an
+    InputError naming `name`. Below max |M| = 1 the bound stays absolute:
+    roundoff asymmetry need not shrink with the largest entry."""
+    a = _as_square(m)
+    defect = hermiticity_defect(a)
+    bound = tol.hermiticity_tol * max(1.0, float(np.abs(a).max()))
+    if defect > bound:
+        raise InputError(f"{name} is not Hermitian: max |M - M^dagger| = "
+                         f"{defect:.3e} > {bound:.3e}")
+    return a
+
+
+def hermitian_part(m) -> np.ndarray:
+    """(M + M^dagger) / 2 over the last two axes: the Hermitian part of a
+    matrix, or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def traceless_part(m) -> np.ndarray:
@@ -107,7 +126,7 @@ def traceless_part(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A dense self-adjoint d x d matrix, Hermitian within tol.hermiticity_tol.
+    """A dense self-adjoint d x d matrix, checked by hermitian_matrix.
 
     The wrapped array is copied and frozen, so instances are safe to share.
     Its trace is kept: the algebraic tests shift it out where they need to.
@@ -117,17 +136,8 @@ class HermitianOperator:
     tol: InitVar[ToleranceConfig | None] = None
 
     def __post_init__(self, tol):
-        tol = tol or DEFAULT_TOL
-        a = np.array(self.matrix, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InputError(f"Hermitian operator must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputError("Hermitian operator has non-finite entries")
-        defect = _defect(a)
-        if defect > tol.hermiticity_tol:
-            raise InputError(
-                f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
-                f"> {tol.hermiticity_tol:.3e}")
+        a = hermitian_matrix(np.array(self.matrix, dtype=np.complex128),
+                             tol or DEFAULT_TOL, "matrix")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -137,11 +147,8 @@ class HermitianOperator:
 
 
 def as_operator(m, tol: ToleranceConfig) -> HermitianOperator:
-    """m itself if it is a HermitianOperator, else m wrapped as one (checked
-    Hermitian within tol.hermiticity_tol)."""
-    if isinstance(m, HermitianOperator):
-        return m
-    return HermitianOperator(as_matrix(m), tol=tol)
+    """m itself if it is a HermitianOperator, else m wrapped as one."""
+    return m if isinstance(m, HermitianOperator) else HermitianOperator(m, tol)
 
 
 def checked_generators(generators, tol: ToleranceConfig
@@ -149,8 +156,8 @@ def checked_generators(generators, tol: ToleranceConfig
     """The generators as complex matrices, and their common dimension d.
 
     The one check every algebraic test runs on its input: at least one
-    generator, all d x d with d >= 2, each Hermitian within
-    tol.hermiticity_tol. Anything else is an InputError.
+    generator, all d x d with d >= 2, each Hermitian (hermitian_matrix).
+    Anything else is an InputError.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -161,12 +168,8 @@ def checked_generators(generators, tol: ToleranceConfig
     for k, m in enumerate(mats):
         if m.shape != (d, d):
             raise InputError(f"generator {k} has shape {m.shape}, expected {(d, d)}")
-        defect = _defect(m)
-        if defect > tol.hermiticity_tol:
-            raise InputError(
-                f"generator {k} is not Hermitian: max |M - M^dagger| = "
-                f"{defect:.3e} > {tol.hermiticity_tol:.3e}")
-    return mats, d
+    return [hermitian_matrix(m, tol, f"generator {k}")
+            for k, m in enumerate(mats)], d
 
 
 def operator_norm(m) -> float:
@@ -207,15 +210,29 @@ def vec_herm(m) -> np.ndarray:
     return c.ravel()
 
 
-@lru_cache(maxsize=16)
 def real_symmetric_positions(n: int) -> np.ndarray:
     """Mask of the n^2 vec_herm positions that a real symmetric n x n
     matrix can have nonzero: the diagonal and the upper triangle. An
     imaginary antisymmetric matrix has its coordinates at the others, the
-    lower triangle. Read-only, cached per n."""
-    mask = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    mask.setflags(write=False)
-    return mask
+    lower triangle."""
+    return np.triu(np.ones((n, n), dtype=bool)).ravel()
+
+
+def conjugation_parity(m: np.ndarray) -> int:
+    """+1 when the traceless part of m is real (conj(H) = H up to the
+    identity), -1 when it is imaginary (conj(H) = -H up to the identity),
+    0 otherwise. Read exactly, without a tolerance: the imaginary or the
+    real part must be a multiple of the identity, which commutes with
+    everything and so drops out of every adjoint map. A zero traceless part
+    counts as real. Parity +1 (-1) puts the vec_herm coordinates, up to
+    the identity, at real_symmetric_positions (the others)."""
+    for parity, part in ((1, m.imag), (-1, m.real)):
+        diagonal = part.diagonal()
+        # no nonzero entry off the diagonal, and a constant diagonal
+        if np.count_nonzero(part) == np.count_nonzero(diagonal) and \
+                (diagonal == diagonal[0]).all():
+            return parity
+    return 0
 
 
 def devec_herm(v, n: int) -> np.ndarray:
@@ -284,23 +301,29 @@ def hermitian_eigensystem(h, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns (w, v) with columns of v the eigenvectors. The decomposition is
     validated: per-pair residual <= 1e-10 * ||H|| and v unitary to 1e-10.
+    The input is checked by hermitian_matrix and symmetrized.
     """
-    a = _as_square(h)
-    if hermiticity_defect(a) > tol.hermiticity_tol:
-        raise InputError("hermitian_eigensystem requires a Hermitian matrix")
-    sym = (a + a.conj().T) / 2
+    sym = hermitian_part(hermitian_matrix(h, tol, "eigensystem input"))
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh failed: {exc}") from exc
     scale = max(float(np.max(np.abs(w))), 1e-300)
     resid = np.linalg.norm(sym @ v - v * w, axis=0)
-    if np.any(resid > 1e-10 * scale + 1e-14):
+    if np.any(resid > 1e-10 * scale):
         raise NumericalError(f"eigendecomposition residual {resid.max():.3e} too large")
-    unit = np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0])))
+    unit = np.max(np.abs(v.conj().T @ v - np.eye(sym.shape[0])))
     if unit > 1e-10:
         raise NumericalError(f"eigenvector matrix not unitary: defect {unit:.3e}")
     return w, v
+
+
+def eigenvalue_clusters(w: np.ndarray, rel_gap: float) -> np.ndarray:
+    """Cluster labels 0, 1, ... of ascending eigenvalues w: a new cluster
+    starts at each gap above rel_gap * (w[-1] - w[0]), a scale that ignores
+    identity shifts. The one grouping rule for eigenvalues."""
+    split = np.diff(w) > rel_gap * (w[-1] - w[0])
+    return np.concatenate([[0], np.cumsum(split)])
 
 
 def random_hermitian(d: int, seed, traceless: bool = False) -> HermitianOperator:
@@ -309,7 +332,7 @@ def random_hermitian(d: int, seed, traceless: bool = False) -> HermitianOperator
         raise InputError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = (a + a.conj().T) / 2
+    m = hermitian_part(a)
     if traceless:
         m = m - (np.trace(m) / d) * np.eye(d)
     return HermitianOperator(m)

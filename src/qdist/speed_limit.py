@@ -22,8 +22,8 @@ from .commutant import block_projector, joint_blocks
 from .distance import (DistanceCertificate, Invariants, certificate_to_json,
                        epsilon_lower_svd, is_symmetry_witness)
 from .errors import InputError
-from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, json_numbers,
-                     json_object, operator_norm)
+from .linalg import (DEFAULT_TOL, ToleranceConfig, as_matrix, hermitian_part,
+                     json_numbers, json_object, operator_norm)
 from .system import ControlSystem
 
 DELTA_UNIVERSAL = 0.25          # dimension-independent floor
@@ -132,7 +132,7 @@ def evolve(system: ControlSystem, pulse: PiecewisePulse) -> np.ndarray:
     u = np.eye(d, dtype=complex)
     for start in range(0, len(amps), step):
         h = (amps[start:start + step] @ stack).reshape(-1, d, d)
-        w, v = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+        w, v = np.linalg.eigh(hermitian_part(h))
         phases = np.exp(1j * w * pulse.durations[start:start + step, None])
         segments = (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
         u = _ordered_product(segments) @ u

@@ -165,8 +165,8 @@ def generator_index(value) -> int:
 
 def make_system(drift=None, bounded=(), unbounded=(),
                 tol: ToleranceConfig = DEFAULT_TOL) -> ControlSystem:
-    """Build a ControlSystem from raw matrices, each checked Hermitian within
-    tol.hermiticity_tol.
+    """Build a ControlSystem from raw matrices, each checked Hermitian
+    (linalg.hermitian_matrix).
 
     `bounded` is a sequence of (matrix, cap) pairs.
     """

@@ -119,6 +119,34 @@ T_STAR_SYSTEMS = {
 }
 
 
+def in_units(system, s):
+    """analyze_system on the system conjugated by haar_unitary(d, 3) and
+    scaled by s: ((exit code, Lie section, nullity, method),
+    (op_norm / s, lower / s, T* s))."""
+    u = haar_unitary(system.dim, 3)
+    report, code = cli.analyze_system(
+        rebuild(system, lambda m: s * (u @ m @ u.conj().T)), DEFAULT_TOL)
+    upper = report["distance"]["upper"]
+    return ((code, report["lie"], report["commutant"]["nullity"],
+             upper["method"]),
+            (upper["op_norm"] / s, report["distance"]["lower"] / s,
+             report["qsl"]["t_star_lower"] * s))
+
+
+@pytest.mark.parametrize("build", [lambda: build_hopping_chain(4),
+                                   lambda: random_pair_system(4, 1)],
+                         ids=["hopping_d4", "random_d4"])
+@pytest.mark.parametrize("s", [1e-9, 2 * np.pi * 5e9])
+def test_analyze_does_not_depend_on_units(build, s):
+    # from nanoscale to a solid-state qubit's rad/s at 5 GHz: the same
+    # verdicts and method, and the same bounds in the system's own units
+    system = build()
+    (labels, bounds), (new_labels, new_bounds) = (in_units(system, 1.0),
+                                                  in_units(system, s))
+    assert new_labels == labels
+    np.testing.assert_allclose(new_bounds, bounds, rtol=1e-12, atol=0)
+
+
 @lru_cache(maxsize=None)
 def unscaled_t_star(name):
     return summary(T_STAR_SYSTEMS[name]())[1][2]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qdist import (HermitianOperator, InputError, ToleranceConfig,
-                   commutator, haar_unitary, hermitian_eigensystem,
-                   operator_norm, random_hermitian, rank_and_nullity,
-                   tensor_double)
+from qdist import (HermitianOperator, InputError, NumericalError,
+                   ToleranceConfig, commutator, haar_unitary,
+                   hermitian_eigensystem, lie_dimension, operator_norm,
+                   random_hermitian, rank_and_nullity, tensor_double)
 from qdist.commutant import build_stacked_adjoint
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, adjoint_action_matrix,
@@ -201,6 +201,20 @@ class TestHermitianEigensystem:
         with pytest.raises(InputError):
             hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0])
+    def test_residual_is_checked_at_the_matrix_scale(self, monkeypatch, scale):
+        # eigenvectors rotated by exp(i eta X), X mixing the first two: still
+        # unitary, with a residual of about eta times the matrix's scale,
+        # which is refused however small that scale is
+        eigh, eta = np.linalg.eigh, 1e-3
+        mix = np.eye(3, dtype=complex)
+        mix[:2, :2] = [[np.cos(eta), 1j * np.sin(eta)],
+                       [1j * np.sin(eta), np.cos(eta)]]
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: (eigh(a)[0], eigh(a)[1] @ mix))
+        with pytest.raises(NumericalError, match="residual"):
+            hermitian_eigensystem(scale * np.diag([1.0, 2.0, 3.0]))
+
 
 class TestRandomGenerators:
     def test_determinism(self):
@@ -228,6 +242,28 @@ class TestHermitianOperator:
         op = HermitianOperator(PAULI_Z)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    def test_roundoff_at_a_large_scale_is_accepted(self):
+        # a rotated spectrum in rad/s at 5 GHz: its roundoff asymmetry is
+        # far above 1e-10 but far below 1e-10 of its largest entry
+        u = haar_unitary(4, 3)
+        h = 2 * np.pi * 5e9 * (u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T)
+        assert np.abs(h - h.conj().T).max() > 1e-10
+        np.testing.assert_array_equal(HermitianOperator(h).matrix, h)
+
+
+@pytest.mark.parametrize("check", [HermitianOperator, hermitian_eigensystem,
+                                   lambda m: lie_dimension([m])],
+                         ids=["operator", "eigensystem", "generators"])
+def test_asymmetry_is_refused_at_any_scale(check):
+    # an anti-Hermitian part of 1e-9 of the largest entry, at scale 1e10
+    h = random_hermitian(4, 5).matrix
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    m = 1e10 * (h + 1e-9 * np.abs(h).max() * skew)
+    assert np.isclose(np.abs(m - m.conj().T).max() / 2, 1e-9 * np.abs(m).max())
+    with pytest.raises(InputError, match="Hermitian"):
+        check(m)
 
 
 class TestSupplementaryInequalities:
